@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the kernels underneath GNMR:
 // dense matmul, sparse SpMM, graph construction, negative sampling, one
 // GNMR layer forward and a full training step — plus per-backend variants
-// of the hot kernels (serial / omp / blocked / sharded, see backend.h) and
+// of the hot kernels (serial / sharded, see backend.h) and
 // the pipelined-vs-serial trainer epoch. These back the scalability claims
 // in DESIGN.md and catch kernel-level performance regressions.
 #include <benchmark/benchmark.h>
@@ -56,14 +56,12 @@ void BM_SpmmPerNnz(benchmark::State& state) {
 BENCHMARK(BM_SpmmPerNnz)->Arg(5)->Arg(20)->Arg(80);
 
 // ---- Per-backend kernel variants -------------------------------------------
-// Named <kernel>_backend/<name>; the 512^3 MatMul case is the acceptance
-// gauge for the blocked backend (>= 1.3x serial) and the simd backend
-// (>= 4x serial single-thread, same host same run). The sharded cases
-// track shard scaling: they run on the std::thread shard pool
-// (GNMR_SHARD_WORKERS governs the worker count; 1 worker degrades to
-// serial + dispatch cost). The blas captures exist only in GNMR_BLAS
-// builds and are NOT bit-exact — treat them as a roofline reference, not
-// a drop-in backend.
+// Named <kernel>_backend/<name>. The sharded cases run the AVX2 range
+// kernels (serial bodies on hosts without AVX2+FMA) on the std::thread
+// shard pool; GNMR_SHARD_WORKERS sets the worker count, and 1 worker
+// measures the vector kernels alone plus dispatch cost. The 512^3 MatMul
+// case is the gauge for the vector tiles (>= 4x serial at 1 worker on
+// AVX-512 hosts, same host same run).
 
 void BM_MatMulBackend(benchmark::State& state, const std::string& backend) {
   const tensor::KernelBackend* b = tensor::FindBackend(backend);
@@ -79,13 +77,7 @@ void BM_MatMulBackend(benchmark::State& state, const std::string& backend) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK_CAPTURE(BM_MatMulBackend, serial, "serial")->Arg(256)->Arg(512);
-BENCHMARK_CAPTURE(BM_MatMulBackend, omp, "omp")->Arg(256)->Arg(512);
-BENCHMARK_CAPTURE(BM_MatMulBackend, blocked, "blocked")->Arg(256)->Arg(512);
 BENCHMARK_CAPTURE(BM_MatMulBackend, sharded, "sharded")->Arg(256)->Arg(512);
-BENCHMARK_CAPTURE(BM_MatMulBackend, simd, "simd")->Arg(256)->Arg(512);
-#ifdef GNMR_HAVE_BLAS
-BENCHMARK_CAPTURE(BM_MatMulBackend, blas, "blas")->Arg(256)->Arg(512);
-#endif
 
 void BM_SpmmBackend(benchmark::State& state, const std::string& backend) {
   const tensor::KernelBackend* b = tensor::FindBackend(backend);
@@ -107,10 +99,7 @@ void BM_SpmmBackend(benchmark::State& state, const std::string& backend) {
   state.SetItemsProcessed(state.iterations() * m.nnz() * d);
 }
 BENCHMARK_CAPTURE(BM_SpmmBackend, serial, "serial");
-BENCHMARK_CAPTURE(BM_SpmmBackend, omp, "omp");
-BENCHMARK_CAPTURE(BM_SpmmBackend, blocked, "blocked");
 BENCHMARK_CAPTURE(BM_SpmmBackend, sharded, "sharded");
-BENCHMARK_CAPTURE(BM_SpmmBackend, simd, "simd");
 
 void BM_ScatterAddRowsBackend(benchmark::State& state,
                               const std::string& backend) {
@@ -129,10 +118,7 @@ void BM_ScatterAddRowsBackend(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * count * m);
 }
 BENCHMARK_CAPTURE(BM_ScatterAddRowsBackend, serial, "serial");
-BENCHMARK_CAPTURE(BM_ScatterAddRowsBackend, omp, "omp");
-BENCHMARK_CAPTURE(BM_ScatterAddRowsBackend, blocked, "blocked");
 BENCHMARK_CAPTURE(BM_ScatterAddRowsBackend, sharded, "sharded");
-BENCHMARK_CAPTURE(BM_ScatterAddRowsBackend, simd, "simd");
 
 void BM_RowDotBackend(benchmark::State& state, const std::string& backend) {
   const tensor::KernelBackend* b = tensor::FindBackend(backend);
@@ -148,16 +134,13 @@ void BM_RowDotBackend(benchmark::State& state, const std::string& backend) {
   state.SetItemsProcessed(state.iterations() * n * m);
 }
 BENCHMARK_CAPTURE(BM_RowDotBackend, serial, "serial");
-BENCHMARK_CAPTURE(BM_RowDotBackend, omp, "omp");
-BENCHMARK_CAPTURE(BM_RowDotBackend, blocked, "blocked");
 BENCHMARK_CAPTURE(BM_RowDotBackend, sharded, "sharded");
-BENCHMARK_CAPTURE(BM_RowDotBackend, simd, "simd");
 
 // The quantized posting-list scan kernel: one int8 query row against n
-// int8 code rows (KernelBackend::I8QueryDot). Every backend except simd
-// inherits the serial reference loop; the simd capture measures the AVX2
-// maddubs kernel against it. Same n/m as BM_RowDotBackend so the int8
-// and float scan costs compare directly.
+// int8 code rows (KernelBackend::I8QueryDot). Serial runs the reference
+// loop; sharded runs the AVX2 maddubs kernel on the calling thread (the
+// serving scans never dispatch to the pool). Same n/m as BM_RowDotBackend
+// so the int8 and float scan costs compare directly.
 void BM_I8DotBackend(benchmark::State& state, const std::string& backend) {
   const tensor::KernelBackend* b = tensor::FindBackend(backend);
   int64_t n = 4096, m = 64;
@@ -174,14 +157,12 @@ void BM_I8DotBackend(benchmark::State& state, const std::string& backend) {
   state.SetItemsProcessed(state.iterations() * n * m);
 }
 BENCHMARK_CAPTURE(BM_I8DotBackend, serial, "serial");
-BENCHMARK_CAPTURE(BM_I8DotBackend, omp, "omp");
-BENCHMARK_CAPTURE(BM_I8DotBackend, blocked, "blocked");
 BENCHMARK_CAPTURE(BM_I8DotBackend, sharded, "sharded");
-BENCHMARK_CAPTURE(BM_I8DotBackend, simd, "simd");
 
 // The sigmoid-backward zip is the hottest EltwiseZip in training; routing
-// it through each backend exercises the simd backend's pointer-keyed twin
-// substitution (backend_simd.h) on a body the portable TUs instantiated.
+// it through each backend exercises the sharded backend's pointer-keyed
+// twin substitution (backend_simd.h) on a body the portable TUs
+// instantiated.
 void BM_ActivationZipBackend(benchmark::State& state,
                              const std::string& backend) {
   const tensor::KernelBackend* b = tensor::FindBackend(backend);
@@ -198,10 +179,7 @@ void BM_ActivationZipBackend(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK_CAPTURE(BM_ActivationZipBackend, serial, "serial");
-BENCHMARK_CAPTURE(BM_ActivationZipBackend, omp, "omp");
-BENCHMARK_CAPTURE(BM_ActivationZipBackend, blocked, "blocked");
 BENCHMARK_CAPTURE(BM_ActivationZipBackend, sharded, "sharded");
-BENCHMARK_CAPTURE(BM_ActivationZipBackend, simd, "simd");
 
 void BM_GraphBuild(benchmark::State& state) {
   data::Dataset d = data::GenerateSynthetic(

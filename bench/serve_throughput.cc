@@ -1,6 +1,6 @@
 // google-benchmark suite for the serving read path: blocked top-K
 // retrieval vs the per-item eval::Scorer loop it replaces, batched
-// retrieval (OpenMP-parallel across user blocks), item-sharded retrieval
+// retrieval (user blocks sharing item tiles), item-sharded retrieval
 // over the shard pool (single-user and batched), IVF approximate retrieval
 // (with its measured recall@k and scanned fraction logged as counters so
 // the quality/cost trade-off is recorded, not assumed), and the RecService
@@ -192,7 +192,7 @@ void BM_ShardedRetrievalTopN(benchmark::State& state) {
 BENCHMARK(BM_ShardedRetrievalTopN)->Arg(10)->Arg(100);
 
 // Batched retrieval with user blocks fanned over the shard pool (the
-// sharded analogue of BM_BatchRetrieval's OpenMP fan-out).
+// parallel counterpart of BM_BatchRetrieval).
 void BM_ShardedBatchRetrieval(benchmark::State& state) {
   const int64_t batch = state.range(0);
   serve::ExactRetriever retriever(GlobalModel(), nullptr,
@@ -410,8 +410,8 @@ void BM_IvfBatchRetrieval(benchmark::State& state) {
 }
 BENCHMARK(BM_IvfBatchRetrieval)->Arg(64)->Arg(256);
 
-// Batched retrieval amortises the item tiles across a user block and
-// fans user blocks out over OpenMP threads.
+// Batched retrieval amortises the item tiles across a user block; under
+// the default serial backend the blocks run in order on one thread.
 void BM_BatchRetrieval(benchmark::State& state) {
   const int64_t batch = state.range(0);
   serve::ExactRetriever retriever(GlobalModel());

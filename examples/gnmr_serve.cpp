@@ -7,7 +7,7 @@
 //                               [--threads=4] [--requests=20000]
 //                               [--zipf=1.1] [--model=path] [--mmap]
 //                               [--save=path] [--save_v3=path]
-//                               [--backend=serial|omp|blocked|sharded|simd]
+//                               [--backend=serial|sharded]
 //                               [--shard_workers=N]
 //                               [--retriever=exact|ivf|hnsw] [--nlist=N]
 //                               [--nprobe=N] [--quantized] [--rerank_k=N]

@@ -26,13 +26,13 @@ namespace core {
 /// shard pool (tensor/shard_pool.h). All-zero unless kernels dispatched to
 /// the pool during the epoch — i.e. unless the "sharded" backend (or the
 /// item-sharded retriever) ran. busy_seconds[w] is worker w's time inside
-/// shard task bodies; the spread between min and max is the epoch's load
-/// imbalance.
+/// shard task bodies (the dispatching thread's own task is not timed); the
+/// spread between min and max is the epoch's load imbalance.
 struct ShardEpochStats {
   int64_t workers = 0;
   /// Kernel dispatches that fanned out to the pool.
   uint64_t dispatches = 0;
-  /// Shard tasks executed across all workers.
+  /// Shard tasks executed across all workers and the dispatching thread.
   uint64_t tasks = 0;
   /// Per-worker busy seconds during the epoch.
   std::vector<double> busy_seconds;

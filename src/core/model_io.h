@@ -206,12 +206,14 @@ util::Status BuildIvfIndex(ServingModel* model, int64_t nlist,
 /// at 1 / m respectively after defaulting). The model must be consistent.
 ///
 /// Deterministic by construction: levels come from the fixed-seed per-item
-/// hash, items are inserted in ascending id order, every candidate
-/// distance is a KernelBackend::QueryDotIndexed score (bit-identical on
-/// all backends) ranked under the serving (score desc, id asc) total
-/// order, and the heuristic prune breaks its ties the same way — so the
-/// same embeddings yield the byte-identical graph on every backend, run
-/// to run. Offline cost: O(num_items * ef_construction * m * width).
+/// hash, items are inserted in a hash-shuffled order (a second pass over
+/// the same per-item hash, ties by ascending id — a pure function of the
+/// ids, so every insertion prefix is a uniform sample of the catalogue),
+/// every candidate distance is a KernelBackend::QueryDotIndexed score
+/// (bit-identical on all backends) ranked under the serving (score desc,
+/// id asc) total order, and the heuristic prune breaks its ties the same
+/// way — so the same embeddings yield the byte-identical graph on every
+/// backend, run to run. Offline cost: O(num_items * ef_construction * m * width).
 util::Status BuildHnswIndex(ServingModel* model, int64_t m,
                             int64_t ef_construction);
 

@@ -1,6 +1,8 @@
 #include "src/data/loader.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "src/util/csv.h"
 #include "src/util/string_util.h"
@@ -97,6 +99,14 @@ util::Result<Dataset> LoadRawTsv(const std::string& path,
     if (!u.ok() || !v.ok() || !b.ok()) {
       return util::Status::ParseError(
           util::StrFormat("row %zu has non-integer fields", i));
+    }
+    // The shape is max id + 1, so an id must leave room for that +1.
+    constexpr int64_t kMaxId = std::numeric_limits<int64_t>::max();
+    if (u.value() < 0 || u.value() >= kMaxId || v.value() < 0 ||
+        v.value() >= kMaxId) {
+      return util::Status::ParseError(
+          util::StrFormat("row %zu has a user or item id outside "
+                          "[0, INT64_MAX)", i));
     }
     int64_t timestamp = ts++;
     if (row.size() == 4) {

@@ -37,20 +37,8 @@ RankingMetrics EvaluateRanking(Scorer* scorer,
   }
   if (tests.empty()) return out;
 
-  // Users are independent, so the scoring loop parallelizes; every
-  // registered Scorer only reads trained state from ScoreItems. Each test
-  // writes its per-cutoff contributions to its own slot and the reduction
-  // below runs serially in index order, so the accumulated metrics are
-  // bit-identical to the serial evaluator at any thread count.
-  const int64_t num_tests = static_cast<int64_t>(tests.size());
-  const int64_t num_cutoffs = static_cast<int64_t>(cutoffs.size());
-  std::vector<double> hr_part(static_cast<size_t>(num_tests * num_cutoffs));
-  std::vector<double> ndcg_part(static_cast<size_t>(num_tests * num_cutoffs));
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 16) if (num_tests > 1)
-#endif
-  for (int64_t t = 0; t < num_tests; ++t) {
-    const data::EvalCandidates& c = tests[static_cast<size_t>(t)];
+  // Metrics accumulate in test-index order.
+  for (const data::EvalCandidates& c : tests) {
     std::vector<int64_t> items;
     items.reserve(c.negatives.size() + 1);
     items.push_back(c.positive_item);
@@ -59,20 +47,12 @@ RankingMetrics EvaluateRanking(Scorer* scorer,
     scorer->ScoreItems(c.user, items, scores.data());
     std::vector<float> neg_scores(scores.begin() + 1, scores.end());
     int64_t rank = RankOfPositive(scores[0], neg_scores);
-    for (int64_t ci = 0; ci < num_cutoffs; ++ci) {
-      size_t slot = static_cast<size_t>(t * num_cutoffs + ci);
-      hr_part[slot] = HitRatioAtN(rank, cutoffs[static_cast<size_t>(ci)]);
-      ndcg_part[slot] = NdcgAtN(rank, cutoffs[static_cast<size_t>(ci)]);
+    for (int64_t n : cutoffs) {
+      out.hr[n] += HitRatioAtN(rank, n);
+      out.ndcg[n] += NdcgAtN(rank, n);
     }
   }
-  for (int64_t t = 0; t < num_tests; ++t) {
-    for (int64_t ci = 0; ci < num_cutoffs; ++ci) {
-      size_t slot = static_cast<size_t>(t * num_cutoffs + ci);
-      out.hr[cutoffs[static_cast<size_t>(ci)]] += hr_part[slot];
-      out.ndcg[cutoffs[static_cast<size_t>(ci)]] += ndcg_part[slot];
-    }
-  }
-  out.num_users = num_tests;
+  out.num_users = static_cast<int64_t>(tests.size());
   for (int64_t n : cutoffs) {
     out.hr[n] /= static_cast<double>(out.num_users);
     out.ndcg[n] /= static_cast<double>(out.num_users);

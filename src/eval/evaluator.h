@@ -20,9 +20,7 @@ class Scorer {
   virtual ~Scorer() = default;
 
   /// Writes items.size() scores into `out`. Implementations must tolerate
-  /// concurrent calls for different users (read-only over trained state):
-  /// EvaluateRanking fans the per-user loop out across threads under
-  /// OpenMP builds.
+  /// concurrent calls for different users (read-only over trained state).
   virtual void ScoreItems(int64_t user, const std::vector<int64_t>& items,
                           float* out) = 0;
 };
@@ -38,9 +36,8 @@ struct RankingMetrics {
 };
 
 /// Scores every candidate set with `scorer` and averages metrics at every
-/// cutoff in `cutoffs`. The per-user loop runs OpenMP-parallel when
-/// enabled; accumulation reduces per-user partials in index order, so the
-/// result is bit-identical to the serial evaluator at any thread count.
+/// cutoff in `cutoffs`. Per-user contributions accumulate in test-index
+/// order.
 RankingMetrics EvaluateRanking(Scorer* scorer,
                                const std::vector<data::EvalCandidates>& tests,
                                const std::vector<int64_t>& cutoffs);

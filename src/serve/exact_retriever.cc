@@ -181,9 +181,6 @@ std::vector<std::vector<RecEntry>> ExactRetriever::RetrieveBatch(
     });
     return outs;
   }
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) if (num_blocks > 1)
-#endif
   for (int64_t b = 0; b < num_blocks; ++b) {
     const int64_t start = b * kUserBlock;
     const int64_t count = std::min(kUserBlock, n - start);

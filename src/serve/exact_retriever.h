@@ -55,10 +55,10 @@ class ExactRetriever : public Retriever {
   /// fewer than k entries come back when filtering leaves fewer items.
   std::vector<RecEntry> RetrieveTopN(int64_t user, int64_t k) const override;
 
-  /// RetrieveTopN for every user in `users`, parallel across user blocks
-  /// (shard pool when item sharding is active, OpenMP otherwise). Output
-  /// order matches input order; results are identical to per-user
-  /// RetrieveTopN calls at any thread/worker count.
+  /// RetrieveTopN for every user in `users`, in user blocks (fanned out
+  /// over the shard pool when item sharding is active). Output order
+  /// matches input order; results are identical to per-user RetrieveTopN
+  /// calls at any worker count.
   std::vector<std::vector<RecEntry>> RetrieveBatch(
       const std::vector<int64_t>& users, int64_t k) const override;
 

@@ -203,16 +203,8 @@ std::vector<std::vector<RecEntry>> HnswRetriever::RetrieveBatch(
     });
     return outs;
   }
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) if (num_blocks > 1)
-#endif
-  for (int64_t b = 0; b < num_blocks; ++b) {
-    const int64_t start = b * kUserBlock;
-    const int64_t count = std::min(kUserBlock, n - start);
-    for (int64_t u = 0; u < count; ++u) {
-      outs[static_cast<size_t>(start + u)] =
-          RetrieveOne(users[static_cast<size_t>(start + u)], k);
-    }
+  for (int64_t i = 0; i < n; ++i) {
+    outs[static_cast<size_t>(i)] = RetrieveOne(users[static_cast<size_t>(i)], k);
   }
   return outs;
 }

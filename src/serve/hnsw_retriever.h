@@ -21,8 +21,8 @@
 // Unlike the scan strategies a single query never shards: the walk is
 // inherently sequential (each hop's frontier depends on the last), and at
 // ef_search-scale candidate counts a fan-out would cost more than the
-// scan it saves. Batches fan user blocks out over the shard pool /
-// OpenMP exactly like IvfRetriever::RetrieveBatch.
+// scan it saves. Batches fan user blocks out over the shard pool exactly
+// like IvfRetriever::RetrieveBatch.
 //
 // Stats: `hops` counts nodes whose neighbor lists were walked,
 // `scanned_items` the distance evaluations those hops triggered — the
@@ -63,8 +63,8 @@ class HnswRetriever : public Retriever {
   std::vector<RecEntry> RetrieveTopN(int64_t user, int64_t k) const override;
 
   /// RetrieveTopN per user; user blocks fan out over the shard pool when
-  /// sharding is active, OpenMP otherwise. Output order matches input;
-  /// per-user results are identical to RetrieveTopN at any thread/worker
+  /// sharding is active and run in order otherwise. Output order matches
+  /// input; per-user results are identical to RetrieveTopN at any worker
   /// count (each user's walk is sequential and deterministic).
   std::vector<std::vector<RecEntry>> RetrieveBatch(
       const std::vector<int64_t>& users, int64_t k) const override;

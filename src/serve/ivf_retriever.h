@@ -75,9 +75,9 @@ class IvfRetriever : public Retriever {
 
   /// RetrieveTopN per user (probe sets differ per user, so there is no
   /// shared tile to amortise); user blocks fan out over the shard pool
-  /// when sharding is active, OpenMP otherwise. Output order matches
-  /// input; per-user results are identical to RetrieveTopN at any
-  /// thread/worker count.
+  /// when sharding is active and run in order otherwise. Output order
+  /// matches input; per-user results are identical to RetrieveTopN at any
+  /// worker count.
   std::vector<std::vector<RecEntry>> RetrieveBatch(
       const std::vector<int64_t>& users, int64_t k) const override;
 

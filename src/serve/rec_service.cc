@@ -415,16 +415,17 @@ void RecService::InstallLocked(
   // retired_retrieval_) and its stale lists are freed as soon as the last
   // in-flight leader drops its pin, rather than lingering until LRU churn
   // pushes them out. `entries` is deliberately not carried over — a
-  // retired generation holds no servable entries.
-  std::shared_ptr<RecCache> outgoing = std::atomic_load(&cache_);
+  // retired generation holds no servable entries. The new generation is
+  // published BEFORE the outgoing counters are read, so only a probe
+  // already holding the outgoing pointer (at most one per reader) can land
+  // after the harvest.
+  std::shared_ptr<RecCache> outgoing = std::atomic_exchange(
+      &cache_, std::make_shared<RecCache>(options_.cache_capacity_per_shard,
+                                          options_.cache_shards));
   const CacheStats retired = outgoing->stats();
   retired_cache_.hits += retired.hits;
   retired_cache_.misses += retired.misses;
   retired_cache_.evictions += retired.evictions;
-  std::atomic_store(&cache_,
-                    std::make_shared<RecCache>(
-                        options_.cache_capacity_per_shard,
-                        options_.cache_shards));
   version_.fetch_add(1, std::memory_order_acq_rel);
   swaps_.fetch_add(1, std::memory_order_relaxed);
 }

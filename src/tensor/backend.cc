@@ -11,16 +11,10 @@
 #include "src/tensor/backend_simd.h"
 #include "src/tensor/element_ops.h"
 #include "src/tensor/kernel_tunables.h"
-#include "src/tensor/quantize.h"
 #include "src/tensor/shard_plan.h"
 #include "src/tensor/shard_pool.h"
 #include "src/util/check.h"
 #include "src/util/cpu_features.h"
-#include "src/util/logging.h"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace gnmr {
 namespace tensor {
@@ -92,368 +86,181 @@ class SerialBackend : public KernelBackend {
   }
 };
 
-// ---- OmpBackend -------------------------------------------------------------
-// Row/chunk fan-out with the serial per-row bodies; deterministic at any
-// thread count. Compiles without OpenMP too (the pragmas vanish and every
-// kernel degrades to its serial loop), so GNMR_BACKEND=omp is always a
-// valid selection.
-
-class OmpBackend : public KernelBackend {
- public:
-  const char* name() const override { return "omp"; }
-
-  void MatMul(const float* a, const float* b, float* out, int64_t n,
-              int64_t k, int64_t m) const override {
-    // Rows of the output are independent; parallelizing the outer loop
-    // keeps each row's accumulation order unchanged.
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) \
-    if (n > 1 && n * k * m >= kParallelMatMulMinWork)
-#endif
-    for (int64_t i = 0; i < n; ++i) {
-      MatMulRow(a + i * k, b, out + i * m, k, m);
-    }
-  }
-
-  void Spmm(const CsrMatrix& a, const float* x, float* out,
-            int64_t d) const override {
-    int64_t n = a.rows();
-    // Dynamic chunks balance skewed per-row nnz (power-law degrees).
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, kSpmmRowChunk) \
-    if (n > 1 && a.nnz() * d >= kParallelSpmmMinWork)
-#endif
-    for (int64_t i = 0; i < n; ++i) {
-      SpmmRow(a, x, out + i * d, i, d);
-    }
-  }
-
-  void GatherRows(const float* a, int64_t m, const int64_t* idx,
-                  int64_t count, float* out) const override {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) \
-    if (count > 1 && count * m >= kParallelRowsMinWork)
-#endif
-    for (int64_t r = 0; r < count; ++r) {
-      std::copy(a + idx[r] * m, a + (idx[r] + 1) * m, out + r * m);
-    }
-  }
-
-  void ScatterAddRows(float* target, int64_t rows, int64_t m,
-                      const int64_t* idx, int64_t count,
-                      const float* src) const override {
-    // Duplicate destinations make the source loop unsafe to split, so
-    // partition *target* rows across threads instead: every thread scans
-    // the whole index list and applies only its own rows. Accumulation
-    // order per target row stays ascending-r — bit-identical to serial.
-#ifdef _OPENMP
-    if (rows > 1 && count * m >= kParallelRowsMinWork) {
-#pragma omp parallel
-      {
-        int64_t nt = omp_get_num_threads();
-        int64_t tid = omp_get_thread_num();
-        int64_t lo = rows * tid / nt;
-        int64_t hi = rows * (tid + 1) / nt;
-        ScatterAddRowRange(target, m, idx, count, src, lo, hi);
-      }
-      return;
-    }
-#endif
-    ScatterAddRowRange(target, m, idx, count, src, 0, rows);
-  }
-
-  void RowDot(const float* a, const float* b, float* out, int64_t n,
-              int64_t m) const override {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) \
-    if (n > 1 && n * m >= kParallelRowsMinWork)
-#endif
-    for (int64_t i = 0; i < n; ++i) {
-      out[i] = static_cast<float>(RowDotOne(a + i * m, b + i * m, m));
-    }
-  }
-
-  void EltwiseMap(const float* in, float* out, int64_t n, MapFn f,
-                  float p) const override {
-#ifdef _OPENMP
-    if (n >= kParallelEltwiseMinWork) {
-      // Contiguous per-thread ranges; the kernel runs once per range.
-#pragma omp parallel
-      {
-        int64_t nt = omp_get_num_threads();
-        int64_t tid = omp_get_thread_num();
-        int64_t lo = n * tid / nt;
-        int64_t hi = n * (tid + 1) / nt;
-        f(in + lo, out + lo, hi - lo, p);
-      }
-      return;
-    }
-#endif
-    f(in, out, n, p);
-  }
-
-  void EltwiseZip(const float* a, const float* b, float* out, int64_t n,
-                  ZipFn f, float p) const override {
-#ifdef _OPENMP
-    if (n >= kParallelEltwiseMinWork) {
-#pragma omp parallel
-      {
-        int64_t nt = omp_get_num_threads();
-        int64_t tid = omp_get_thread_num();
-        int64_t lo = n * tid / nt;
-        int64_t hi = n * (tid + 1) / nt;
-        f(a + lo, b + lo, out + lo, hi - lo, p);
-      }
-      return;
-    }
-#endif
-    f(a, b, out, n, p);
-  }
-
-  double ReduceSum(const float* in, int64_t n) const override {
-    int64_t num_chunks = (n + kReduceSumChunk - 1) / kReduceSumChunk;
-    if (num_chunks <= 1) return ChunkSum(in, 0, n);
-    // Chunk partials in parallel, combined serially in chunk order: the
-    // association is fixed by kReduceSumChunk, not the thread count.
-    std::vector<double> partial(static_cast<size_t>(num_chunks), 0.0);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (int64_t c = 0; c < num_chunks; ++c) {
-      int64_t begin = c * kReduceSumChunk;
-      partial[static_cast<size_t>(c)] =
-          ChunkSum(in, begin, std::min(n, begin + kReduceSumChunk));
-    }
-    double total = 0.0;
-    for (double v : partial) total += v;
-    return total;
-  }
-};
-
-// ---- BlockedBackend ---------------------------------------------------------
-
-// One output row with the k loop unrolled kMatMulKUnroll-wide: the
-// combined update orow[j] = (((orow[j] + a0*b0[j]) + a1*b1[j]) + ...)
-// amortises the output row's load/store over four multiply-adds instead
-// of one, while evaluating in exactly the serial ascending-k order, so
-// results stay numerically identical to MatMulRow (FMA contraction under
-// -march=native being the only permitted divergence).
-void MatMulRowBlocked(const float* a_row, const float* b, float* out_row,
-                      int64_t k, int64_t m) {
-  static_assert(kMatMulKUnroll == 4, "unrolled body matches the tunable");
-  int64_t kk = 0;
-  for (; kk + kMatMulKUnroll <= k; kk += kMatMulKUnroll) {
-    float a0 = a_row[kk];
-    float a1 = a_row[kk + 1];
-    float a2 = a_row[kk + 2];
-    float a3 = a_row[kk + 3];
-    if (a0 == 0.0f || a1 == 0.0f || a2 == 0.0f || a3 == 0.0f) {
-      // Preserve the serial reference's zero-skip (it matters when b holds
-      // non-finite values: 0*inf would poison the row). Rare, so the
-      // group falls back to the single-k form; same accumulation order.
-      for (int64_t p = kk; p < kk + kMatMulKUnroll; ++p) {
-        float av = a_row[p];
-        if (av == 0.0f) continue;
-        const float* brow = b + p * m;
-        for (int64_t j = 0; j < m; ++j) out_row[j] += av * brow[j];
-      }
-      continue;
-    }
-    const float* b0 = b + kk * m;
-    const float* b1 = b0 + m;
-    const float* b2 = b1 + m;
-    const float* b3 = b2 + m;
-    for (int64_t j = 0; j < m; ++j) {
-      out_row[j] = (((out_row[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) +
-                   a3 * b3[j];
-    }
-  }
-  for (; kk < k; ++kk) {
-    float av = a_row[kk];
-    if (av == 0.0f) continue;
-    const float* brow = b + kk * m;
-    for (int64_t j = 0; j < m; ++j) out_row[j] += av * brow[j];
-  }
-}
-
-class BlockedBackend : public OmpBackend {
- public:
-  const char* name() const override { return "blocked"; }
-
-  void MatMul(const float* a, const float* b, float* out, int64_t n,
-              int64_t k, int64_t m) const override {
-    // Rows are independent, so the OpenMP fan-out composes with the
-    // blocked row kernel (single-threaded builds just run the loop).
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) \
-    if (n > 1 && n * k * m >= kParallelMatMulMinWork)
-#endif
-    for (int64_t i = 0; i < n; ++i) {
-      MatMulRowBlocked(a + i * k, b, out + i * m, k, m);
-    }
-  }
-
-  void Spmm(const CsrMatrix& a, const float* x, float* out,
-            int64_t d) const override {
-    int64_t n = a.rows();
-    if (n <= 1 || a.nnz() * d < kParallelSpmmMinWork) {
-      for (int64_t i = 0; i < n; ++i) SpmmRow(a, x, out + i * d, i, d);
-      return;
-    }
-    // Row-binned schedule: contiguous row ranges of ~kSpmmBinNnz nonzeros
-    // each, so a few power-law heavy rows can't serialize a whole static
-    // chunk. Per-row arithmetic is untouched — results match serial.
-    const auto& row_ptr = a.row_ptr();
-    std::vector<int64_t> bin_start;
-    bin_start.push_back(0);
-    int64_t bin_nnz = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      bin_nnz +=
-          row_ptr[static_cast<size_t>(i) + 1] - row_ptr[static_cast<size_t>(i)];
-      if (bin_nnz >= kSpmmBinNnz) {
-        bin_start.push_back(i + 1);
-        bin_nnz = 0;
-      }
-    }
-    if (bin_start.back() != n) bin_start.push_back(n);
-    int64_t num_bins = static_cast<int64_t>(bin_start.size()) - 1;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) if (num_bins > 1)
-#endif
-    for (int64_t bin = 0; bin < num_bins; ++bin) {
-      for (int64_t i = bin_start[static_cast<size_t>(bin)];
-           i < bin_start[static_cast<size_t>(bin) + 1]; ++i) {
-        SpmmRow(a, x, out + i * d, i, d);
-      }
-    }
-  }
-};
-
 // ---- ShardedBackend ---------------------------------------------------------
 // Row-range partitioning over the persistent shard pool (shard_pool.h):
 // every kernel cuts its row (or chunk) dimension with a ShardPlan and runs
-// the serial body per shard, so results are bit-identical to serial at any
-// worker count — including 1, where plans collapse to a single inline
-// range. No OpenMP anywhere: this is the execution layer the ROADMAP's
-// sharding item calls for, and the seam future multi-process / NUMA
-// sharding slots into.
+// one RangeKernels entry per shard — the AVX2 table on hosts that have it,
+// the serial bodies otherwise. Each output element is computed whole by
+// one range call in the serial accumulation order, so results are
+// bit-identical to serial at any worker count — including 1, where plans
+// collapse to a single inline range — and on either table.
+
+// Portable MapLoop/ZipLoop instantiations for every element_ops.h X-macro
+// body, in list order — the exact function pointers tensor_ops.cc and
+// ad_ops.cc pass to EltwiseMap/EltwiseZip (template instantiations
+// COMDAT-merge across the portable TUs, so the addresses agree). A kernel
+// table's twin arrays are index-aligned with these; see backend_simd.h for
+// why the vector TU cannot instantiate the templates itself.
+constexpr KernelBackend::MapFn kMapKeys[] = {
+#define GNMR_MAP_KEY(name, expr) &MapLoop<&elops::name##El>,
+    GNMR_ELTWISE_MAP_BODIES(GNMR_MAP_KEY)
+#undef GNMR_MAP_KEY
+};
+constexpr KernelBackend::ZipFn kZipKeys[] = {
+#define GNMR_ZIP_KEY(name, expr) &ZipLoop<&elops::name##El>,
+    GNMR_ELTWISE_ZIP_BODIES(GNMR_ZIP_KEY)
+#undef GNMR_ZIP_KEY
+};
+
+// The twin of `f` from `twins` (list-aligned with `keys`), or `f` itself
+// for bodies without one (test lambdas, a table without twins).
+template <typename Fn, size_t N>
+Fn Translate(Fn f, const Fn (&keys)[N], const Fn* twins, int num_twins) {
+  const size_t n = std::min(N, static_cast<size_t>(num_twins));
+  for (size_t i = 0; i < n; ++i) {
+    if (keys[i] == f) return twins[i];
+  }
+  return f;
+}
 
 class ShardedBackend : public KernelBackend {
  public:
+  explicit ShardedBackend(const RangeKernels& kernels) : k_(kernels) {}
+
   const char* name() const override { return "sharded"; }
+
+  const RangeKernels& range_kernels() const { return k_; }
 
   void MatMul(const float* a, const float* b, float* out, int64_t n,
               int64_t k, int64_t m) const override {
     if (n <= 1 || n * k * m < kParallelMatMulMinWork) {
-      for (int64_t i = 0; i < n; ++i) {
-        MatMulRow(a + i * k, b, out + i * m, k, m);
-      }
+      k_.matmul_rows(a, b, out, k, m, 0, n);
       return;
     }
-    RunUniform(n, kShardMinRowsPerShard, [=](const ShardRange& r) {
-      for (int64_t i = r.begin; i < r.end; ++i) {
-        MatMulRow(a + i * k, b, out + i * m, k, m);
-      }
-    });
+    // Shards cut on register-tile boundaries, so only the last shard runs
+    // a ragged scalar tail.
+    constexpr int64_t tile = kSimdMatMulRowTile;
+    RunUniform((n + tile - 1) / tile, (kShardMinRowsPerShard + tile - 1) / tile,
+               [=](const ShardRange& r) {
+                 k_.matmul_rows(a, b, out, k, m, r.begin * tile,
+                                std::min(n, r.end * tile));
+               });
   }
 
   void Spmm(const CsrMatrix& a, const float* x, float* out,
             int64_t d) const override {
-    int64_t n = a.rows();
+    const int64_t n = a.rows();
+    const int64_t* row_ptr = a.row_ptr().data();
+    const int64_t* col_idx = a.col_idx().data();
+    const float* values = a.values().data();
     if (n <= 1 || a.nnz() * d < kParallelSpmmMinWork) {
-      for (int64_t i = 0; i < n; ++i) SpmmRow(a, x, out + i * d, i, d);
+      k_.spmm_rows(row_ptr, col_idx, values, x, out, d, 0, n);
       return;
     }
     std::shared_ptr<ShardPool> pool = ShardPool::Global();
     ShardPlan plan = PlanForSpmm(a, pool->workers());
-    RunPlan(*pool, plan, [&a, x, out, d](const ShardRange& r) {
-      // Each worker walks a zero-copy row-range view of its shard; the
-      // per-row entry order matches the serial loop exactly.
-      CsrRowRange view = a.RowRangeView(r.begin, r.end);
-      kernels::SpmmRange(view, x, out + r.begin * d, d);
+    RunPlan(*pool, plan, [=](const ShardRange& r) {
+      k_.spmm_rows(row_ptr, col_idx, values, x, out, d, r.begin, r.end);
     });
   }
 
   void GatherRows(const float* a, int64_t m, const int64_t* idx,
                   int64_t count, float* out) const override {
     if (count <= 1 || count * m < kParallelRowsMinWork) {
-      kernels::GatherRowRange(a, m, idx, out, 0, count);
+      k_.gather_rows(a, m, idx, out, 0, count);
       return;
     }
     RunUniform(count, kShardMinRowsPerShard, [=](const ShardRange& r) {
-      kernels::GatherRowRange(a, m, idx, out, r.begin, r.end);
+      k_.gather_rows(a, m, idx, out, r.begin, r.end);
     });
   }
 
   void ScatterAddRows(float* target, int64_t rows, int64_t m,
                       const int64_t* idx, int64_t count,
                       const float* src) const override {
-    // Target-row partitioning (same trick as the omp backend): duplicate
-    // destinations make splitting the source loop unsafe, so each shard
-    // scans the full index list and applies only its own target rows.
+    // Target-row partitioning: duplicate destinations make splitting the
+    // source loop unsafe, so each shard scans the full index list and
+    // applies only its own target rows.
     if (rows <= 1 || count * m < kParallelRowsMinWork) {
-      ScatterAddRowRange(target, m, idx, count, src, 0, rows);
+      k_.scatter_add_rows(target, m, idx, count, src, 0, rows);
       return;
     }
     RunUniform(rows, kShardMinRowsPerShard, [=](const ShardRange& r) {
-      ScatterAddRowRange(target, m, idx, count, src, r.begin, r.end);
+      k_.scatter_add_rows(target, m, idx, count, src, r.begin, r.end);
     });
   }
 
   void RowDot(const float* a, const float* b, float* out, int64_t n,
               int64_t m) const override {
     if (n <= 1 || n * m < kParallelRowsMinWork) {
-      for (int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<float>(RowDotOne(a + i * m, b + i * m, m));
-      }
+      k_.row_dot(a, b, out, m, 0, n);
       return;
     }
     RunUniform(n, kShardMinRowsPerShard, [=](const ShardRange& r) {
-      for (int64_t i = r.begin; i < r.end; ++i) {
-        out[i] = static_cast<float>(RowDotOne(a + i * m, b + i * m, m));
-      }
+      k_.row_dot(a, b, out, m, r.begin, r.end);
     });
   }
 
   void EltwiseMap(const float* in, float* out, int64_t n, MapFn f,
                   float p) const override {
+    const MapFn g = Translate(f, kMapKeys, k_.map_twins, k_.num_map_twins);
     if (n < kParallelEltwiseMinWork) {
-      f(in, out, n, p);
+      g(in, out, n, p);
       return;
     }
     RunUniform(n, kShardMinElemsPerShard, [=](const ShardRange& r) {
-      f(in + r.begin, out + r.begin, r.end - r.begin, p);
+      g(in + r.begin, out + r.begin, r.end - r.begin, p);
     });
   }
 
   void EltwiseZip(const float* a, const float* b, float* out, int64_t n,
                   ZipFn f, float p) const override {
+    const ZipFn g = Translate(f, kZipKeys, k_.zip_twins, k_.num_zip_twins);
     if (n < kParallelEltwiseMinWork) {
-      f(a, b, out, n, p);
+      g(a, b, out, n, p);
       return;
     }
     RunUniform(n, kShardMinElemsPerShard, [=](const ShardRange& r) {
-      f(a + r.begin, b + r.begin, out + r.begin, r.end - r.begin, p);
+      g(a + r.begin, b + r.begin, out + r.begin, r.end - r.begin, p);
     });
   }
 
   double ReduceSum(const float* in, int64_t n) const override {
     int64_t num_chunks = (n + kReduceSumChunk - 1) / kReduceSumChunk;
-    if (num_chunks <= 1) return ChunkSum(in, 0, n);
+    if (num_chunks <= 1) return k_.chunk_sum(in, 0, n);
     // Fixed-chunk double partials, chunk indices sharded across workers,
     // combined serially in chunk order — the association is set by
-    // kReduceSumChunk alone, so sums match every other backend exactly.
+    // kReduceSumChunk alone, so sums match the serial backend exactly.
     std::vector<double> partial(static_cast<size_t>(num_chunks), 0.0);
     double* partials = partial.data();
     RunUniform(num_chunks, 1, [=](const ShardRange& r) {
       for (int64_t c = r.begin; c < r.end; ++c) {
         int64_t begin = c * kReduceSumChunk;
-        partials[c] = ChunkSum(in, begin, std::min(n, begin + kReduceSumChunk));
+        partials[c] =
+            k_.chunk_sum(in, begin, std::min(n, begin + kReduceSumChunk));
       }
     });
     double total = 0.0;
     for (double v : partial) total += v;
     return total;
+  }
+
+  // The serving scans stay on the calling thread: they run on serving
+  // request threads (already fanned out per request), where a pool
+  // dispatch per scan would only add latency jitter.
+  void QueryDot(const float* q, const float* rows, float* out, int64_t n,
+                int64_t m) const override {
+    k_.query_dot(q, rows, out, n, m);
+  }
+
+  void QueryDotIndexed(const float* q, const float* base, const int64_t* idx,
+                       float* out, int64_t n, int64_t m) const override {
+    k_.query_dot_indexed(q, base, idx, out, n, m);
+  }
+
+  void I8QueryDot(const int8_t* q, const int8_t* codes, int32_t* out,
+                  int64_t n, int64_t m) const override {
+    k_.i8_query_dot(q, codes, out, n, m);
   }
 
  private:
@@ -519,128 +326,31 @@ class ShardedBackend : public KernelBackend {
   };
   static constexpr size_t kMaxCachedPlans = 64;
 
+  const RangeKernels& k_;
   mutable std::mutex plan_mu_;
   mutable std::unordered_map<const int64_t*, CachedPlan> plan_cache_;
 };
 
-// ---- SimdFallbackBackend ----------------------------------------------------
-// What the "simd" name resolves to on hosts whose runtime cpuid probe
-// (util/cpu_features.h) lacks AVX2+FMA — and in builds where the vector
-// TU was compiled out. Serial kernels under the simd name, plus a
-// one-time warning on first use, so a requested-but-unavailable vector
-// tier shows up in logs as a visible downgrade instead of silently slow
-// numbers (running the AVX2 code anyway would SIGILL).
-
-class SimdFallbackBackend : public SerialBackend {
- public:
-  const char* name() const override { return "simd"; }
-
-  void MatMul(const float* a, const float* b, float* out, int64_t n,
-              int64_t k, int64_t m) const override {
-    WarnOnce();
-    SerialBackend::MatMul(a, b, out, n, k, m);
-  }
-
-  void Spmm(const CsrMatrix& a, const float* x, float* out,
-            int64_t d) const override {
-    WarnOnce();
-    SerialBackend::Spmm(a, x, out, d);
-  }
-
-  void GatherRows(const float* a, int64_t m, const int64_t* idx,
-                  int64_t count, float* out) const override {
-    WarnOnce();
-    SerialBackend::GatherRows(a, m, idx, count, out);
-  }
-
-  void ScatterAddRows(float* target, int64_t rows, int64_t m,
-                      const int64_t* idx, int64_t count,
-                      const float* src) const override {
-    WarnOnce();
-    SerialBackend::ScatterAddRows(target, rows, m, idx, count, src);
-  }
-
-  void RowDot(const float* a, const float* b, float* out, int64_t n,
-              int64_t m) const override {
-    WarnOnce();
-    SerialBackend::RowDot(a, b, out, n, m);
-  }
-
-  void EltwiseMap(const float* in, float* out, int64_t n, MapFn f,
-                  float p) const override {
-    WarnOnce();
-    SerialBackend::EltwiseMap(in, out, n, f, p);
-  }
-
-  void EltwiseZip(const float* a, const float* b, float* out, int64_t n,
-                  ZipFn f, float p) const override {
-    WarnOnce();
-    SerialBackend::EltwiseZip(a, b, out, n, f, p);
-  }
-
-  double ReduceSum(const float* in, int64_t n) const override {
-    WarnOnce();
-    return SerialBackend::ReduceSum(in, n);
-  }
-
- private:
-  void WarnOnce() const {
-    std::call_once(warned_, [] {
-      GNMR_LOG(WARNING)
-          << "backend 'simd' selected but this host lacks AVX2+FMA; "
-             "falling back to the serial reference kernels";
-    });
-  }
-  mutable std::once_flag warned_;
-};
-
 // ---- Registry ---------------------------------------------------------------
 
-// Portable MapLoop/ZipLoop instantiations for every element_ops.h X-macro
-// body, in list order — the exact function pointers tensor_ops.cc and
-// ad_ops.cc pass to EltwiseMap/EltwiseZip (template instantiations
-// COMDAT-merge across the portable TUs, so the addresses agree). The simd
-// backend keys its vector-twin substitution on this table; see
-// backend_simd.h for why it cannot instantiate the templates itself.
-constexpr KernelBackend::MapFn kSimdMapKeys[] = {
-#define GNMR_MAP_KEY(name, expr) &MapLoop<&elops::name##El>,
-    GNMR_ELTWISE_MAP_BODIES(GNMR_MAP_KEY)
-#undef GNMR_MAP_KEY
-};
-constexpr KernelBackend::ZipFn kSimdZipKeys[] = {
-#define GNMR_ZIP_KEY(name, expr) &ZipLoop<&elops::name##El>,
-    GNMR_ELTWISE_ZIP_BODIES(GNMR_ZIP_KEY)
-#undef GNMR_ZIP_KEY
-};
-
 const SerialBackend kSerialBackend;
-const OmpBackend kOmpBackend;
-const BlockedBackend kBlockedBackend;
-const ShardedBackend kShardedBackend;
-const SimdFallbackBackend kSimdFallbackBackend;
 
-// The backend registered as "simd": the native vectorized implementation
-// when both the build (backend_simd.cc compiled with AVX2) and the host
-// (runtime cpuid) support it, the warning fallback otherwise. The cpuid
-// check happens BEFORE touching the vector TU, so no AVX2 instruction can
-// execute on an unsupported host.
-const KernelBackend* SimdBackendInstance() {
-  static const KernelBackend* const instance = [] {
+// The registered "sharded" backend runs the vector table when both the
+// build (backend_simd.cc compiled with AVX2) and the host (runtime cpuid)
+// support it, the serial table otherwise. The cpuid check happens BEFORE
+// touching the vector TU, so no AVX2 instruction can execute on an
+// unsupported host.
+const KernelBackend* ShardedBackendInstance() {
+  static const ShardedBackend instance([]() -> const RangeKernels& {
     const util::CpuFeatures& cpu = util::HostCpuFeatures();
     if (cpu.avx2 && cpu.fma) {
-      simd::EltwiseKeyTable keys;
-      keys.map_keys = kSimdMapKeys;
-      keys.num_map =
-          static_cast<int>(sizeof(kSimdMapKeys) / sizeof(kSimdMapKeys[0]));
-      keys.zip_keys = kSimdZipKeys;
-      keys.num_zip =
-          static_cast<int>(sizeof(kSimdZipKeys) / sizeof(kSimdZipKeys[0]));
-      const KernelBackend* native = simd::NativeSimdBackend(keys);
-      if (native != nullptr) return native;
+      if (const RangeKernels* native = simd::NativeSimdKernels()) {
+        return *native;
+      }
     }
-    return static_cast<const KernelBackend*>(&kSimdFallbackBackend);
-  }();
-  return instance;
+    return kernels::kSerialRangeKernels;
+  }());
+  return &instance;
 }
 
 std::atomic<const KernelBackend*> g_backend{nullptr};
@@ -659,70 +369,55 @@ const KernelBackend* DefaultBackend() {
   if (const char* env = std::getenv("GNMR_BACKEND")) {
     if (*env != '\0') {
       const KernelBackend* b = FindBackend(env);
-      if (b != nullptr) return b;
-      GNMR_CHECK(false) << "unknown GNMR_BACKEND '" << env
-                        << "' (available: " << AvailableNames() << ")";
+      GNMR_CHECK(b != nullptr) << "unknown backend '" << env
+                               << "' in GNMR_BACKEND (available: "
+                               << AvailableNames() << ")";
+      return b;
     }
   }
-#ifdef _OPENMP
-  return &kOmpBackend;
-#else
   return &kSerialBackend;
-#endif
 }
 
 }  // namespace
 
 // ---- Serving scan ops: serial base implementations --------------------------
 // Non-pure with reference bodies so only backends that accelerate these
-// override them (today: the simd backend); everyone else — including the
-// bench-only blas backend, which cross-backend probe-determinism tests
-// iterate — inherits the exact reference. Per-output-element results, no
-// cross-row accumulation, so any override is bit-identical by construction
-// as long as it keeps the lane-partial (float) / plain-int32 (code) dot.
+// override them. Per-output-element results, no cross-row accumulation, so
+// any override is bit-identical by construction as long as it keeps the
+// lane-partial (float) / plain-int32 (code) dot.
 
 void KernelBackend::QueryDot(const float* q, const float* rows, float* out,
                              int64_t n, int64_t m) const {
-  for (int64_t i = 0; i < n; ++i) {
-    out[i] = static_cast<float>(LanePartialDot(q, rows + i * m, m));
-  }
+  kernels::QueryDotRows(q, rows, out, n, m);
 }
 
 void KernelBackend::QueryDotIndexed(const float* q, const float* base,
                                     const int64_t* idx, float* out, int64_t n,
                                     int64_t m) const {
-  for (int64_t i = 0; i < n; ++i) {
-    out[i] = static_cast<float>(LanePartialDot(q, base + idx[i] * m, m));
-  }
+  kernels::QueryDotIndexedRows(q, base, idx, out, n, m);
 }
 
 void KernelBackend::I8QueryDot(const int8_t* q, const int8_t* codes,
                                int32_t* out, int64_t n, int64_t m) const {
-  for (int64_t i = 0; i < n; ++i) {
-    out[i] = quant::I8Dot(q, codes + i * m, m);
-  }
+  kernels::I8QueryDotRows(q, codes, out, n, m);
 }
 
-#ifdef GNMR_HAVE_BLAS
-// Defined in backend_blas.cc, compiled only when -DGNMR_BLAS=ON finds a
-// BLAS library at configure time.
-const KernelBackend* BlasBackendInstance();
-#endif
-
 const std::vector<const KernelBackend*>& AllBackends() {
-  static const std::vector<const KernelBackend*> all = [] {
-    std::vector<const KernelBackend*> v = {&kSerialBackend, &kOmpBackend,
-                                           &kBlockedBackend, &kShardedBackend,
-                                           SimdBackendInstance()};
-#ifdef GNMR_HAVE_BLAS
-    v.push_back(BlasBackendInstance());
-#endif
-    return v;
-  }();
+  static const std::vector<const KernelBackend*> all = {
+      &kSerialBackend, ShardedBackendInstance()};
   return all;
 }
 
-const KernelBackend* SimdFallbackForTest() { return &kSimdFallbackBackend; }
+const KernelBackend* ShardedSerialKernelsForTest() {
+  static const ShardedBackend instance(kernels::kSerialRangeKernels);
+  return &instance;
+}
+
+bool ShardedUsesVectorKernelsForTest() {
+  const auto* sharded =
+      static_cast<const ShardedBackend*>(ShardedBackendInstance());
+  return &sharded->range_kernels() != &kernels::kSerialRangeKernels;
+}
 
 const KernelBackend* FindBackend(const std::string& name) {
   for (const KernelBackend* b : AllBackends()) {

@@ -1,49 +1,36 @@
-// Pluggable kernel backends for the compute hot path. tensor::ops (dense)
-// and tensor::ops::Spmm (sparse) dispatch every hot kernel — MatMul, SpMM,
+// Kernel backends for the compute hot path. tensor::ops (dense) and
+// tensor::ops::Spmm (sparse) dispatch every hot kernel — MatMul, SpMM,
 // GatherRows, ScatterAddRows, RowDot, elementwise map/zip and the scalar
 // reduction — through the active KernelBackend, so swapping the execution
-// strategy (serial reference, OpenMP fan-out, cache-blocked) never touches
-// the call sites. The serving read path dispatches here too: QueryDot /
-// QueryDotIndexed are the one-query-against-many-rows scans behind
-// ExactRetriever and IvfRetriever, and I8QueryDot is the int8 code scan of
-// the quantized IVF tier (tensor/quantize.h). This is the cut point the
-// ROADMAP names for future BLAS, SIMD and sharded implementations.
+// strategy never touches the call sites. The serving read path dispatches
+// here too: QueryDot / QueryDotIndexed are the one-query-against-many-rows
+// scans behind ExactRetriever, IvfRetriever and the HNSW builder, and
+// I8QueryDot is the int8 code scan of the quantized IVF tier
+// (tensor/quantize.h).
 //
 // Registered backends:
-//   "serial"  — straight-line loops; the bit-exact reference.
-//   "omp"     — OpenMP fan-out over rows/chunks with deterministic
-//               (thread-count independent) accumulation order. Compiles in
-//               every build; without OpenMP it degrades to serial loops.
-//   "blocked" — cache-blocked kernels (k-unrolled MatMul, nnz-binned SpMM)
-//               layered on the OpenMP fan-out; the blocking also pays off
-//               single-threaded.
+//   "serial"  — straight-line loops on the calling thread; the bit-exact
+//               reference (backend_kernels.h).
 //   "sharded" — row-range partitioning (shard_plan.h) over a persistent
-//               std::thread worker pool (shard_pool.h); no OpenMP
-//               dependency. Serial bodies per shard, so bit-identical to
-//               "serial" at any worker count (GNMR_SHARD_WORKERS /
-//               SetShardWorkers).
-//   "simd"    — hand-vectorized AVX2/FMA micro-kernels (backend_simd.cc):
-//               register-tiled MatMul, column-paneled SpMM, lane-partial
-//               RowDot/ReduceSum/query scans, a maddubs int8 code scan,
-//               AVX2-compiled eltwise twins — all keeping serial's
-//               per-element accumulation order with
-//               unfused mul+add, so still bit-identical. On hosts without
-//               AVX2+FMA (runtime cpuid, util/cpu_features.h) the name
-//               resolves to a serial fallback that logs one warning.
-//   "blas"    — only when built with -DGNMR_BLAS=ON and a BLAS is found:
-//               vendor sgemm MatMul, serial everything else. The one
-//               backend that is NOT bit-exact (bit_exact() is false);
-//               benchmark comparisons only, never selected by default.
+//               std::thread worker pool (shard_pool.h), sized by
+//               GNMR_SHARD_WORKERS / SetShardWorkers. Each range runs the
+//               hand-vectorized AVX2 kernels of backend_simd.cc when the
+//               runtime cpuid probe (util/cpu_features.h) reports
+//               AVX2+FMA, and the serial bodies otherwise. The vector
+//               kernels keep serial's per-element accumulation order with
+//               unfused mul+add, so "sharded" is bit-identical to "serial"
+//               at any worker count on either kernel set. The serving scans
+//               run on the calling thread.
 //
 // Selection: SetBackend()/ScopedBackend at runtime, or the GNMR_BACKEND
 // environment variable read on first use (bench/example binaries also map
-// a --backend= flag onto SetBackend). Default: "omp" in OpenMP builds,
-// "serial" otherwise — matching the pre-backend behavior of each build.
+// a --backend= flag onto SetBackend). Default: "serial". An unknown name
+// aborts with the list of registered backends.
 //
 // Contract: all kernels are pure (no hidden state), write into
 // caller-allocated zero-initialised outputs, and must accumulate each
 // output element in the same order as the serial reference, so results are
-// bit-identical across backends and thread counts (ReduceSum re-associates
+// bit-identical across backends and worker counts (ReduceSum re-associates
 // across fixed chunks — see kReduceSumChunk — identically in every
 // backend). Bounds checking happens in the ops layer before dispatch.
 #ifndef GNMR_TENSOR_BACKEND_H_
@@ -64,11 +51,11 @@ namespace tensor {
 /// j % kReduceLanes == l in double, lanes combine in ascending order. The
 /// lane shape (not plain left-to-right accumulation) is exactly the
 /// association a vector unit computes with the row cut into
-/// kReduceLanes-wide groups, so the simd backend can vectorize query scans
+/// kReduceLanes-wide groups, so the vector kernels can run query scans
 /// while every backend — and every scalar score call site
 /// (ServingModel::Score, serve::DotScore) — produces bit-identical floats.
 /// backend_simd.cc must NOT odr-use this function (see the ODR rules in
-/// backend_simd.h); its internal-linkage LaneDot computes the identical
+/// its header comment); its internal-linkage LaneDot computes the identical
 /// association with two 4-wide double vectors.
 inline double LanePartialDot(const float* a, const float* b, int64_t m) {
   double lane[kReduceLanes] = {0.0};
@@ -103,13 +90,8 @@ class KernelBackend {
 
   virtual ~KernelBackend() = default;
 
-  /// Registry name ("serial", "omp", "blocked", "sharded", "simd", ...).
+  /// Registry name ("serial" or "sharded").
   virtual const char* name() const = 0;
-
-  /// True when this backend honors the bit-identical-to-serial contract
-  /// (every registered backend except "blas"). Cross-backend bit-compare
-  /// loops filter on this; non-bit-exact backends are benchmark-only.
-  virtual bool bit_exact() const { return true; }
 
   /// Dense [n,k] x [k,m] -> out [n,m]; out is zero-initialised.
   virtual void MatMul(const float* a, const float* b, float* out, int64_t n,
@@ -170,7 +152,7 @@ class KernelBackend {
   /// [0, n) — pure int32 arithmetic, exact on every backend. Callers
   /// dequantize with quant::I8DotScore's multiply order. Precondition: all
   /// codes were produced by quant::QuantizeRowI8 (clamped to [-127, 127]);
-  /// a -128 code would saturate the simd backend's pairwise maddubs sums.
+  /// a -128 code would saturate the vector kernel's pairwise maddubs sums.
   virtual void I8QueryDot(const int8_t* q, const int8_t* codes, int32_t* out,
                           int64_t n, int64_t m) const;
 };
@@ -209,11 +191,16 @@ const KernelBackend* FindBackend(const std::string& name);
 /// All registered backends, in registration order.
 const std::vector<const KernelBackend*>& AllBackends();
 
-/// The serial fallback that "simd" resolves to on hosts without AVX2+FMA
-/// (it logs a one-time warning, then runs the serial kernels). Exposed so
-/// tests can exercise the fallback path on any host; on supported hosts
-/// the registry serves the native vectorized backend instead.
-const KernelBackend* SimdFallbackForTest();
+/// A "sharded" backend on the serial range kernels — what the registry
+/// serves on hosts without AVX2+FMA. Exposed so tests cover that path on
+/// any host; on supported hosts the registered instance runs the vector
+/// kernels instead.
+const KernelBackend* ShardedSerialKernelsForTest();
+
+/// True when the registered "sharded" backend runs the vector range
+/// kernels, false when it runs the serial ones. Lets tests check the
+/// cpuid-driven table choice.
+bool ShardedUsesVectorKernelsForTest();
 
 /// RAII backend switch for tests: sets on construction, restores the
 /// previous backend on destruction.

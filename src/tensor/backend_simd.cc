@@ -1,4 +1,5 @@
-// Hand-vectorized AVX2/FMA micro-kernels behind the "simd" backend.
+// Hand-vectorized AVX2/FMA range kernels behind the "sharded" backend on
+// hosts with AVX2+FMA (the RangeKernels table in backend_simd.h).
 //
 // This is the only translation unit built with -mavx2 -mfma (plus
 // -ffp-contract=off and -O3; see src/CMakeLists.txt), so everything that
@@ -11,11 +12,11 @@
 //      COMDAT candidate, and if the linker kept *this* TU's AVX2 copy it
 //      would also run inside the portable serial path — SIGILL on a
 //      non-AVX2 host. Every helper below is internal-linkage.
-//   2. The registry (backend.cc) only calls NativeSimdBackend() after the
+//   2. The registry (backend.cc) only calls NativeSimdKernels() after the
 //      runtime cpuid probe (util::HostCpuFeatures) confirms AVX2+FMA, so
 //      no code from this TU executes on hosts that lack them.
 //
-// Determinism contract (same as every other backend): each output element
+// Determinism contract (same as the serial kernels): each output element
 // is accumulated in exactly the serial reference order, with mul and add
 // kept unfused. The tile/panel shapes below only pick which *elements*
 // share registers, never the order within one element's sum:
@@ -46,20 +47,14 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 
 #include "src/tensor/element_ops.h"
 #include "src/tensor/kernel_tunables.h"
 #include "src/util/cpu_features.h"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace gnmr {
 namespace tensor {
@@ -448,208 +443,79 @@ constexpr int kNumMapTwins =
 constexpr int kNumZipTwins =
     static_cast<int>(sizeof(kZipTwins) / sizeof(kZipTwins[0]));
 
-// ---- SimdBackend ------------------------------------------------------------
+// ---- Range entry points -----------------------------------------------------
+// The RangeKernels signatures (backend_simd.h) over the kernels above. The
+// shard pool hands each range to one worker; the serving scans run whole
+// on the calling thread.
 
-class SimdBackend : public KernelBackend {
- public:
-  explicit SimdBackend(const EltwiseKeyTable& keys)
-      : keys_(keys), avx512_(util::HostCpuFeatures().avx512f) {}
-
-  const char* name() const override { return "simd"; }
-
-  void MatMul(const float* a, const float* b, float* out, int64_t n,
-              int64_t k, int64_t m) const override {
-    const bool use512 =
-        avx512_ && g_avx512_tiles.load(std::memory_order_relaxed);
-    const int64_t num_tiles =
-        (n + kSimdMatMulRowTile - 1) / kSimdMatMulRowTile;
-    // Row tiles are independent (each covers its rows' full k sweep), so
-    // the OpenMP fan-out composes with the register tiling exactly like
-    // the omp backend's row fan-out.
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) \
-    if (num_tiles > 1 && n * k * m >= kParallelMatMulMinWork)
-#endif
-    for (int64_t t = 0; t < num_tiles; ++t) {
-      int64_t i0 = t * kSimdMatMulRowTile;
-      if (i0 + kSimdMatMulRowTile <= n) {
-        MatMulRowTile(a, b, out, i0, k, m, use512);
-      } else {
-        ScalarMatMulRows(a, b, out, i0, n, k, m, 0, m);
-      }
-    }
+// Full row tiles from i0, then the scalar rows of the ragged tail. The
+// caller cuts ranges on row-tile boundaries, so only the last range of a
+// matrix has a tail.
+void MatMulRows(const float* a, const float* b, float* out, int64_t k,
+                int64_t m, int64_t i0, int64_t i1) {
+  const bool use512 = g_avx512_tiles.load(std::memory_order_relaxed) &&
+                      util::HostCpuFeatures().avx512f;
+  int64_t i = i0;
+  for (; i + kSimdMatMulRowTile <= i1; i += kSimdMatMulRowTile) {
+    MatMulRowTile(a, b, out, i, k, m, use512);
   }
+  if (i < i1) ScalarMatMulRows(a, b, out, i, i1, k, m, 0, m);
+}
 
-  void Spmm(const CsrMatrix& a, const float* x, float* out,
-            int64_t d) const override {
-    const int64_t n = a.rows();
-    const int64_t* row_ptr = a.row_ptr().data();
-    const int64_t* col_idx = a.col_idx().data();
-    const float* values = a.values().data();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, kSpmmRowChunk) \
-    if (n > 1 && a.nnz() * d >= kParallelSpmmMinWork)
-#endif
-    for (int64_t i = 0; i < n; ++i) {
-      SpmmRowSimd(row_ptr, col_idx, values, x, out + i * d, i, d);
-    }
+void SpmmRows(const int64_t* row_ptr, const int64_t* col_idx,
+              const float* values, const float* x, float* out, int64_t d,
+              int64_t i0, int64_t i1) {
+  for (int64_t i = i0; i < i1; ++i) {
+    SpmmRowSimd(row_ptr, col_idx, values, x, out + i * d, i, d);
   }
+}
 
-  void GatherRows(const float* a, int64_t m, const int64_t* idx,
-                  int64_t count, float* out) const override {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) \
-    if (count > 1 && count * m >= kParallelRowsMinWork)
-#endif
-    for (int64_t r = 0; r < count; ++r) {
-      std::memcpy(out + r * m, a + idx[r] * m,
-                  static_cast<size_t>(m) * sizeof(float));
-    }
+void GatherRows(const float* a, int64_t m, const int64_t* idx, float* out,
+                int64_t lo, int64_t hi) {
+  for (int64_t r = lo; r < hi; ++r) {
+    std::memcpy(out + r * m, a + idx[r] * m,
+                static_cast<size_t>(m) * sizeof(float));
   }
+}
 
-  void ScatterAddRows(float* target, int64_t rows, int64_t m,
-                      const int64_t* idx, int64_t count,
-                      const float* src) const override {
-    // Same target-row partition as the omp backend: duplicates make the
-    // source loop unsafe to split, so each thread scans all sources and
-    // applies only its own target rows.
-#ifdef _OPENMP
-    if (rows > 1 && count * m >= kParallelRowsMinWork) {
-#pragma omp parallel
-      {
-        int64_t nt = omp_get_num_threads();
-        int64_t tid = omp_get_thread_num();
-        int64_t lo = rows * tid / nt;
-        int64_t hi = rows * (tid + 1) / nt;
-        ScatterAddRange(target, m, idx, count, src, lo, hi);
-      }
-      return;
-    }
-#endif
-    ScatterAddRange(target, m, idx, count, src, 0, rows);
+void RowDotRows(const float* a, const float* b, float* out, int64_t m,
+                int64_t lo, int64_t hi) {
+  for (int64_t i = lo; i < hi; ++i) {
+    out[i] = static_cast<float>(LaneDot(a + i * m, b + i * m, m));
   }
+}
 
-  void RowDot(const float* a, const float* b, float* out, int64_t n,
-              int64_t m) const override {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) \
-    if (n > 1 && n * m >= kParallelRowsMinWork)
-#endif
-    for (int64_t i = 0; i < n; ++i) {
-      out[i] = static_cast<float>(LaneDot(a + i * m, b + i * m, m));
-    }
+void QueryDot(const float* q, const float* rows, float* out, int64_t n,
+              int64_t m) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = static_cast<float>(LaneDot(q, rows + i * m, m));
   }
+}
 
-  void EltwiseMap(const float* in, float* out, int64_t n, MapFn f,
-                  float p) const override {
-    MapFn g = TranslateMap(f);
-#ifdef _OPENMP
-    if (n >= kParallelEltwiseMinWork) {
-#pragma omp parallel
-      {
-        int64_t nt = omp_get_num_threads();
-        int64_t tid = omp_get_thread_num();
-        int64_t lo = n * tid / nt;
-        int64_t hi = n * (tid + 1) / nt;
-        g(in + lo, out + lo, hi - lo, p);
-      }
-      return;
-    }
-#endif
-    g(in, out, n, p);
+void QueryDotIndexed(const float* q, const float* base, const int64_t* idx,
+                     float* out, int64_t n, int64_t m) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = static_cast<float>(LaneDot(q, base + idx[i] * m, m));
   }
+}
 
-  void EltwiseZip(const float* a, const float* b, float* out, int64_t n,
-                  ZipFn f, float p) const override {
-    ZipFn g = TranslateZip(f);
-#ifdef _OPENMP
-    if (n >= kParallelEltwiseMinWork) {
-#pragma omp parallel
-      {
-        int64_t nt = omp_get_num_threads();
-        int64_t tid = omp_get_thread_num();
-        int64_t lo = n * tid / nt;
-        int64_t hi = n * (tid + 1) / nt;
-        g(a + lo, b + lo, out + lo, hi - lo, p);
-      }
-      return;
-    }
-#endif
-    g(a, b, out, n, p);
+void I8QueryDot(const int8_t* q, const int8_t* codes, int32_t* out,
+                int64_t n, int64_t m) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = I8DotAvx2(q, codes + i * m, m);
   }
+}
 
-  // The serving scans stay single-threaded inside one call: they run on
-  // serving request threads (already fanned out per request), where an
-  // inner OpenMP region would only add latency jitter.
-  void QueryDot(const float* q, const float* rows, float* out, int64_t n,
-                int64_t m) const override {
-    for (int64_t i = 0; i < n; ++i) {
-      out[i] = static_cast<float>(LaneDot(q, rows + i * m, m));
-    }
-  }
-
-  void QueryDotIndexed(const float* q, const float* base, const int64_t* idx,
-                       float* out, int64_t n, int64_t m) const override {
-    for (int64_t i = 0; i < n; ++i) {
-      out[i] = static_cast<float>(LaneDot(q, base + idx[i] * m, m));
-    }
-  }
-
-  void I8QueryDot(const int8_t* q, const int8_t* codes, int32_t* out,
-                  int64_t n, int64_t m) const override {
-    for (int64_t i = 0; i < n; ++i) {
-      out[i] = I8DotAvx2(q, codes + i * m, m);
-    }
-  }
-
-  double ReduceSum(const float* in, int64_t n) const override {
-    int64_t num_chunks = (n + kReduceSumChunk - 1) / kReduceSumChunk;
-    if (num_chunks <= 1) return LaneSum(in, 0, n);
-    // Fixed-chunk double partials combined in chunk order, exactly like
-    // every other backend; only the per-chunk body is vectorized.
-    std::unique_ptr<double[]> partial(new double[num_chunks]);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (int64_t c = 0; c < num_chunks; ++c) {
-      int64_t begin = c * kReduceSumChunk;
-      partial[c] = LaneSum(in, begin, std::min(n, begin + kReduceSumChunk));
-    }
-    double total = 0.0;
-    for (int64_t c = 0; c < num_chunks; ++c) total += partial[c];
-    return total;
-  }
-
- private:
-  // Swap a portable MapLoop/ZipLoop instantiation for its AVX2-compiled
-  // twin; unknown pointers (test lambdas, future bodies without twins)
-  // run as given — still correct, just not vectorized here.
-  MapFn TranslateMap(MapFn f) const {
-    int n = keys_.num_map < kNumMapTwins ? keys_.num_map : kNumMapTwins;
-    for (int i = 0; i < n; ++i) {
-      if (keys_.map_keys[i] == f) return kMapTwins[i];
-    }
-    return f;
-  }
-
-  ZipFn TranslateZip(ZipFn f) const {
-    int n = keys_.num_zip < kNumZipTwins ? keys_.num_zip : kNumZipTwins;
-    for (int i = 0; i < n; ++i) {
-      if (keys_.zip_keys[i] == f) return kZipTwins[i];
-    }
-    return f;
-  }
-
-  EltwiseKeyTable keys_;
-  bool avx512_;
+constexpr RangeKernels kSimdKernels = {
+    &MatMulRows, &SpmmRows,   &GatherRows,      &ScatterAddRange,
+    &RowDotRows, &LaneSum,    &QueryDot,        &QueryDotIndexed,
+    &I8QueryDot, kMapTwins,   kNumMapTwins,     kZipTwins,
+    kNumZipTwins,
 };
 
 }  // namespace
 
-const KernelBackend* NativeSimdBackend(const EltwiseKeyTable& keys) {
-  static const SimdBackend backend(keys);
-  return &backend;
-}
+const RangeKernels* NativeSimdKernels() { return &kSimdKernels; }
 
 void SetSimdAvx512TilesEnabledForTest(bool enabled) {
   g_avx512_tiles.store(enabled, std::memory_order_relaxed);
@@ -661,16 +527,14 @@ void SetSimdAvx512TilesEnabledForTest(bool enabled) {
 
 #else  // !(__AVX2__ && __FMA__ && __x86_64__)
 
-// Non-x86 target or the per-TU vector flags were not applied: no native
-// backend; the registry installs the serial fallback under "simd".
+// Non-x86 target or the per-TU vector flags were not applied: no vector
+// table; the sharded backend runs the serial kernels.
 
 namespace gnmr {
 namespace tensor {
 namespace simd {
 
-const KernelBackend* NativeSimdBackend(const EltwiseKeyTable& /*keys*/) {
-  return nullptr;
-}
+const RangeKernels* NativeSimdKernels() { return nullptr; }
 
 void SetSimdAvx512TilesEnabledForTest(bool /*enabled*/) {}
 

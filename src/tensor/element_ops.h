@@ -1,5 +1,5 @@
 // Elementwise op bodies shared by the ops layer (tensor_ops.cc), the
-// backward zips (ad_ops.cc) and the SIMD backend's vector twins
+// backward zips (ad_ops.cc) and the AVX2 range kernels' vector twins
 // (backend_simd.cc).
 //
 // The cheap arithmetic bodies are defined through X-macros carrying the

@@ -3,9 +3,8 @@
 // worth fanning out / blocking" is decided in exactly one place.
 //
 // The parallel thresholds were measured on the seed container (see
-// BENCH_micro_kernels.json): below them, thread fork/join overhead exceeds
-// the kernel's serial runtime. They were previously duplicated inline at
-// the two OpenMP call sites in tensor_ops.cc and sparse.cc.
+// BENCH_micro_kernels.json): below them, shard dispatch overhead exceeds
+// the kernel's single-thread runtime.
 #ifndef GNMR_TENSOR_KERNEL_TUNABLES_H_
 #define GNMR_TENSOR_KERNEL_TUNABLES_H_
 
@@ -14,7 +13,7 @@
 namespace gnmr {
 namespace tensor {
 
-// ---- Parallel fan-out thresholds (OmpBackend, BlockedBackend) ---------------
+// ---- Parallel fan-out thresholds (ShardedBackend) ---------------------------
 
 /// MatMul fans out only when n*k*m (multiply-adds) reaches this.
 inline constexpr int64_t kParallelMatMulMinWork = int64_t{1} << 16;
@@ -29,10 +28,6 @@ inline constexpr int64_t kParallelRowsMinWork = int64_t{1} << 15;
 /// Elementwise map/zip kernels fan out only at this many elements.
 inline constexpr int64_t kParallelEltwiseMinWork = int64_t{1} << 15;
 
-/// Chunk size of the dynamic row schedule in parallel SpMM; balances
-/// power-law per-row nnz skew against scheduling overhead.
-inline constexpr int64_t kSpmmRowChunk = 64;
-
 // ---- Deterministic reductions ----------------------------------------------
 
 /// ReduceSum accumulates double partials over fixed chunks of this many
@@ -45,26 +40,14 @@ inline constexpr int64_t kReduceSumChunk = 4096;
 /// chunk and across a RowDot row: lane l accumulates elements j with
 /// j % lanes == l, and lanes are combined in ascending order. Like
 /// kReduceSumChunk, the lane shape is part of the op contract — the scalar
-/// reference in backend_kernels.h evaluates the exact association the SIMD
-/// backend computes with two 4-wide double vectors, so every backend stays
+/// reference in backend_kernels.h evaluates the exact association the AVX2
+/// kernels compute with two 4-wide double vectors, so every backend stays
 /// bit-identical. 8 = one AVX2 register of floats widened to two of doubles;
 /// changing it breaks bit-compatibility with previously recorded results.
 inline constexpr int64_t kReduceLanes = 8;
 
-// ---- BlockedBackend tile shapes --------------------------------------------
-
-/// MatMul k-loop unroll width: the blocked row kernel folds this many
-/// rank-1 updates into one pass over the output row, dividing the output
-/// load/store traffic by the same factor while preserving ascending-k
-/// accumulation order.
-inline constexpr int64_t kMatMulKUnroll = 4;
-
-/// Blocked SpMM groups rows into bins of roughly this many nonzeros; bins
-/// are the scheduling unit, so skewed rows can't serialize a whole chunk.
-inline constexpr int64_t kSpmmBinNnz = int64_t{1} << 12;
-
-// ---- SimdBackend tile/panel shapes (backend_simd.cc) ------------------------
-// The simd backend's determinism contract is "same per-element accumulation
+// ---- AVX2 range-kernel tile/panel shapes (backend_simd.cc) ------------------
+// The vector kernels' determinism contract is "same per-element accumulation
 // order as serial, unfused mul+add" — so the tile shapes below only choose
 // which output elements are computed together in registers, never the order
 // of a single element's k-sum. They can be retuned freely without breaking
@@ -72,7 +55,8 @@ inline constexpr int64_t kSpmmBinNnz = int64_t{1} << 12;
 
 /// Rows per MatMul register tile. 6 rows x 2 column vectors = 12 live
 /// accumulators, leaving headroom in 16 ymm registers for the b-panel loads
-/// and the broadcast.
+/// and the broadcast. The sharded backend cuts MatMul shards on multiples
+/// of this, so only the last shard runs a scalar row tail.
 inline constexpr int64_t kSimdMatMulRowTile = 6;
 
 /// Columns per MatMul tile on the AVX2 path (2 x 8-float ymm).
@@ -94,6 +78,13 @@ inline constexpr int64_t kSimdSpmmColPanel = 32;
 /// thread". Overridable at process start via the GNMR_SHARD_WORKERS
 /// environment variable, and at runtime via tensor::SetShardWorkers().
 inline constexpr int64_t kShardWorkersDefault = 0;
+
+/// How long (microseconds) an idle shard worker keeps polling its queue
+/// before sleeping on its condvar, and how long a dispatching thread polls
+/// for completion before blocking. Back-to-back kernel dispatches then
+/// reach a worker that is still awake, so they pay no futex wake-up; 0
+/// sleeps at once.
+inline constexpr int64_t kShardSpinMicros = 50;
 
 /// Row-indexed kernels never split below this many rows per shard; tiny
 /// matrices stay on one worker instead of paying dispatch latency.

@@ -11,10 +11,10 @@
 //            the LOWEST centroid id,
 //   update:  per-cluster sums via ScatterAddRows keyed by the assignments,
 //
-// so clustering inherits serial / omp / blocked / sharded execution for
-// free and — because every backend accumulates each output element in the
-// reference order — produces bit-identical centroids and assignments on
-// every backend at any thread or worker count.
+// so clustering inherits serial / sharded execution for free and —
+// because every backend accumulates each output element in the reference
+// order — produces bit-identical centroids and assignments on every
+// backend at any worker count.
 //
 // Determinism: initial centroids are `k` distinct input rows drawn by a
 // fixed-seed util::Rng (uniformly, or by k-means++ D^2 sampling when

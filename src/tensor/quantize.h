@@ -40,7 +40,7 @@ void QuantizeRowsI8(const float* rows, int64_t n, int64_t m, int8_t* codes,
 
 /// Serial reference int8 dot: plain int32 accumulation. Integer math is
 /// associative, so this is THE result, not one association of it — any
-/// vector reordering (the simd backend sums 8 int32 lanes) produces the
+/// vector reordering (the AVX2 kernel sums 8 int32 lanes) produces the
 /// identical value.
 inline int32_t I8Dot(const int8_t* a, const int8_t* b, int64_t m) {
   int32_t acc = 0;

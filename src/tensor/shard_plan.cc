@@ -27,8 +27,7 @@ ShardPlan ShardPlan::Uniform(int64_t rows, int64_t num_shards,
   int64_t shards = ClampShardCount(rows, num_shards, min_rows);
   plan.ranges_.reserve(static_cast<size_t>(shards));
   for (int64_t s = 0; s < shards; ++s) {
-    // The i*rows/shards split is exactly the OpenMP-static partition the
-    // omp backend uses, so shard boundaries line up across backends.
+    // The i*rows/shards split: shard widths differ by at most one row.
     plan.ranges_.push_back({rows * s / shards, rows * (s + 1) / shards, 0});
   }
   return plan;

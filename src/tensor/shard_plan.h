@@ -13,9 +13,8 @@
 //
 // Both partitioners respect a minimum shard width and never produce more
 // shards than rows, so a plan is safe to hand straight to the shard pool.
-// Plans are plain data: building one never touches the matrix values, and
-// CsrMatrix::RowRangeView turns a range into a zero-copy view for the
-// worker that owns it.
+// Plans are plain data: building one never touches the matrix values; the
+// worker that owns a range walks the parent's CSR arrays over those rows.
 #ifndef GNMR_TENSOR_SHARD_PLAN_H_
 #define GNMR_TENSOR_SHARD_PLAN_H_
 
@@ -43,7 +42,7 @@ class ShardPlan {
   ShardPlan() = default;
 
   /// Partition [0, rows) into at most `num_shards` equal-width ranges of at
-  /// least `min_rows` rows each (the last range absorbs the remainder).
+  /// least `min_rows` rows each; widths differ by at most one row.
   /// rows == 0 yields an empty plan; num_shards < 1 is clamped to 1.
   static ShardPlan Uniform(int64_t rows, int64_t num_shards,
                            int64_t min_rows = 1);

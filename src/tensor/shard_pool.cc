@@ -14,9 +14,34 @@ namespace tensor {
 
 namespace {
 
-/// Set for the lifetime of every pool worker thread; Run() uses it to
-/// detect re-entrant dispatch and fall back to an inline loop.
+/// Set for the lifetime of every pool worker thread, and on a dispatching
+/// thread while it runs its own task; Run() uses it to detect re-entrant
+/// dispatch and fall back to an inline loop.
 thread_local bool t_on_pool_worker = false;
+
+/// Start worker of every dispatch from this thread (see Run()), drawn once
+/// per thread from a process-wide counter.
+uint64_t ThreadDispatchStart() {
+  static std::atomic<uint64_t> next{0};
+  thread_local const uint64_t start =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return start;
+}
+
+/// Polls `ready` for up to kShardSpinMicros, yielding between polls so an
+/// oversubscribed host's other threads still run; true once it held.
+template <typename Pred>
+bool PollFor(const Pred& ready) {
+  if (ready()) return true;
+  if (kShardSpinMicros <= 0) return false;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(kShardSpinMicros);
+  do {
+    std::this_thread::yield();
+    if (ready()) return true;
+  } while (std::chrono::steady_clock::now() < deadline);
+  return false;
+}
 
 int64_t ResolvedDefaultWorkers() {
   if (const char* env = std::getenv("GNMR_SHARD_WORKERS")) {
@@ -47,10 +72,44 @@ struct ShardPool::Completion {
   std::atomic<int64_t> remaining{0};
   std::mutex mu;
   std::condition_variable cv;
-  bool done = false;
   /// First exception a task threw (later ones are dropped); rethrown on
   /// the dispatching thread after every task has finished.
   std::exception_ptr error;
+
+  bool finished() const {
+    return remaining.load(std::memory_order_acquire) == 0;
+  }
+
+  /// Runs task `index`. A throwing task (e.g. bad_alloc) must not escape
+  /// a worker thread — that would std::terminate the process — so the
+  /// exception is handed to the dispatching Run() caller, whose own
+  /// unwind machinery (such as RecService's FlightLease) is built for
+  /// exactly this. Identical for owned, stolen and caller-run tasks.
+  void RunBody(const std::function<void(int64_t)>& fn, int64_t index) {
+    // One span per task on the thread that ran it (owner, thief or
+    // caller), so the trace shows how a dispatch actually spread.
+    GNMR_TRACE_SPAN("shard.task");
+    try {
+      fn(index);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (error == nullptr) error = std::current_exception();
+    }
+  }
+
+  /// Counts one task done; the last one wakes a caller blocked in Wait().
+  void Finish() {
+    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::lock_guard<std::mutex> lock(mu);
+      cv.notify_all();
+    }
+  }
+
+  void Wait() {
+    if (PollFor([this] { return finished(); })) return;
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return finished(); });
+  }
 };
 
 ShardPool::ShardPool(int64_t workers) {
@@ -83,24 +142,8 @@ ShardPool::~ShardPool() {
 }
 
 void ShardPool::ExecuteTask(Worker* w, const Task& task) {
-  // One span per task on the worker that ran it (owner or thief), so the
-  // trace shows how a dispatch actually spread across the pool.
-  GNMR_TRACE_SPAN("shard.task");
   auto start = std::chrono::steady_clock::now();
-  try {
-    (*task.fn)(task.index);
-  } catch (...) {
-    // A throwing task (e.g. bad_alloc) must not escape a worker thread —
-    // that would std::terminate the process. Hand the exception to the
-    // dispatching Run() caller, whose own unwind machinery (such as
-    // RecService's FlightLease) is built for exactly this. Identical for
-    // owned and stolen tasks: the Completion belongs to the dispatch, not
-    // to the queue the task sat in.
-    std::lock_guard<std::mutex> lock(task.completion->mu);
-    if (task.completion->error == nullptr) {
-      task.completion->error = std::current_exception();
-    }
-  }
+  task.completion->RunBody(*task.fn, task.index);
   auto elapsed = std::chrono::steady_clock::now() - start;
   w->busy_ns.fetch_add(
       static_cast<uint64_t>(
@@ -108,12 +151,17 @@ void ShardPool::ExecuteTask(Worker* w, const Task& task) {
               .count()),
       std::memory_order_relaxed);
   w->tasks_run.fetch_add(1, std::memory_order_relaxed);
-  if (task.completion->remaining.fetch_sub(1, std::memory_order_acq_rel) ==
-      1) {
-    std::lock_guard<std::mutex> lock(task.completion->mu);
-    task.completion->done = true;
-    task.completion->cv.notify_all();
-  }
+  task.completion->Finish();
+}
+
+bool ShardPool::TryPopOwn(Worker* w, Task* task) {
+  std::lock_guard<std::mutex> lock(w->mu);
+  if (w->queue.empty()) return false;
+  *task = std::move(w->queue.front());
+  w->queue.pop_front();
+  w->queued.store(static_cast<int64_t>(w->queue.size()),
+                  std::memory_order_relaxed);
+  return true;
 }
 
 bool ShardPool::TrySteal(Worker* w, Task* task) {
@@ -124,8 +172,10 @@ bool ShardPool::TrySteal(Worker* w, Task* task) {
     if (victim->queue.empty()) continue;
     // Steal the back: the owner pops the front, so under contention thief
     // and owner take opposite ends of the deque.
-    *task = victim->queue.back();
+    *task = std::move(victim->queue.back());
     victim->queue.pop_back();
+    victim->queued.store(static_cast<int64_t>(victim->queue.size()),
+                         std::memory_order_relaxed);
     w->tasks_stolen.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -136,31 +186,24 @@ void ShardPool::WorkerLoop(Worker* w) {
   t_on_pool_worker = true;
   for (;;) {
     Task task;
-    bool have = false;
+    // Own queue first, then a sibling's backlog. Stealing is best-effort:
+    // a task enqueued to a sibling after the scan is the owner's to run
+    // (its cv was notified), so nothing is lost by going idle.
+    if (TryPopOwn(w, &task) || TrySteal(w, &task)) {
+      ExecuteTask(w, task);
+      continue;
+    }
+    // Idle: poll for the next dispatch before paying a futex sleep.
+    if (PollFor([w] {
+          return w->queued.load(std::memory_order_relaxed) > 0;
+        })) {
+      continue;
+    }
     {
       std::unique_lock<std::mutex> lock(w->mu);
-      if (!w->queue.empty()) {
-        task = w->queue.front();
-        w->queue.pop_front();
-        have = true;
-      } else if (w->stop) {
-        return;  // stop requested and own queue drained
-      }
+      w->cv.wait(lock, [w] { return w->stop || !w->queue.empty(); });
+      if (w->queue.empty()) return;  // stop requested and drained
     }
-    if (!have) {
-      // Own queue drained: scan the siblings before sleeping. Best-effort —
-      // a task enqueued to a sibling after this scan is the owner's to run
-      // (its cv was notified), so nothing is lost by going to sleep.
-      have = TrySteal(w, &task);
-      if (!have) {
-        std::unique_lock<std::mutex> lock(w->mu);
-        w->cv.wait(lock, [w] { return w->stop || !w->queue.empty(); });
-        if (w->queue.empty()) return;  // stop requested and drained
-        task = w->queue.front();
-        w->queue.pop_front();
-      }
-    }
-    ExecuteTask(w, task);
   }
 }
 
@@ -177,36 +220,44 @@ void ShardPool::Run(int64_t num_tasks,
   // Covers enqueue through completion-wait: the gap between this span and
   // the shard.task spans it fans out is queueing + wake-up latency.
   GNMR_TRACE_SPAN("shard.dispatch");
-  Completion completion;
-  completion.remaining.store(num_tasks, std::memory_order_relaxed);
+  auto completion = std::make_shared<Completion>();
+  completion->remaining.store(num_tasks, std::memory_order_relaxed);
   dispatches_.fetch_add(1, std::memory_order_relaxed);
   const int64_t nw = workers();
-  // Rotate the starting worker per dispatch: concurrent Run() calls with
-  // fewer tasks than workers (small plans) would otherwise all pile onto
-  // workers 0..num_tasks-1 and serialize there while the rest idle.
-  const uint64_t base = next_start_.fetch_add(1, std::memory_order_relaxed);
-  for (int64_t t = 0; t < num_tasks; ++t) {
+  // A fixed start per calling thread: the same thread's dispatches map
+  // ranges to workers identically (cache-warm slices), and concurrent
+  // callers with small plans start on different workers.
+  const uint64_t base = ThreadDispatchStart();
+  for (int64_t t = 1; t < num_tasks; ++t) {
     Worker* w = workers_[static_cast<size_t>(
                              (base + static_cast<uint64_t>(t)) %
                              static_cast<uint64_t>(nw))]
                     .get();
     {
       std::lock_guard<std::mutex> lock(w->mu);
-      w->queue.push_back(Task{&fn, t, &completion});
+      w->queue.push_back(Task{&fn, t, completion});
+      w->queued.store(static_cast<int64_t>(w->queue.size()),
+                      std::memory_order_relaxed);
     }
     w->cv.notify_one();
   }
-  {
-    std::unique_lock<std::mutex> lock(completion.mu);
-    completion.cv.wait(lock, [&completion] { return completion.done; });
-  }
-  if (completion.error != nullptr) std::rethrow_exception(completion.error);
+  // Task 0 runs here instead of idling until the workers finish. The
+  // thread counts as a pool worker meanwhile, so a Run() nested in the
+  // task executes inline exactly as it would on a worker.
+  t_on_pool_worker = true;
+  completion->RunBody(fn, 0);
+  t_on_pool_worker = false;
+  caller_tasks_.fetch_add(1, std::memory_order_relaxed);
+  completion->Finish();
+  completion->Wait();
+  if (completion->error != nullptr) std::rethrow_exception(completion->error);
 }
 
 ShardPoolStats ShardPool::stats() const {
   ShardPoolStats out;
   out.workers = workers();
   out.dispatches = dispatches_.load(std::memory_order_relaxed);
+  out.tasks = caller_tasks_.load(std::memory_order_relaxed);
   out.worker_busy_ns.reserve(workers_.size());
   for (const auto& w : workers_) {
     out.tasks += w->tasks_run.load(std::memory_order_relaxed);

@@ -77,14 +77,6 @@ int64_t CsrMatrix::RowNnz(int64_t r) const {
   return row_ptr_[static_cast<size_t>(r) + 1] - row_ptr_[static_cast<size_t>(r)];
 }
 
-CsrRowRange CsrMatrix::RowRangeView(int64_t begin, int64_t end) const {
-  GNMR_CHECK(begin >= 0 && begin <= end && end <= rows_)
-      << "row range [" << begin << ", " << end << ") out of [0, " << rows_
-      << ")";
-  return CsrRowRange(begin, end - begin, cols_, row_ptr_.data() + begin,
-                     col_idx_.data(), values_.data());
-}
-
 CsrMatrix CsrMatrix::Transposed() const {
   CsrMatrix t;
   t.rows_ = cols_;

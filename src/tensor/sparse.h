@@ -21,63 +21,6 @@ struct Coo {
   float value = 1.0f;
 };
 
-class CsrMatrix;
-
-/// Zero-copy view of a contiguous row range [first_row, first_row + rows)
-/// of a CsrMatrix. The view borrows the parent's row_ptr/col_idx/values
-/// storage — no allocation — and exposes row extents re-based to the view:
-/// RowBegin/RowEnd index into col_idx()/values(), whose element 0 is the
-/// first stored entry of the view's first row. This is the partition
-/// boundary the sharded execution layer cuts along (shard_plan.h): each
-/// worker walks one view exactly as the serial kernel walks the parent's
-/// rows, so per-row arithmetic is untouched.
-///
-/// The view is invalidated by destroying or mutating the parent matrix.
-class CsrRowRange {
- public:
-  CsrRowRange() = default;
-
-  /// Rows in the view (may be 0).
-  int64_t rows() const { return rows_; }
-  /// Column count inherited from the parent.
-  int64_t cols() const { return cols_; }
-  /// Stored entries covered by the view.
-  int64_t nnz() const { return rows_ == 0 ? 0 : row_ptr_[rows_] - base_; }
-  /// First parent row covered; view row r is parent row first_row() + r.
-  int64_t first_row() const { return first_row_; }
-
-  /// Offset-adjusted extent of view row r within col_idx()/values().
-  int64_t RowBegin(int64_t r) const { return row_ptr_[r] - base_; }
-  int64_t RowEnd(int64_t r) const { return row_ptr_[r + 1] - base_; }
-  int64_t RowNnz(int64_t r) const { return RowEnd(r) - RowBegin(r); }
-
-  /// Column indices / values of the view's entries; valid in
-  /// [0, nnz()), addressed via RowBegin/RowEnd.
-  const int64_t* col_idx() const { return col_idx_; }
-  const float* values() const { return values_; }
-
- private:
-  friend class CsrMatrix;
-  CsrRowRange(int64_t first_row, int64_t rows, int64_t cols,
-              const int64_t* row_ptr, const int64_t* col_idx,
-              const float* values)
-      : first_row_(first_row),
-        rows_(rows),
-        cols_(cols),
-        base_(rows == 0 ? 0 : row_ptr[0]),
-        row_ptr_(row_ptr),
-        col_idx_(col_idx + base_),
-        values_(values + base_) {}
-
-  int64_t first_row_ = 0;
-  int64_t rows_ = 0;
-  int64_t cols_ = 0;
-  int64_t base_ = 0;               // parent row_ptr[first_row]
-  const int64_t* row_ptr_ = nullptr;  // parent row_ptr + first_row
-  const int64_t* col_idx_ = nullptr;  // parent col_idx + base
-  const float* values_ = nullptr;     // parent values + base
-};
-
 /// Immutable CSR sparse matrix of shape [rows, cols].
 class CsrMatrix {
  public:
@@ -110,10 +53,6 @@ class CsrMatrix {
 
   /// Number of stored entries in row `r`.
   int64_t RowNnz(int64_t r) const;
-
-  /// Zero-copy view of rows [begin, end); requires 0 <= begin <= end <=
-  /// rows(). The view shares this matrix's storage and must not outlive it.
-  CsrRowRange RowRangeView(int64_t begin, int64_t end) const;
 
   /// Transposed copy (CSR of the transpose, i.e. CSC view materialised).
   CsrMatrix Transposed() const;

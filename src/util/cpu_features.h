@@ -1,11 +1,12 @@
-// Runtime CPU feature probe for the SIMD kernel tier (tensor/backend_simd.cc).
+// Runtime CPU feature probe for the AVX2 range kernels
+// (tensor/backend_simd.cc).
 //
 // Compile-time ISA macros (__AVX2__/__FMA__) only say what the *binary* was
 // allowed to use; whether the *host* can execute those instructions is a
-// runtime question. The backend registry consults this probe before exposing
-// the vectorized "simd" backend, so a binary built with AVX2 kernels falls
-// back to serial loops (with a one-time warning) instead of dying on SIGILL
-// when it lands on an older machine.
+// runtime question. The backend registry consults this probe before handing
+// the vector kernels to the "sharded" backend, so a binary built with AVX2
+// kernels runs the serial kernels instead of dying on SIGILL when it lands
+// on an older machine.
 #ifndef GNMR_UTIL_CPU_FEATURES_H_
 #define GNMR_UTIL_CPU_FEATURES_H_
 

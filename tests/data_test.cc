@@ -186,6 +186,28 @@ TEST(LoaderTest, LoadRawTsvRejectsBadRows) {
   std::remove(path.c_str());
 }
 
+// Shapes are inferred as max id + 1, so INT64_MAX as an id must be refused
+// with a Status instead of overflowing.
+TEST(LoaderTest, LoadRawTsvRejectsInt64MaxUserId) {
+  std::string path = testing::TempDir() + "/gnmr_ds_max_user.tsv";
+  ASSERT_TRUE(
+      util::WriteStringToFile(path, "9223372036854775807\t1\t0\n").ok());
+  auto loaded = LoadRawTsv(path, {"a"}, 0);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kParseError);
+  std::remove(path.c_str());
+}
+
+TEST(LoaderTest, LoadRawTsvRejectsInt64MaxItemId) {
+  std::string path = testing::TempDir() + "/gnmr_ds_max_item.tsv";
+  ASSERT_TRUE(
+      util::WriteStringToFile(path, "0\t9223372036854775807\t0\n").ok());
+  auto loaded = LoadRawTsv(path, {"a"}, 0);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kParseError);
+  std::remove(path.c_str());
+}
+
 // -------------------------------------------------------------- Statistics ----
 
 TEST(StatsTest, CountsAndDensity) {

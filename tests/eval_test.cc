@@ -4,10 +4,6 @@
 #include <cmath>
 #include <map>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "src/eval/evaluator.h"
 #include "src/eval/metrics.h"
 
@@ -124,45 +120,6 @@ TEST(EvaluatorTest, EmptyTestSetYieldsZeros) {
   RankingMetrics m = EvaluateRanking(&scorer, {}, {10});
   EXPECT_EQ(m.num_users, 0);
   EXPECT_EQ(m.hr[10], 0.0);
-}
-
-TEST(EvaluatorTest, ParallelEvaluationIsDeterministic) {
-  // The per-user loop fans out across threads under OpenMP; per-user
-  // partials reduced in index order must make the result bit-identical at
-  // any thread count (under serial builds this degenerates to a
-  // repeatability check).
-  TableScorer scorer;
-  std::vector<data::EvalCandidates> tests;
-  for (int64_t u = 0; u < 64; ++u) {
-    data::EvalCandidates c;
-    c.user = u;
-    c.positive_item = 1000 + u;
-    for (int64_t j = 0; j < 9; ++j) c.negatives.push_back(2000 + 9 * u + j);
-    scorer.Set(u, c.positive_item, 0.1f * static_cast<float>(u % 7));
-    for (int64_t j = 0; j < 9; ++j) {
-      scorer.Set(u, c.negatives[static_cast<size_t>(j)],
-                 0.05f * static_cast<float>((u + j) % 11));
-    }
-    tests.push_back(c);
-  }
-  const std::vector<int64_t> cutoffs = {1, 3, 5};
-#ifdef _OPENMP
-  int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
-  RankingMetrics serial = EvaluateRanking(&scorer, tests, cutoffs);
-#ifdef _OPENMP
-  omp_set_num_threads(saved > 1 ? saved : 4);
-#endif
-  RankingMetrics parallel = EvaluateRanking(&scorer, tests, cutoffs);
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
-  ASSERT_EQ(serial.num_users, parallel.num_users);
-  for (int64_t n : cutoffs) {
-    EXPECT_EQ(serial.hr[n], parallel.hr[n]);      // bitwise, not NEAR
-    EXPECT_EQ(serial.ndcg[n], parallel.ndcg[n]);
-  }
 }
 
 TEST(EvaluatorTest, ToStringContainsAllCutoffs) {

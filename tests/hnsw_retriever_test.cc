@@ -176,7 +176,6 @@ TEST(HnswBuildTest, GraphIdenticalAcrossBitExactBackends) {
     ASSERT_TRUE(core::BuildHnswIndex(&reference, 8, 32).ok());
   }
   for (const tensor::KernelBackend* backend : tensor::AllBackends()) {
-    if (!backend->bit_exact()) continue;
     tensor::ScopedBackend scoped(backend->name());
     core::ServingModel other = ClusteredModel(4, 1200, 8, 8, 47);
     ASSERT_TRUE(core::BuildHnswIndex(&other, 8, 32).ok());
@@ -245,7 +244,6 @@ TEST(HnswRetrieverTest, ServingIdenticalAcrossBitExactBackends) {
   std::vector<int64_t> users;
   for (int64_t u = 0; u < model->num_users; ++u) users.push_back(u);
   for (const tensor::KernelBackend* backend : tensor::AllBackends()) {
-    if (!backend->bit_exact()) continue;
     tensor::ScopedBackend scoped(backend->name());
     SCOPED_TRACE(backend->name());
     HnswRetriever hnsw(model, nullptr, /*ef_search=*/32);

@@ -162,13 +162,9 @@ TEST(KMeansTest, ParityAcrossAllBackends) {
     reference = tensor::KMeansRows(items, 384, 12, 8);
   }
   for (const tensor::KernelBackend* backend : tensor::AllBackends()) {
-    // "blas" (when built) is the one registered backend outside the
-    // bit-exact contract — benchmark-only, so it has no place in a
-    // bit-compare loop. Every bit-exact backend, including "blocked" and
-    // "simd", must match serial exactly: the whole build compiles with
-    // -ffp-contract=off, so not even -march=native FMA contraction can
-    // introduce slack.
-    if (!backend->bit_exact()) continue;
+    // Every backend must match serial exactly: the whole build compiles
+    // with -ffp-contract=off, so not even -march=native FMA contraction
+    // can introduce slack.
     tensor::ScopedBackend scoped(backend->name());
     tensor::KMeansResult got = tensor::KMeansRows(items, 384, 12, 8);
     EXPECT_EQ(got.assignments, reference.assignments) << backend->name();
@@ -219,7 +215,6 @@ TEST(KMeansTest, PlusPlusParityAcrossBitExactBackends) {
     reference = tensor::KMeansRows(items, 384, 12, 8, options);
   }
   for (const tensor::KernelBackend* backend : tensor::AllBackends()) {
-    if (!backend->bit_exact()) continue;
     tensor::ScopedBackend scoped(backend->name());
     tensor::KMeansResult got = tensor::KMeansRows(items, 384, 12, 8, options);
     EXPECT_EQ(got.assignments, reference.assignments) << backend->name();
@@ -725,9 +720,8 @@ TEST(IvfQuantizedTest, QuantizedStatsFormulas) {
 TEST(IvfQuantizedTest, DeterministicAcrossBackendsAndShardModes) {
   // Integer dots are exact everywhere, the dequantization is one pinned
   // float expression, the pool is a total-order top set, and the rerank
-  // is the lane-partial contract — so EVERY registered backend (the
-  // non-bit-exact blas backend included: it inherits the serial scan
-  // ops), at every shard mode, must reproduce the reference bitwise.
+  // is the lane-partial contract — so EVERY registered backend, at every
+  // shard mode, must reproduce the reference bitwise.
   core::ServingModel m = ClusteredModel(24, 512, 8, 8, 89);
   ASSERT_TRUE(core::BuildIvfIndex(&m, 8, /*quantize=*/true).ok());
   auto model = std::make_shared<const core::ServingModel>(std::move(m));

@@ -1,9 +1,10 @@
 // Tests of the sharded execution layer: zero-copy CsrMatrix row-range
 // views, ShardPlan partition invariants (uniform and nnz-balanced), the
 // shard pool, bit-identical parity of the "sharded" backend against the
-// serial reference at 1/2/7 workers across all eight kernel entry points,
-// item-sharded ExactRetriever vs brute force (including exact ties), and
-// the per-shard timings surfaced through the trainer's epoch stats.
+// serial reference at 1/2/7 workers across all eleven kernel entry points
+// on both kernel tables, item-sharded ExactRetriever vs brute force
+// (including exact ties), and the per-shard timings surfaced through the
+// trainer's epoch stats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/gnmr_trainer.h"
@@ -22,6 +24,8 @@
 #include "src/serve/seen_items.h"
 #include "src/serve/exact_retriever.h"
 #include "src/tensor/backend.h"
+#include "src/tensor/backend_simd.h"
+#include "src/tensor/element_ops.h"
 #include "src/tensor/kernel_tunables.h"
 #include "src/tensor/shard_plan.h"
 #include "src/tensor/shard_pool.h"
@@ -66,85 +70,6 @@ CsrMatrix RandomCsr(int64_t rows, int64_t cols, double density,
     }
   }
   return CsrMatrix::FromCoo(rows, cols, entries);
-}
-
-// ------------------------------------------------------------ RowRangeView --
-
-// The view of [begin, end) must reproduce the parent's rows entry for
-// entry, with extents re-based onto the view's col/val storage.
-void ExpectViewMatchesParent(const CsrMatrix& m, int64_t begin, int64_t end) {
-  CsrRowRange view = m.RowRangeView(begin, end);
-  ASSERT_EQ(view.rows(), end - begin);
-  EXPECT_EQ(view.cols(), m.cols());
-  EXPECT_EQ(view.first_row(), begin);
-  int64_t expected_nnz = 0;
-  for (int64_t r = begin; r < end; ++r) expected_nnz += m.RowNnz(r);
-  EXPECT_EQ(view.nnz(), expected_nnz);
-  for (int64_t r = 0; r < view.rows(); ++r) {
-    int64_t parent_row = begin + r;
-    ASSERT_EQ(view.RowNnz(r), m.RowNnz(parent_row)) << "row " << parent_row;
-    int64_t parent_p = m.row_ptr()[static_cast<size_t>(parent_row)];
-    for (int64_t p = view.RowBegin(r); p < view.RowEnd(r); ++p, ++parent_p) {
-      EXPECT_EQ(view.col_idx()[p],
-                m.col_idx()[static_cast<size_t>(parent_p)]);
-      EXPECT_EQ(view.values()[p], m.values()[static_cast<size_t>(parent_p)]);
-    }
-  }
-}
-
-TEST(CsrRowRangeTest, ViewsOfRaggedMatrixMatchParent) {
-  util::Rng rng(31);
-  CsrMatrix m = RandomCsr(37, 20, 0.3, &rng);
-  ExpectViewMatchesParent(m, 0, 37);   // full view
-  ExpectViewMatchesParent(m, 0, 1);    // single leading row
-  ExpectViewMatchesParent(m, 36, 37);  // single trailing row
-  ExpectViewMatchesParent(m, 2, 3);    // a forced-empty row alone
-  ExpectViewMatchesParent(m, 5, 23);   // interior span crossing empties
-}
-
-TEST(CsrRowRangeTest, EmptyRangesAndEmptyMatrix) {
-  util::Rng rng(32);
-  CsrMatrix m = RandomCsr(12, 9, 0.4, &rng);
-  for (int64_t at : {int64_t{0}, int64_t{5}, int64_t{12}}) {
-    CsrRowRange view = m.RowRangeView(at, at);
-    EXPECT_EQ(view.rows(), 0);
-    EXPECT_EQ(view.nnz(), 0);
-  }
-  CsrMatrix empty = CsrMatrix::FromCoo(4, 3, {});
-  ExpectViewMatchesParent(empty, 0, 4);
-  CsrMatrix zero_rows = CsrMatrix::FromCoo(0, 3, {});
-  CsrRowRange view = zero_rows.RowRangeView(0, 0);
-  EXPECT_EQ(view.rows(), 0);
-  EXPECT_EQ(view.nnz(), 0);
-}
-
-TEST(CsrRowRangeTest, ViewsTileTheMatrixExactly) {
-  // Consecutive views partition the entry list: concatenating their
-  // (col, value) streams reproduces the parent's.
-  util::Rng rng(33);
-  CsrMatrix m = RandomCsr(50, 16, 0.25, &rng);
-  std::vector<int64_t> cuts = {0, 7, 8, 23, 50};
-  int64_t entries_seen = 0;
-  for (size_t c = 0; c + 1 < cuts.size(); ++c) {
-    CsrRowRange view = m.RowRangeView(cuts[c], cuts[c + 1]);
-    for (int64_t r = 0; r < view.rows(); ++r) {
-      for (int64_t p = view.RowBegin(r); p < view.RowEnd(r); ++p) {
-        EXPECT_EQ(view.col_idx()[p],
-                  m.col_idx()[static_cast<size_t>(entries_seen)]);
-        EXPECT_EQ(view.values()[p],
-                  m.values()[static_cast<size_t>(entries_seen)]);
-        ++entries_seen;
-      }
-    }
-  }
-  EXPECT_EQ(entries_seen, m.nnz());
-}
-
-TEST(CsrRowRangeDeathTest, OutOfRangeAborts) {
-  CsrMatrix m = CsrMatrix::FromCoo(3, 3, {{0, 0, 1.0f}});
-  EXPECT_DEATH(m.RowRangeView(-1, 2), "row range");
-  EXPECT_DEATH(m.RowRangeView(2, 1), "row range");
-  EXPECT_DEATH(m.RowRangeView(0, 4), "row range");
 }
 
 // --------------------------------------------------------------- ShardPlan --
@@ -255,6 +180,28 @@ TEST(ShardPoolTest, NestedRunExecutesInline) {
     ShardPool::Global()->Run(3, [&](int64_t) { inner_runs++; });
   });
   EXPECT_EQ(inner_runs.load(), 12);
+}
+
+TEST(ShardPoolTest, CallerRunsTaskZeroAndNestsInline) {
+  // The dispatching thread runs task 0 itself instead of idling, and a
+  // Run() nested in that task executes inline on it, as on a worker.
+  ScopedShardWorkers workers(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(4);
+  std::vector<std::thread::id> nested_on(2);
+  ShardPool::Global()->Run(4, [&](int64_t t) {
+    ran_on[static_cast<size_t>(t)] = std::this_thread::get_id();
+    if (t == 0) {
+      ShardPool::Global()->Run(2, [&](int64_t u) {
+        nested_on[static_cast<size_t>(u)] = std::this_thread::get_id();
+      });
+    }
+  });
+  EXPECT_EQ(ran_on[0], caller);
+  for (size_t t = 1; t < ran_on.size(); ++t) {
+    EXPECT_NE(ran_on[t], caller) << "task " << t;
+  }
+  for (const std::thread::id& id : nested_on) EXPECT_EQ(id, caller);
 }
 
 TEST(ShardPoolTest, StatsCountDispatchesAndBusyTime) {
@@ -381,15 +328,19 @@ void ExpectBitIdentical(const Tensor& ref, const Tensor& got,
 
 // Every kernel input is sized past its fan-out threshold so the sharded
 // paths actually dispatch (at 1 worker the plans collapse to one inline
-// range — that degenerate path must stay bit-identical too).
+// range — that degenerate path must stay bit-identical too). Shapes are
+// ragged against the AVX2 tiles (6-row MatMul tiles, 16/32-column tiles,
+// 8-wide lanes). Runs all eleven ops on both kernel tables — the
+// registered instance (AVX2 kernels on hosts that have them) and the
+// serial-kernel instance — and, for the registered one, with the AVX-512
+// MatMul tiles on and off.
 TEST(ShardedBackendParityTest, AllOpsBitIdenticalToSerialAt127Workers) {
   const KernelBackend* serial = FindBackend("serial");
-  const KernelBackend* sharded = FindBackend("sharded");
-  ASSERT_NE(sharded, nullptr);
+  ASSERT_NE(FindBackend("sharded"), nullptr);
   util::Rng rng(37);
 
-  // MatMul: 128*32*48 = 196k multiply-adds >= kParallelMatMulMinWork.
-  const int64_t mm_n = 128, mm_k = 32, mm_m = 48;
+  // MatMul: 128*32*50 = 205k multiply-adds >= kParallelMatMulMinWork.
+  const int64_t mm_n = 128, mm_k = 32, mm_m = 50;
   Tensor mm_a = Tensor::RandomNormal({mm_n, mm_k}, &rng);
   Tensor mm_b = Tensor::RandomNormal({mm_k, mm_m}, &rng);
   // SpMM: ~4.8k nnz * 24 cols >= kParallelSpmmMinWork; ragged with empty
@@ -403,12 +354,13 @@ TEST(ShardedBackendParityTest, AllOpsBitIdenticalToSerialAt127Workers) {
     // Zipf-ish duplicates: low rows collide massively.
     idx.push_back(rng.UniformInt(0, rng.UniformInt(0, 89)));
   }
-  Tensor src = Tensor::RandomNormal({static_cast<int64_t>(idx.size()), 24},
-                                    &rng);
+  const int64_t count = static_cast<int64_t>(idx.size());
+  Tensor src = Tensor::RandomNormal({count, 24}, &rng);
   Tensor rd_a = Tensor::RandomNormal({2500, 24}, &rng);
   Tensor rd_b = Tensor::RandomNormal({2500, 24}, &rng);
   // Eltwise / ReduceSum: 40000 elements >= kParallelEltwiseMinWork, ~10
-  // kReduceSumChunk chunks with a ragged tail.
+  // kReduceSumChunk chunks with a ragged tail. One test-local body (runs
+  // as given) and one element_ops.h body (translated to its AVX2 twin).
   Tensor ew = Tensor::RandomNormal({40000 + 123}, &rng);
   Tensor ew2 = Tensor::RandomNormal({40000 + 123}, &rng);
   KernelBackend::MapFn relu = [](const float* in, float* out, int64_t len,
@@ -419,63 +371,117 @@ TEST(ShardedBackendParityTest, AllOpsBitIdenticalToSerialAt127Workers) {
                                 int64_t len, float) {
     for (int64_t i = 0; i < len; ++i) out[i] = x[i] * y[i];
   };
+  const KernelBackend::MapFn leaky = &MapLoop<&elops::LeakyReluEl>;
+  const KernelBackend::ZipFn sig_bwd = &ZipLoop<&elops::SigmoidBwdEl>;
+  // Serving scans: 301 rows of width 37 (ragged against the 8-lane and
+  // 32-code vector loops); the indexed scan revisits rows out of order.
+  const int64_t qn = 301, qm = 37;
+  Tensor q = Tensor::RandomNormal({qm}, &rng);
+  Tensor q_rows = Tensor::RandomNormal({qn, qm}, &rng);
+  std::vector<int64_t> q_idx;
+  for (int64_t i = 0; i < qn; ++i) q_idx.push_back(rng.UniformInt(0, qn - 1));
+  std::vector<int8_t> i8_q(static_cast<size_t>(qm));
+  std::vector<int8_t> i8_codes(static_cast<size_t>(qn * qm));
+  for (auto& v : i8_q) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+  for (auto& v : i8_codes) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
 
   // Serial references, computed once.
   Tensor mm_ref({mm_n, mm_m});
   serial->MatMul(mm_a.data(), mm_b.data(), mm_ref.data(), mm_n, mm_k, mm_m);
   Tensor sp_ref({sp.rows(), 24});
   serial->Spmm(sp, sp_x.data(), sp_ref.data(), 24);
-  Tensor ga_ref({static_cast<int64_t>(idx.size()), 24});
-  serial->GatherRows(table.data(), 24, idx.data(),
-                     static_cast<int64_t>(idx.size()), ga_ref.data());
+  Tensor ga_ref({count, 24});
+  serial->GatherRows(table.data(), 24, idx.data(), count, ga_ref.data());
   Tensor sc_ref({90, 24});
-  serial->ScatterAddRows(sc_ref.data(), 90, 24, idx.data(),
-                         static_cast<int64_t>(idx.size()), src.data());
+  serial->ScatterAddRows(sc_ref.data(), 90, 24, idx.data(), count,
+                         src.data());
   Tensor rd_ref({2500, 1});
   serial->RowDot(rd_a.data(), rd_b.data(), rd_ref.data(), 2500, 24);
   Tensor map_ref(ew.shape()), zip_ref(ew.shape());
+  Tensor leaky_ref(ew.shape()), sig_ref(ew.shape());
   serial->EltwiseMap(ew.data(), map_ref.data(), ew.numel(), relu, 0.0f);
   serial->EltwiseZip(ew.data(), ew2.data(), zip_ref.data(), ew.numel(), mul,
                      0.0f);
+  serial->EltwiseMap(ew.data(), leaky_ref.data(), ew.numel(), leaky, 0.1f);
+  serial->EltwiseZip(ew.data(), ew2.data(), sig_ref.data(), ew.numel(),
+                     sig_bwd, 0.0f);
   double sum_ref = serial->ReduceSum(ew.data(), ew.numel());
+  std::vector<float> qd_ref(qn), qdi_ref(qn);
+  serial->QueryDot(q.data(), q_rows.data(), qd_ref.data(), qn, qm);
+  serial->QueryDotIndexed(q.data(), q_rows.data(), q_idx.data(),
+                          qdi_ref.data(), qn, qm);
+  std::vector<int32_t> i8_ref(qn);
+  serial->I8QueryDot(i8_q.data(), i8_codes.data(), i8_ref.data(), qn, qm);
 
-  for (int64_t workers : {int64_t{1}, int64_t{2}, int64_t{7}}) {
-    ScopedShardWorkers scoped(workers);
-    std::string ctx = "sharded@" + std::to_string(workers) + " workers ";
+  const struct {
+    const KernelBackend* backend;
+    bool avx512_tiles;
+    const char* tag;
+  } variants[] = {
+      {FindBackend("sharded"), true, "sharded"},
+      {FindBackend("sharded"), false, "sharded/avx2-tiles"},
+      {ShardedSerialKernelsForTest(), true, "sharded/serial-kernels"},
+  };
+  for (const auto& v : variants) {
+    simd::SetSimdAvx512TilesEnabledForTest(v.avx512_tiles);
+    const KernelBackend* sharded = v.backend;
+    for (int64_t workers : {int64_t{1}, int64_t{2}, int64_t{7}}) {
+      ScopedShardWorkers scoped(workers);
+      std::string ctx =
+          std::string(v.tag) + "@" + std::to_string(workers) + " workers ";
 
-    Tensor mm_got({mm_n, mm_m});
-    sharded->MatMul(mm_a.data(), mm_b.data(), mm_got.data(), mm_n, mm_k,
-                    mm_m);
-    ExpectBitIdentical(mm_ref, mm_got, ctx + "matmul");
+      Tensor mm_got({mm_n, mm_m});
+      sharded->MatMul(mm_a.data(), mm_b.data(), mm_got.data(), mm_n, mm_k,
+                      mm_m);
+      ExpectBitIdentical(mm_ref, mm_got, ctx + "matmul");
 
-    Tensor sp_got({sp.rows(), 24});
-    sharded->Spmm(sp, sp_x.data(), sp_got.data(), 24);
-    ExpectBitIdentical(sp_ref, sp_got, ctx + "spmm");
+      Tensor sp_got({sp.rows(), 24});
+      sharded->Spmm(sp, sp_x.data(), sp_got.data(), 24);
+      ExpectBitIdentical(sp_ref, sp_got, ctx + "spmm");
 
-    Tensor ga_got({static_cast<int64_t>(idx.size()), 24});
-    sharded->GatherRows(table.data(), 24, idx.data(),
-                        static_cast<int64_t>(idx.size()), ga_got.data());
-    ExpectBitIdentical(ga_ref, ga_got, ctx + "gather");
+      Tensor ga_got({count, 24});
+      sharded->GatherRows(table.data(), 24, idx.data(), count, ga_got.data());
+      ExpectBitIdentical(ga_ref, ga_got, ctx + "gather");
 
-    Tensor sc_got({90, 24});
-    sharded->ScatterAddRows(sc_got.data(), 90, 24, idx.data(),
-                            static_cast<int64_t>(idx.size()), src.data());
-    ExpectBitIdentical(sc_ref, sc_got, ctx + "scatter-add");
+      Tensor sc_got({90, 24});
+      sharded->ScatterAddRows(sc_got.data(), 90, 24, idx.data(), count,
+                              src.data());
+      ExpectBitIdentical(sc_ref, sc_got, ctx + "scatter-add");
 
-    Tensor rd_got({2500, 1});
-    sharded->RowDot(rd_a.data(), rd_b.data(), rd_got.data(), 2500, 24);
-    ExpectBitIdentical(rd_ref, rd_got, ctx + "rowdot");
+      Tensor rd_got({2500, 1});
+      sharded->RowDot(rd_a.data(), rd_b.data(), rd_got.data(), 2500, 24);
+      ExpectBitIdentical(rd_ref, rd_got, ctx + "rowdot");
 
-    Tensor map_got(ew.shape()), zip_got(ew.shape());
-    sharded->EltwiseMap(ew.data(), map_got.data(), ew.numel(), relu, 0.0f);
-    sharded->EltwiseZip(ew.data(), ew2.data(), zip_got.data(), ew.numel(),
-                        mul, 0.0f);
-    ExpectBitIdentical(map_ref, map_got, ctx + "map");
-    ExpectBitIdentical(zip_ref, zip_got, ctx + "zip");
+      Tensor map_got(ew.shape()), zip_got(ew.shape());
+      Tensor leaky_got(ew.shape()), sig_got(ew.shape());
+      sharded->EltwiseMap(ew.data(), map_got.data(), ew.numel(), relu, 0.0f);
+      sharded->EltwiseZip(ew.data(), ew2.data(), zip_got.data(), ew.numel(),
+                          mul, 0.0f);
+      sharded->EltwiseMap(ew.data(), leaky_got.data(), ew.numel(), leaky,
+                          0.1f);
+      sharded->EltwiseZip(ew.data(), ew2.data(), sig_got.data(), ew.numel(),
+                          sig_bwd, 0.0f);
+      ExpectBitIdentical(map_ref, map_got, ctx + "map");
+      ExpectBitIdentical(zip_ref, zip_got, ctx + "zip");
+      ExpectBitIdentical(leaky_ref, leaky_got, ctx + "map (twin)");
+      ExpectBitIdentical(sig_ref, sig_got, ctx + "zip (twin)");
 
-    EXPECT_EQ(sum_ref, sharded->ReduceSum(ew.data(), ew.numel()))
-        << ctx << "reduce-sum";
+      EXPECT_EQ(sum_ref, sharded->ReduceSum(ew.data(), ew.numel()))
+          << ctx << "reduce-sum";
+
+      std::vector<float> qd_got(qn), qdi_got(qn);
+      sharded->QueryDot(q.data(), q_rows.data(), qd_got.data(), qn, qm);
+      sharded->QueryDotIndexed(q.data(), q_rows.data(), q_idx.data(),
+                               qdi_got.data(), qn, qm);
+      EXPECT_EQ(qd_ref, qd_got) << ctx << "querydot";
+      EXPECT_EQ(qdi_ref, qdi_got) << ctx << "querydot-indexed";
+      std::vector<int32_t> i8_got(qn);
+      sharded->I8QueryDot(i8_q.data(), i8_codes.data(), i8_got.data(), qn,
+                          qm);
+      EXPECT_EQ(i8_ref, i8_got) << ctx << "i8-querydot";
+    }
   }
+  simd::SetSimdAvx512TilesEnabledForTest(true);
 }
 
 TEST(ShardedBackendParityTest, SpmmPlanCacheSurvivesWorkerChanges) {

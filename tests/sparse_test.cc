@@ -115,10 +115,6 @@ TEST(CsrViewTest, FromViewMatchesOwned) {
     EXPECT_EQ(std::as_const(from_owned).data()[i],
               std::as_const(from_view).data()[i]);
   }
-
-  CsrRowRange range = view.RowRangeView(1, 3);
-  EXPECT_EQ(range.rows(), 2);
-  EXPECT_EQ(range.nnz(), 2);
 }
 
 TEST(CsrViewTest, KeepaliveSurvivesOwnerHandleDrop) {

@@ -1,10 +1,10 @@
-// Parity tests of the pluggable kernel backends (backend.h): every
-// bit-exact registered backend must match the SerialBackend reference
-// bit-for-bit on every kernel (MatMul/SpMM/Gather/Scatter/RowDot/map/zip
-// and the fixed-chunk ReduceSum). There is no sanctioned slack: the whole
-// build compiles with -ffp-contract=off, so neither the blocked register
-// panels nor the simd vector tiles may fuse multiply-adds the serial
-// reference keeps separate — even under -march=native.
+// Parity tests of the kernel backends (backend.h): "sharded" must match
+// the SerialBackend reference bit-for-bit on every kernel
+// (MatMul/SpMM/Gather/Scatter/RowDot/map/zip, the fixed-chunk ReduceSum
+// and the serving scans), on the AVX2 range kernels and on the serial
+// ones. There is no sanctioned slack: the whole build compiles with
+// -ffp-contract=off, so the vector tiles may not fuse multiply-adds the
+// serial reference keeps separate — even under -march=native.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,12 +32,20 @@ namespace gnmr {
 namespace tensor {
 namespace {
 
-// Backends under test, always compared against the serial reference.
-// ("sharded" runs here with the pool's default worker count; shard_test
-// additionally sweeps explicit 1/2/7-worker pools. "simd" resolves to the
-// AVX2/FMA vector kernels where the host supports them and to the serial
-// fallback elsewhere — parity must hold either way.)
-const char* const kVariants[] = {"omp", "blocked", "sharded", "simd"};
+// Backends under test, always compared against the serial reference: the
+// registered "sharded" (AVX2 range kernels where the host supports them)
+// and the same backend on the serial range kernels, which is what hosts
+// without AVX2+FMA run. Both use the pool's default worker count here;
+// shard_test additionally sweeps explicit 1/2/7-worker pools.
+struct Variant {
+  const KernelBackend* backend;
+  std::string tag;
+};
+
+std::vector<Variant> Variants() {
+  return {{FindBackend("sharded"), "sharded"},
+          {ShardedSerialKernelsForTest(), "sharded/serial-kernels"}};
+}
 
 void ExpectBitIdentical(const Tensor& ref, const Tensor& got,
                         const std::string& context) {
@@ -67,27 +75,35 @@ CsrMatrix RandomCsr(int64_t rows, int64_t cols, double density,
 // ------------------------------------------------------------------ registry --
 
 TEST(BackendRegistryTest, AllBackendsRegistered) {
-  // 5 always; a 6th ("blas") only in GNMR_BLAS builds.
-  EXPECT_GE(AllBackends().size(), 5u);
-  for (const char* name : {"serial", "omp", "blocked", "sharded", "simd"}) {
+  ASSERT_EQ(AllBackends().size(), 2u);
+  EXPECT_STREQ(AllBackends()[0]->name(), "serial");
+  EXPECT_STREQ(AllBackends()[1]->name(), "sharded");
+  for (const char* name : {"serial", "sharded"}) {
     const KernelBackend* b = FindBackend(name);
     ASSERT_NE(b, nullptr) << name;
     EXPECT_STREQ(b->name(), name);
-    EXPECT_TRUE(b->bit_exact()) << name;
   }
-  // "blas" is the only backend allowed to break the bit-exact contract.
-  for (const KernelBackend* b : AllBackends()) {
-    EXPECT_EQ(b->bit_exact(), std::string(b->name()) != "blas")
-        << b->name();
+  for (const char* gone : {"omp", "blocked", "simd", "blas", "cuda"}) {
+    EXPECT_EQ(FindBackend(gone), nullptr) << gone;
   }
-  EXPECT_EQ(FindBackend("cuda"), nullptr);
+  // The serial-kernel instance is test-only: never what the registry
+  // serves.
+  EXPECT_NE(FindBackend("sharded"), ShardedSerialKernelsForTest());
+  EXPECT_STREQ(ShardedSerialKernelsForTest()->name(), "sharded");
+  // The registered instance runs the vector kernels exactly when the
+  // build has them and cpuid reports AVX2+FMA (the vector table is only
+  // looked up once cpuid allows it).
+  const util::CpuFeatures& cpu = util::HostCpuFeatures();
+  const bool vector_expected =
+      cpu.avx2 && cpu.fma && simd::NativeSimdKernels() != nullptr;
+  EXPECT_EQ(ShardedUsesVectorKernelsForTest(), vector_expected);
 }
 
 TEST(BackendRegistryTest, ScopedBackendSwitchesAndRestores) {
   const char* before = GetBackend().name();
   {
-    ScopedBackend scoped("blocked");
-    EXPECT_STREQ(GetBackend().name(), "blocked");
+    ScopedBackend scoped("sharded");
+    EXPECT_STREQ(GetBackend().name(), "sharded");
   }
   EXPECT_STREQ(GetBackend().name(), before);
 }
@@ -101,15 +117,19 @@ TEST(BackendRegistryTest, SetBackendSelectsByName) {
 
 TEST(BackendRegistryDeathTest, UnknownNameAborts) {
   EXPECT_DEATH(SetBackend("no-such-backend"), "unknown backend");
+  for (const char* gone : {"omp", "blocked", "simd", "blas"}) {
+    EXPECT_DEATH(SetBackend(gone), std::string("unknown backend '") + gone +
+                                       "' \\(available: serial, sharded\\)");
+  }
 }
 
 // -------------------------------------------------------------------- MatMul --
 
 TEST(BackendParityTest, MatMulAllShapes) {
-  // Includes 1-row/1-col panels and sizes that are not multiples of any
-  // tile shape — the blocked k-unroll (4) and the simd register tiles
-  // (6 rows x 16/32 columns) — so every edge micro-kernel runs: partial
-  // row tiles, scalar column tails, and tiles narrower than one vector.
+  // Includes 1-row/1-col panels and sizes that are not multiples of the
+  // AVX2 register tiles (6 rows x 16/32 columns), so every edge
+  // micro-kernel runs: partial row tiles, scalar column tails, and tiles
+  // narrower than one vector.
   const struct { int64_t n, k, m; } shapes[] = {
       {1, 1, 1},    {1, 7, 1},     {5, 1, 3},    {3, 5, 7},
       {4, 16, 16},  {33, 17, 29},  {64, 64, 64}, {70, 31, 90},
@@ -123,11 +143,11 @@ TEST(BackendParityTest, MatMulAllShapes) {
     Tensor b = Tensor::RandomNormal({s.k, s.m}, &rng);
     Tensor ref({s.n, s.m});
     serial->MatMul(a.data(), b.data(), ref.data(), s.n, s.k, s.m);
-    for (const char* name : kVariants) {
+    for (const Variant& v : Variants()) {
       Tensor got({s.n, s.m});
-      FindBackend(name)->MatMul(a.data(), b.data(), got.data(), s.n, s.k,
+      v.backend->MatMul(a.data(), b.data(), got.data(), s.n, s.k,
                                 s.m);
-      ExpectBitIdentical(ref, got, std::string(name) + " matmul " +
+      ExpectBitIdentical(ref, got, v.tag + " matmul " +
                                        a.ShapeString() + "x" +
                                        b.ShapeString());
     }
@@ -136,9 +156,8 @@ TEST(BackendParityTest, MatMulAllShapes) {
 
 // Serial's MatMul skips a-elements that are exactly zero, which is
 // observable when B holds non-finite values (0 * inf would otherwise
-// poison a row with NaN). The simd backend must preserve the skip — its
-// zero-scan routes affected row tiles through guarded tile kernels — and
-// so must every other backend.
+// poison a row with NaN). The AVX2 kernels must preserve the skip — their
+// zero-scan routes affected row tiles through guarded tile kernels.
 TEST(BackendParityTest, MatMulZeroSkipPreservesNonFinitePolicy) {
   const int64_t n = 13, k = 9, m = 40;  // partial tiles in both directions
   const int64_t kz = 4;                 // the k index whose B row holds inf
@@ -157,10 +176,10 @@ TEST(BackendParityTest, MatMulZeroSkipPreservesNonFinitePolicy) {
   for (int64_t i = 0; i < n; ++i) {
     ASSERT_EQ(std::isinf(ref.at(i, 0)), i % 2 != 0) << "test setup broken";
   }
-  for (const char* name : kVariants) {
+  for (const Variant& v : Variants()) {
     Tensor got({n, m});
-    FindBackend(name)->MatMul(a.data(), b.data(), got.data(), n, k, m);
-    ExpectBitIdentical(ref, got, std::string(name) + " zero-skip matmul");
+    v.backend->MatMul(a.data(), b.data(), got.data(), n, k, m);
+    ExpectBitIdentical(ref, got, v.tag + " zero-skip matmul");
   }
 }
 
@@ -189,7 +208,7 @@ TEST(BackendParityTest, MatMulAgainstNaiveTripleLoop) {
 
 TEST(BackendParityTest, SpmmRaggedAndEmptyCsr) {
   util::Rng rng(13);
-  // d values straddle the simd column panel (32) and vector width (8):
+  // d values straddle the AVX2 column panel (32) and vector width (8):
   // full panels, lone 8-wide chunks, and scalar tails all run.
   const struct { int64_t rows, cols, d; double density; } cases[] = {
       {1, 1, 1, 1.0},    {1, 40, 8, 0.3},      {60, 40, 1, 0.1},
@@ -201,10 +220,10 @@ TEST(BackendParityTest, SpmmRaggedAndEmptyCsr) {
     Tensor x = Tensor::RandomNormal({c.cols, c.d}, &rng);
     Tensor ref({c.rows, c.d});
     FindBackend("serial")->Spmm(m, x.data(), ref.data(), c.d);
-    for (const char* name : kVariants) {
+    for (const Variant& v : Variants()) {
       Tensor got({c.rows, c.d});
-      FindBackend(name)->Spmm(m, x.data(), got.data(), c.d);
-      ExpectBitIdentical(ref, got, std::string(name) + " spmm nnz=" +
+      v.backend->Spmm(m, x.data(), got.data(), c.d);
+      ExpectBitIdentical(ref, got, v.tag + " spmm nnz=" +
                                        std::to_string(m.nnz()));
     }
   }
@@ -219,8 +238,8 @@ TEST(BackendParityTest, SpmmRaggedAndEmptyCsr) {
 }
 
 TEST(BackendParityTest, SpmmSkewedRowsCrossBinBoundaries) {
-  // One pathological heavy row plus many light ones: exercises the blocked
-  // backend's nnz-binned schedule with bins that split mid-matrix.
+  // One pathological heavy row plus many light ones: exercises the
+  // nnz-balanced shard plan with cuts that land mid-matrix.
   util::Rng rng(14);
   std::vector<Coo> entries;
   int64_t rows = 900, cols = 500, d = 16;
@@ -235,10 +254,10 @@ TEST(BackendParityTest, SpmmSkewedRowsCrossBinBoundaries) {
   Tensor x = Tensor::RandomNormal({cols, d}, &rng);
   Tensor ref({rows, d});
   FindBackend("serial")->Spmm(m, x.data(), ref.data(), d);
-  for (const char* name : kVariants) {
+  for (const Variant& v : Variants()) {
     Tensor got({rows, d});
-    FindBackend(name)->Spmm(m, x.data(), got.data(), d);
-    ExpectBitIdentical(ref, got, std::string(name) + " skewed spmm");
+    v.backend->Spmm(m, x.data(), got.data(), d);
+    ExpectBitIdentical(ref, got, v.tag + " skewed spmm");
   }
 }
 
@@ -253,12 +272,12 @@ TEST(BackendParityTest, GatherRowsIncludingRepeats) {
   FindBackend("serial")->GatherRows(table.data(), 24, idx.data(),
                                     static_cast<int64_t>(idx.size()),
                                     ref.data());
-  for (const char* name : kVariants) {
+  for (const Variant& v : Variants()) {
     Tensor got({static_cast<int64_t>(idx.size()), 24});
-    FindBackend(name)->GatherRows(table.data(), 24, idx.data(),
+    v.backend->GatherRows(table.data(), 24, idx.data(),
                                   static_cast<int64_t>(idx.size()),
                                   got.data());
-    ExpectBitIdentical(ref, got, std::string(name) + " gather");
+    ExpectBitIdentical(ref, got, v.tag + " gather");
   }
 }
 
@@ -278,12 +297,12 @@ TEST(BackendParityTest, ScatterAddRowsDuplicateDestinations) {
   FindBackend("serial")->ScatterAddRows(ref.data(), rows, m, idx.data(),
                                         static_cast<int64_t>(idx.size()),
                                         src.data());
-  for (const char* name : kVariants) {
+  for (const Variant& v : Variants()) {
     Tensor got({rows, m});
-    FindBackend(name)->ScatterAddRows(got.data(), rows, m, idx.data(),
+    v.backend->ScatterAddRows(got.data(), rows, m, idx.data(),
                                       static_cast<int64_t>(idx.size()),
                                       src.data());
-    ExpectBitIdentical(ref, got, std::string(name) + " scatter-add");
+    ExpectBitIdentical(ref, got, v.tag + " scatter-add");
   }
 }
 
@@ -308,16 +327,16 @@ TEST(BackendParityTest, RowDotAndEltwiseKernels) {
     serial->EltwiseMap(a.data(), map_ref.data(), a.numel(), relu, 0.0f);
     serial->EltwiseZip(a.data(), b.data(), zip_ref.data(), a.numel(), mul,
                        0.0f);
-    for (const char* name : kVariants) {
-      const KernelBackend* backend = FindBackend(name);
+    for (const Variant& v : Variants()) {
+      const KernelBackend* backend = v.backend;
       Tensor dot({n, 1}), map(a.shape()), zip(a.shape());
       backend->RowDot(a.data(), b.data(), dot.data(), n, 65);
       backend->EltwiseMap(a.data(), map.data(), a.numel(), relu, 0.0f);
       backend->EltwiseZip(a.data(), b.data(), zip.data(), a.numel(), mul,
                           0.0f);
-      ExpectBitIdentical(dot_ref, dot, std::string(name) + " rowdot");
-      ExpectBitIdentical(map_ref, map, std::string(name) + " map");
-      ExpectBitIdentical(zip_ref, zip, std::string(name) + " zip");
+      ExpectBitIdentical(dot_ref, dot, v.tag + " rowdot");
+      ExpectBitIdentical(map_ref, map, v.tag + " map");
+      ExpectBitIdentical(zip_ref, zip, v.tag + " zip");
     }
   }
 }
@@ -330,9 +349,9 @@ TEST(BackendParityTest, ReduceSumBitIdenticalAcrossBackends) {
                     3 * kReduceSumChunk + 123}) {
     Tensor a = Tensor::RandomNormal({n}, &rng);
     double ref = FindBackend("serial")->ReduceSum(a.data(), n);
-    for (const char* name : kVariants) {
-      EXPECT_EQ(ref, FindBackend(name)->ReduceSum(a.data(), n))
-          << name << " n=" << n;
+    for (const Variant& v : Variants()) {
+      EXPECT_EQ(ref, v.backend->ReduceSum(a.data(), n))
+          << v.tag << " n=" << n;
     }
   }
 }
@@ -348,11 +367,10 @@ TEST(BackendParityTest, RowDotRaggedWidths) {
     Tensor b = Tensor::RandomNormal({n, m}, &rng);
     Tensor ref({n, 1});
     FindBackend("serial")->RowDot(a.data(), b.data(), ref.data(), n, m);
-    for (const char* name : kVariants) {
+    for (const Variant& v : Variants()) {
       Tensor got({n, 1});
-      FindBackend(name)->RowDot(a.data(), b.data(), got.data(), n, m);
-      ExpectBitIdentical(ref, got,
-                         std::string(name) + " rowdot m=" + std::to_string(m));
+      v.backend->RowDot(a.data(), b.data(), got.data(), n, m);
+      ExpectBitIdentical(ref, got, v.tag + " rowdot m=" + std::to_string(m));
     }
   }
 }
@@ -361,9 +379,8 @@ TEST(BackendParityTest, RowDotRaggedWidths) {
 
 // QueryDot / QueryDotIndexed are the serving-scan entry points (one query
 // row against many item rows); their contract is the same lane-partial
-// accumulation as RowDot, so every bit-exact backend — plus the explicit
-// serial fallback instance — must match serial bit-for-bit, including at
-// widths below one kReduceLanes group and with ragged tails.
+// accumulation as RowDot, so both variants must match serial bit-for-bit,
+// including at widths below one kReduceLanes group and with ragged tails.
 TEST(BackendParityTest, QueryDotAllBackendsBitIdentical) {
   util::Rng rng(30);
   const KernelBackend* serial = FindBackend("serial");
@@ -381,16 +398,12 @@ TEST(BackendParityTest, QueryDotAllBackendsBitIdentical) {
           << "serial QueryDot breaks the LanePartialDot contract at row "
           << i << " m=" << m;
     }
-    for (const char* name : kVariants) {
-      FindBackend(name)->QueryDot(q.data(), rows.data(), got.data(), n, m);
+    for (const Variant& v : Variants()) {
+      v.backend->QueryDot(q.data(), rows.data(), got.data(), n, m);
       for (int64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(ref[i], got[i]) << name << " querydot m=" << m << " row "
+        ASSERT_EQ(ref[i], got[i]) << v.tag << " querydot m=" << m << " row "
                                   << i;
       }
-    }
-    SimdFallbackForTest()->QueryDot(q.data(), rows.data(), got.data(), n, m);
-    for (int64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(ref[i], got[i]) << "simd-fallback querydot m=" << m;
     }
   }
 }
@@ -413,11 +426,11 @@ TEST(BackendParityTest, QueryDotIndexedGatherParity) {
                   LanePartialDot(q.data(), base.data() + idx[i] * m, m)))
         << "indexed scan must score exactly like a direct row dot";
   }
-  for (const char* name : kVariants) {
-    FindBackend(name)->QueryDotIndexed(q.data(), base.data(), idx.data(),
+  for (const Variant& v : Variants()) {
+    v.backend->QueryDotIndexed(q.data(), base.data(), idx.data(),
                                        got.data(), n, m);
     for (size_t i = 0; i < idx.size(); ++i) {
-      ASSERT_EQ(ref[i], got[i]) << name << " querydot-indexed row " << i;
+      ASSERT_EQ(ref[i], got[i]) << v.tag << " querydot-indexed row " << i;
     }
   }
 }
@@ -491,34 +504,27 @@ TEST(BackendParityTest, I8QueryDotAllBackendsExact) {
       ASSERT_EQ(ref[static_cast<size_t>(i)],
                 quant::I8Dot(q.data(), codes.data() + i * m, m));
     }
-    for (const char* name : kVariants) {
-      FindBackend(name)->I8QueryDot(q.data(), codes.data(), got.data(), n, m);
+    for (const Variant& v : Variants()) {
+      v.backend->I8QueryDot(q.data(), codes.data(), got.data(), n, m);
       for (int64_t i = 0; i < n; ++i) {
         ASSERT_EQ(ref[static_cast<size_t>(i)], got[static_cast<size_t>(i)])
-            << name << " i8 querydot m=" << m << " row " << i;
+            << v.tag << " i8 querydot m=" << m << " row " << i;
       }
-    }
-    SimdFallbackForTest()->I8QueryDot(q.data(), codes.data(), got.data(), n,
-                                      m);
-    for (int64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(ref[static_cast<size_t>(i)], got[static_cast<size_t>(i)])
-          << "simd-fallback i8 querydot m=" << m;
     }
   }
 }
 
-// ------------------------------------------------------------- simd-specific --
+// ------------------------------------------------------- vector-kernel paths --
 
 // The eltwise bodies the ops layer actually dispatches (the portable
 // MapLoop/ZipLoop instantiations over element_ops.h bodies) are the
-// pointers the simd backend translates to its AVX2 twins — unlike the
+// pointers the sharded backend translates to its AVX2 twins — unlike the
 // local lambdas above, which it runs as-given. Cover both translated maps
 // and translated zips, at sizes above and below the parallel fan-out
 // threshold and with ragged (non-multiple-of-8) lengths.
-TEST(BackendParityTest, SimdTranslatesKnownEltwiseBodies) {
+TEST(BackendParityTest, ShardedTranslatesKnownEltwiseBodies) {
   util::Rng rng(24);
   const KernelBackend* serial = FindBackend("serial");
-  const KernelBackend* simd = FindBackend("simd");
   for (int64_t n : {int64_t{5}, int64_t{1000}, kParallelEltwiseMinWork + 7}) {
     Tensor a = Tensor::RandomNormal({n}, &rng);
     Tensor b = Tensor::RandomNormal({n}, &rng);
@@ -538,11 +544,14 @@ TEST(BackendParityTest, SimdTranslatesKnownEltwiseBodies) {
         {&MapLoop<&elops::SqrtEl>, 0.0f, "sqrt", &a_sq},
     };
     for (const auto& mc : maps) {
-      Tensor ref(a.shape()), got(a.shape());
+      Tensor ref(a.shape());
       serial->EltwiseMap(mc.in->data(), ref.data(), n, mc.f, mc.p);
-      simd->EltwiseMap(mc.in->data(), got.data(), n, mc.f, mc.p);
-      ExpectBitIdentical(ref, got, std::string("simd map ") + mc.tag +
-                                       " n=" + std::to_string(n));
+      for (const Variant& v : Variants()) {
+        Tensor got(a.shape());
+        v.backend->EltwiseMap(mc.in->data(), got.data(), n, mc.f, mc.p);
+        ExpectBitIdentical(ref, got, v.tag + " map " + mc.tag +
+                                         " n=" + std::to_string(n));
+      }
     }
     const struct { KernelBackend::ZipFn f; float p; const char* tag; }
         zips[] = {
@@ -552,11 +561,14 @@ TEST(BackendParityTest, SimdTranslatesKnownEltwiseBodies) {
             {&ZipLoop<&elops::SqrtBwdEl>, 0.0f, "sqrt-bwd"},
         };
     for (const auto& zc : zips) {
-      Tensor ref(a.shape()), got(a.shape());
+      Tensor ref(a.shape());
       serial->EltwiseZip(a.data(), b.data(), ref.data(), n, zc.f, zc.p);
-      simd->EltwiseZip(a.data(), b.data(), got.data(), n, zc.f, zc.p);
-      ExpectBitIdentical(ref, got, std::string("simd zip ") + zc.tag +
-                                       " n=" + std::to_string(n));
+      for (const Variant& v : Variants()) {
+        Tensor got(a.shape());
+        v.backend->EltwiseZip(a.data(), b.data(), got.data(), n, zc.f, zc.p);
+        ExpectBitIdentical(ref, got, v.tag + " zip " + zc.tag +
+                                         " n=" + std::to_string(n));
+      }
     }
   }
 }
@@ -564,7 +576,7 @@ TEST(BackendParityTest, SimdTranslatesKnownEltwiseBodies) {
 // On AVX-512 hosts MatMul dispatches 32-column zmm tiles; forcing them
 // off covers the AVX2 16-column path in the same run (on non-AVX-512
 // hosts this is a no-op and the test re-covers the AVX2 path).
-TEST(BackendParityTest, SimdMatMulAvx2TilePathForced) {
+TEST(BackendParityTest, ShardedMatMulAvx2TilePathForced) {
   simd::SetSimdAvx512TilesEnabledForTest(false);
   const struct { int64_t n, k, m; } shapes[] = {
       {12, 30, 64}, {13, 16, 37}, {6, 8, 16},
@@ -576,42 +588,12 @@ TEST(BackendParityTest, SimdMatMulAvx2TilePathForced) {
     Tensor ref({s.n, s.m}), got({s.n, s.m});
     FindBackend("serial")->MatMul(a.data(), b.data(), ref.data(), s.n, s.k,
                                   s.m);
-    FindBackend("simd")->MatMul(a.data(), b.data(), got.data(), s.n, s.k,
-                                s.m);
-    ExpectBitIdentical(ref, got, "simd avx2-tile matmul " + a.ShapeString() +
-                                     "x" + b.ShapeString());
+    FindBackend("sharded")->MatMul(a.data(), b.data(), got.data(), s.n, s.k,
+                                   s.m);
+    ExpectBitIdentical(ref, got, "sharded avx2-tile matmul " +
+                                     a.ShapeString() + "x" + b.ShapeString());
   }
   simd::SetSimdAvx512TilesEnabledForTest(true);
-}
-
-// The serial fallback the "simd" name resolves to on hosts without
-// AVX2+FMA: exercised explicitly so the fallback path is tested on every
-// host, not just legacy ones. It must behave exactly like serial (it runs
-// the serial kernels) while reporting the simd name.
-TEST(BackendParityTest, SimdFallbackMatchesSerial) {
-  const KernelBackend* fallback = SimdFallbackForTest();
-  ASSERT_NE(fallback, nullptr);
-  EXPECT_STREQ(fallback->name(), "simd");
-  EXPECT_TRUE(fallback->bit_exact());
-  util::Rng rng(26);
-  int64_t n = 11, k = 19, m = 23;
-  Tensor a = Tensor::RandomNormal({n, k}, &rng);
-  Tensor b = Tensor::RandomNormal({k, m}, &rng);
-  Tensor ref({n, m}), got({n, m});
-  FindBackend("serial")->MatMul(a.data(), b.data(), ref.data(), n, k, m);
-  fallback->MatMul(a.data(), b.data(), got.data(), n, k, m);
-  ExpectBitIdentical(ref, got, "simd-fallback matmul");
-  Tensor r2 = Tensor::RandomNormal({n, m}, &rng);
-  EXPECT_EQ(FindBackend("serial")->ReduceSum(r2.data(), r2.numel()),
-            fallback->ReduceSum(r2.data(), r2.numel()));
-  // On hosts with AVX2+FMA the registered "simd" backend is the native
-  // one, not this fallback instance.
-  const util::CpuFeatures& cpu = util::HostCpuFeatures();
-  if (cpu.avx2 && cpu.fma) {
-    EXPECT_NE(FindBackend("simd"), fallback);
-  } else {
-    EXPECT_EQ(FindBackend("simd"), fallback);
-  }
 }
 
 // --------------------------------------------------------- ops-level dispatch --
@@ -620,23 +602,23 @@ TEST(BackendDispatchTest, OpsRouteThroughSelectedBackend) {
   util::Rng rng(19);
   Tensor a = Tensor::RandomNormal({30, 20}, &rng);
   Tensor b = Tensor::RandomNormal({20, 10}, &rng);
-  Tensor ref, blocked;
+  Tensor ref, sharded;
   {
     ScopedBackend scoped("serial");
     ref = ops::MatMul(a, b);
   }
   {
-    ScopedBackend scoped("blocked");
-    blocked = ops::MatMul(a, b);
+    ScopedBackend scoped("sharded");
+    sharded = ops::MatMul(a, b);
   }
-  ExpectBitIdentical(ref, blocked, "ops::MatMul dispatch");
+  ExpectBitIdentical(ref, sharded, "ops::MatMul dispatch");
 }
 
 // The GatherRows gradient is a ScatterAddRows with duplicate destinations;
-// gradcheck it with the OpenMP backend active so the parallel (row-
-// partitioned) scatter path backs a real autodiff computation.
-TEST(BackendDispatchTest, GatherScatterGradCheckUnderOmpBackend) {
-  ScopedBackend scoped("omp");
+// gradcheck it with the sharded backend active so its target-row
+// partitioned scatter path backs a real autodiff computation.
+TEST(BackendDispatchTest, GatherScatterGradCheckUnderShardedBackend) {
+  ScopedBackend scoped("sharded");
   util::Rng rng(20);
   ad::Var table =
       ad::Var::Param(Tensor::RandomNormal({6, 5}, &rng));
@@ -655,12 +637,13 @@ TEST(BackendDispatchTest, GatherScatterGradCheckUnderOmpBackend) {
       << " at " << report.worst;
 }
 
-// End-to-end autodiff under the simd backend: a MatMul + activation chain
-// whose backward pass routes through the vector MatMul, the translated
-// activation zips, and ReduceSum. Gradcheck's finite differences run
-// through the same backend, so this validates the whole vectorized path.
-TEST(BackendDispatchTest, MatMulActivationGradCheckUnderSimdBackend) {
-  ScopedBackend scoped("simd");
+// End-to-end autodiff under the sharded backend: a MatMul + activation
+// chain whose backward pass routes through the vector MatMul, the
+// translated activation zips, and ReduceSum. Gradcheck's finite
+// differences run through the same backend, so this validates the whole
+// vectorized path.
+TEST(BackendDispatchTest, MatMulActivationGradCheckUnderShardedBackend) {
+  ScopedBackend scoped("sharded");
   util::Rng rng(27);
   ad::Var w1 =
       ad::Var::Param(Tensor::RandomNormal({9, 7}, &rng, 0.0f, 0.3f));
