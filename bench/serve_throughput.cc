@@ -411,7 +411,8 @@ void BM_IvfBatchRetrieval(benchmark::State& state) {
 BENCHMARK(BM_IvfBatchRetrieval)->Arg(64)->Arg(256);
 
 // Batched retrieval amortises the item tiles across a user block; under
-// the default serial backend the blocks run in order on one thread.
+// the default sharded backend (ItemShardMode::kAuto) the blocks fan out
+// over the shard pool.
 void BM_BatchRetrieval(benchmark::State& state) {
   const int64_t batch = state.range(0);
   serve::ExactRetriever retriever(GlobalModel());

@@ -7,7 +7,7 @@
 //                               [--threads=4] [--requests=20000]
 //                               [--zipf=1.1] [--model=path] [--mmap]
 //                               [--save=path] [--save_v3=path]
-//                               [--backend=serial|sharded]
+//                               [--backend=sharded|serial]
 //                               [--shard_workers=N]
 //                               [--retriever=exact|ivf|hnsw] [--nlist=N]
 //                               [--nprobe=N] [--quantized] [--rerank_k=N]
@@ -23,10 +23,10 @@
 // load). --save_v3=path writes the zero-copy v3 container alongside (or
 // instead of) the classic --save artifact. --backend= selects the kernel
 // backend (same choices as the GNMR_BACKEND env var; see
-// src/tensor/backend.h). --shard_workers= sizes the shard pool used by
-// --backend=sharded and the item-sharded retriever (same as the
-// GNMR_SHARD_WORKERS env var); 0 auto-sizes to one worker per hardware
-// thread.
+// src/tensor/backend.h): "sharded" (the default) or the "serial"
+// reference. --shard_workers= sizes the shard pool used by the sharded
+// backend and the item-sharded retriever (same as the GNMR_SHARD_WORKERS
+// env var); 0 auto-sizes to one worker per hardware thread.
 //
 // --retriever=ivf serves through the clustered IVF index (approximate;
 // see src/serve/ivf_retriever.h): --nlist= sets the cluster count used

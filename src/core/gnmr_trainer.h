@@ -23,9 +23,10 @@ namespace gnmr {
 namespace core {
 
 /// Shard-execution diagnostics for one epoch, snapshotted from the global
-/// shard pool (tensor/shard_pool.h). All-zero unless kernels dispatched to
-/// the pool during the epoch — i.e. unless the "sharded" backend (or the
-/// item-sharded retriever) ran. busy_seconds[w] is worker w's time inside
+/// shard pool (tensor/shard_pool.h). Filled under the default "sharded"
+/// backend whenever a kernel was large enough to fan out; all-zero under
+/// GNMR_BACKEND=serial, or when every kernel of the epoch ran inline.
+/// busy_seconds[w] is worker w's time inside
 /// shard task bodies (the dispatching thread's own task is not timed); the
 /// spread between min and max is the epoch's load imbalance.
 struct ShardEpochStats {

@@ -15,10 +15,12 @@
 // measured against this scan — eval::RetrievalRecallAtK quantifies the
 // gap.
 //
-// Item sharding: when the "sharded" kernel backend is active (or sharding
-// is forced via ItemShardMode::kOn), single-user retrieval partitions the
-// catalogue with a ShardPlan and scans the shards on the global shard
-// pool; each shard keeps its own bounded heap and the per-shard top-k
+// Item sharding: when the "sharded" kernel backend is active (the
+// default), or sharding is forced via ItemShardMode::kOn, single-user
+// retrieval partitions the catalogue with a ShardPlan (at least
+// kShardMinItemsPerShard items per shard, so small catalogues stay
+// inline) and scans the shards on the global shard pool; each shard
+// keeps its own bounded heap and the per-shard top-k
 // candidates merge by (score desc, item asc) — the same total order as the
 // unsharded scan, so the output stays bit-identical. Batched retrieval
 // fans user blocks over the same pool instead (outer parallelism beats

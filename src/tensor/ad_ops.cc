@@ -124,12 +124,10 @@ Var MatMul(const Var& a, const Var& b) {
     Node* a_node = self->inputs[0].get();
     Node* b_node = self->inputs[1].get();
     if (a_node->requires_grad) {
-      a_node->AccumulateGrad(
-          top::MatMul(self->grad, top::Transpose(b_node->value)));
+      a_node->AccumulateGrad(top::MatMulTransB(self->grad, b_node->value));
     }
     if (b_node->requires_grad) {
-      b_node->AccumulateGrad(
-          top::MatMul(top::Transpose(a_node->value), self->grad));
+      b_node->AccumulateGrad(top::MatMulTransA(a_node->value, self->grad));
     }
   });
 }
@@ -240,7 +238,7 @@ Var SoftmaxRows(const Var& a) {
     Tensor gy = top::Mul(self->grad, y);
     Tensor row = top::SumAxis(gy, 1);                 // [n,1]
     Tensor da = top::Mul(y, top::Sub(self->grad, row));
-    self->inputs[0]->AccumulateGrad(da);
+    self->inputs[0]->AccumulateGrad(std::move(da));
   });
 }
 
@@ -252,7 +250,7 @@ Var LogSoftmaxRows(const Var& a) {
     Tensor softmax = top::Exp(y);
     Tensor row = top::SumAxis(self->grad, 1);         // [n,1]
     Tensor da = top::Sub(self->grad, top::Mul(softmax, row));
-    self->inputs[0]->AccumulateGrad(da);
+    self->inputs[0]->AccumulateGrad(std::move(da));
   });
 }
 
@@ -335,19 +333,8 @@ Var ConcatRows(const std::vector<Var>& parts) {
 
 Var SliceCols(const Var& a, int64_t start, int64_t len) {
   Tensor out = top::SliceCols(a.value(), start, len);
-  return MakeOpVar(std::move(out), {a}, [start, len](Node* self) {
-    Node* a_node = self->inputs[0].get();
-    Tensor da(a_node->value.shape());
-    int64_t n = da.rows();
-    int64_t m = da.cols();
-    const float* g = self->grad.data();
-    float* d = da.data();
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = 0; j < len; ++j) {
-        d[i * m + start + j] = g[i * len + j];
-      }
-    }
-    a_node->AccumulateGrad(da);
+  return MakeOpVar(std::move(out), {a}, [start](Node* self) {
+    self->inputs[0]->AccumulateGradCols(self->grad, start);
   });
 }
 
@@ -359,7 +346,7 @@ Var SliceRows(const Var& a, int64_t start, int64_t len) {
     int64_t m = da.cols();
     std::copy(self->grad.data(), self->grad.data() + len * m,
               da.data() + start * m);
-    a_node->AccumulateGrad(da);
+    a_node->AccumulateGrad(std::move(da));
   });
 }
 
@@ -378,7 +365,7 @@ Var GatherRows(const Var& table, std::vector<int64_t> idx) {
                      Node* t = self->inputs[0].get();
                      Tensor dt(t->value.shape());
                      top::ScatterAddRows(&dt, idx, self->grad);
-                     t->AccumulateGrad(dt);
+                     t->AccumulateGrad(std::move(dt));
                    });
 }
 

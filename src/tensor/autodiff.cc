@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <unordered_set>
+#include <utility>
 
+#include "src/tensor/backend.h"
+#include "src/tensor/element_ops.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/check.h"
 
@@ -18,15 +21,42 @@ void Node::EnsureGrad() {
   if (grad.empty()) grad = tensor::Tensor(value.shape());
 }
 
-void Node::AccumulateGrad(const tensor::Tensor& g) {
+void Node::AccumulateGrad(tensor::Tensor g) {
   GNMR_CHECK(g.shape() == value.shape())
       << "grad shape " << g.ShapeString() << " vs value "
       << value.ShapeString();
+  if (grad.empty()) {
+    grad = g.owns_storage() ? std::move(g) : g.OwnedCopy();
+    return;
+  }
+  tensor::GetBackend().EltwiseZip(grad.data(), std::as_const(g).data(),
+                                  grad.data(),
+                                  grad.numel(),
+                                  tensor::ZipLoop<&tensor::elops::AddEl>,
+                                  0.0f);
+}
+
+void Node::AccumulateGradCols(const tensor::Tensor& g, int64_t start) {
+  GNMR_CHECK_EQ(value.rank(), 2);
+  GNMR_CHECK_EQ(g.rank(), 2);
+  GNMR_CHECK_EQ(g.rows(), value.rows());
+  GNMR_CHECK(start >= 0 && start + g.cols() <= value.cols())
+      << "column slice [" << start << ", " << start + g.cols()
+      << ") of " << value.ShapeString();
+  const bool first = grad.empty();
   EnsureGrad();
-  float* gd = grad.data();
+  const int64_t n = g.rows();
+  const int64_t len = g.cols();
+  const int64_t m = grad.cols();
   const float* sd = g.data();
-  int64_t n = grad.numel();
-  for (int64_t i = 0; i < n; ++i) gd[i] += sd[i];
+  float* gd = grad.data() + start;
+  for (int64_t i = 0; i < n; ++i) {
+    if (first) {
+      std::copy(sd + i * len, sd + (i + 1) * len, gd + i * m);
+    } else {
+      for (int64_t j = 0; j < len; ++j) gd[i * m + j] += sd[i * len + j];
+    }
+  }
 }
 
 Var::Var(tensor::Tensor value, bool requires_grad) {

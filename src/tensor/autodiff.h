@@ -35,9 +35,20 @@ class Node {
 
   /// Allocates grad as zeros if not yet allocated.
   void EnsureGrad();
-  /// grad += g (allocating if needed). g must broadcast-match value's shape
-  /// exactly (no broadcasting here; callers reduce first).
-  void AccumulateGrad(const tensor::Tensor& g);
+  /// grad += g. g must match value's shape exactly (no broadcasting here;
+  /// callers reduce first). The first gradient is adopted, not added to
+  /// zeros: a temporary passed by rvalue is moved in, anything else is
+  /// copied, and a read-only view (Tensor::FromView) is always copied into
+  /// owned storage so later in-place adds can write it. Adoption keeps a
+  /// -0.0f that zero-plus-add would have turned into +0.0f; every nonzero
+  /// value is identical. Later gradients add in place through the
+  /// backend's EltwiseZip.
+  void AccumulateGrad(tensor::Tensor g);
+  /// grad[:, start : start + g.cols()) += g for a rank-2 grad: the backward
+  /// of a column slice, without materialising a zero-padded full-width
+  /// gradient. Columns outside the slice are left as they are (zeros when
+  /// this is the first gradient).
+  void AccumulateGradCols(const tensor::Tensor& g, int64_t start);
   bool has_grad() const { return !grad.empty(); }
 };
 

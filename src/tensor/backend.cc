@@ -21,10 +21,15 @@ namespace tensor {
 
 namespace {
 
+using kernels::BroadcastZipRows;
 using kernels::ChunkSum;
+using kernels::ColSumsRange;
 using kernels::MatMulRow;
+using kernels::MatMulTransARows;
+using kernels::MatMulTransBRows;
 using kernels::RowDotOne;
-using kernels::ScatterAddRowRange;
+using kernels::RowSumsRange;
+using kernels::ScatterAddRowList;
 using kernels::SpmmRow;
 
 // ---- SerialBackend ----------------------------------------------------------
@@ -38,6 +43,16 @@ class SerialBackend : public KernelBackend {
     for (int64_t i = 0; i < n; ++i) {
       MatMulRow(a + i * k, b, out + i * m, k, m);
     }
+  }
+
+  void MatMulTransB(const float* a, const float* b, float* out, int64_t n,
+                    int64_t k, int64_t m) const override {
+    MatMulTransBRows(a, b, out, k, m, 0, n);
+  }
+
+  void MatMulTransA(const float* a, const float* b, float* out, int64_t n,
+                    int64_t k, int64_t m) const override {
+    MatMulTransARows(a, b, out, n, k, m, 0, n);
   }
 
   void Spmm(const CsrMatrix& a, const float* x, float* out,
@@ -57,7 +72,8 @@ class SerialBackend : public KernelBackend {
   void ScatterAddRows(float* target, int64_t rows, int64_t m,
                       const int64_t* idx, int64_t count,
                       const float* src) const override {
-    ScatterAddRowRange(target, m, idx, count, src, 0, rows);
+    (void)rows;
+    ScatterAddRowList(target, m, idx, count, src);
   }
 
   void RowDot(const float* a, const float* b, float* out, int64_t n,
@@ -84,11 +100,28 @@ class SerialBackend : public KernelBackend {
     }
     return total;
   }
+
+  void BroadcastZip(const float* a, const float* b, float* out, int64_t n,
+                    int64_t m, Broadcast kind, bool b_first, ZipFn f,
+                    float p) const override {
+    BroadcastZipRows(a, b, out, m, kind, b_first, f, p, 0, n);
+  }
+
+  void RowSums(const float* in, float* out, int64_t n,
+               int64_t m) const override {
+    RowSumsRange(in, out, m, 0, n);
+  }
+
+  void ColSums(const float* in, float* out, int64_t n,
+               int64_t m) const override {
+    ColSumsRange(in, out, n, m);
+  }
 };
 
 // ---- ShardedBackend ---------------------------------------------------------
 // Row-range partitioning over the persistent shard pool (shard_pool.h):
-// every kernel cuts its row (or chunk) dimension with a ShardPlan and runs
+// the MatMuls, SpMM, GatherRows, RowDot, the same-shape eltwise ops and
+// ReduceSum cut their row (or chunk) dimension with a ShardPlan and run
 // one RangeKernels entry per shard — the AVX2 table on hosts that have it,
 // the serial bodies otherwise. Each output element is computed whole by
 // one range call in the serial accumulation order, so results are
@@ -133,18 +166,26 @@ class ShardedBackend : public KernelBackend {
 
   void MatMul(const float* a, const float* b, float* out, int64_t n,
               int64_t k, int64_t m) const override {
-    if (n <= 1 || n * k * m < kParallelMatMulMinWork) {
-      k_.matmul_rows(a, b, out, k, m, 0, n);
-      return;
-    }
-    // Shards cut on register-tile boundaries, so only the last shard runs
-    // a ragged scalar tail.
-    constexpr int64_t tile = kSimdMatMulRowTile;
-    RunUniform((n + tile - 1) / tile, (kShardMinRowsPerShard + tile - 1) / tile,
-               [=](const ShardRange& r) {
-                 k_.matmul_rows(a, b, out, k, m, r.begin * tile,
-                                std::min(n, r.end * tile));
-               });
+    RunRowTiles(n, k, m, kMinTilesPerShard, [=](int64_t i0, int64_t i1) {
+      k_.matmul_rows(a, b, out, k, m, i0, i1);
+    });
+  }
+
+  void MatMulTransB(const float* a, const float* b, float* out, int64_t n,
+                    int64_t k, int64_t m) const override {
+    RunRowTiles(n, k, m, kMinTilesPerShard, [=](int64_t i0, int64_t i1) {
+      k_.matmul_trans_b_rows(a, b, out, k, m, i0, i1);
+    });
+  }
+
+  void MatMulTransA(const float* a, const float* b, float* out, int64_t n,
+                    int64_t k, int64_t m) const override {
+    // The weight-gradient shape: few output rows (a weight's fan-in), each
+    // a sum over the long k (batch) dimension, so one row tile per shard
+    // is already plenty of work.
+    RunRowTiles(n, k, m, 1, [=](int64_t i0, int64_t i1) {
+      k_.matmul_trans_a_rows(a, b, out, n, k, m, i0, i1);
+    });
   }
 
   void Spmm(const CsrMatrix& a, const float* x, float* out,
@@ -178,16 +219,13 @@ class ShardedBackend : public KernelBackend {
   void ScatterAddRows(float* target, int64_t rows, int64_t m,
                       const int64_t* idx, int64_t count,
                       const float* src) const override {
-    // Target-row partitioning: duplicate destinations make splitting the
-    // source loop unsafe, so each shard scans the full index list and
-    // applies only its own target rows.
-    if (rows <= 1 || count * m < kParallelRowsMinWork) {
-      k_.scatter_add_rows(target, m, idx, count, src, 0, rows);
-      return;
-    }
-    RunUniform(rows, kShardMinRowsPerShard, [=](const ShardRange& r) {
-      k_.scatter_add_rows(target, m, idx, count, src, r.begin, r.end);
-    });
+    // One pass in source order on the calling thread. Duplicate
+    // destinations rule out splitting the source list, and a target-row
+    // split (every shard scanning the whole list, or the list bucketed by
+    // shard first) measured slower at 4 workers than at 1
+    // (BM_ScatterAddRowsBackend).
+    (void)rows;
+    k_.scatter_add_rows(target, m, idx, count, src);
   }
 
   void RowDot(const float* a, const float* b, float* out, int64_t n,
@@ -245,6 +283,29 @@ class ShardedBackend : public KernelBackend {
     return total;
   }
 
+  // The broadcast zips and both reductions run whole on the calling
+  // thread. A pool fan-out of the zips or of RowSums won fewer than 9 of
+  // 10 alternating train_taobao pairs (the ablation in
+  // BENCH_train_backend_default.json), and the [1,m] ColSums inputs are
+  // bias-row gradients (1, 8 and 16 wide in GNMR), too narrow to split.
+  void BroadcastZip(const float* a, const float* b, float* out, int64_t n,
+                    int64_t m, Broadcast kind, bool b_first, ZipFn f,
+                    float p) const override {
+    BroadcastZipRows(a, b, out, m, kind, b_first,
+                     Translate(f, kZipKeys, k_.zip_twins, k_.num_zip_twins),
+                     p, 0, n);
+  }
+
+  void RowSums(const float* in, float* out, int64_t n,
+               int64_t m) const override {
+    k_.row_sums(in, out, m, 0, n);
+  }
+
+  void ColSums(const float* in, float* out, int64_t n,
+               int64_t m) const override {
+    k_.col_sums(in, out, n, m);
+  }
+
   // The serving scans stay on the calling thread: they run on serving
   // request threads (already fanned out per request), where a pool
   // dispatch per scan would only add latency jitter.
@@ -276,6 +337,26 @@ class ShardedBackend : public KernelBackend {
       fn(plan.shard(s));
     };
     pool.Run(plan.num_shards(), task);
+  }
+
+  /// The three MatMul layouts: output rows [0, n) of an n*k*m product,
+  /// inline below kParallelMatMulMinWork, else cut on register-tile
+  /// boundaries (so only the last shard runs a short tile) with at least
+  /// `min_tiles` tiles per shard.
+  static constexpr int64_t kMinTilesPerShard =
+      (kShardMinRowsPerShard + kSimdMatMulRowTile - 1) / kSimdMatMulRowTile;
+
+  template <typename Fn>
+  void RunRowTiles(int64_t n, int64_t k, int64_t m, int64_t min_tiles,
+                   const Fn& rows) const {
+    if (n <= 1 || n * k * m < kParallelMatMulMinWork) {
+      rows(0, n);
+      return;
+    }
+    constexpr int64_t tile = kSimdMatMulRowTile;
+    RunUniform((n + tile - 1) / tile, min_tiles, [&](const ShardRange& r) {
+      rows(r.begin * tile, std::min(n, r.end * tile));
+    });
   }
 
   /// Uniform row plan sized and dispatched on ONE Global() snapshot, so a
@@ -375,7 +456,7 @@ const KernelBackend* DefaultBackend() {
       return b;
     }
   }
-  return &kSerialBackend;
+  return ShardedBackendInstance();
 }
 
 }  // namespace
@@ -447,6 +528,12 @@ void SetBackend(const std::string& name) {
 ScopedBackend::ScopedBackend(const std::string& name)
     : previous_(&GetBackend()) {
   SetBackend(name);
+}
+
+ScopedBackend::ScopedBackend(const KernelBackend* backend)
+    : previous_(&GetBackend()) {
+  GNMR_CHECK(backend != nullptr);
+  g_backend.store(backend, std::memory_order_release);
 }
 
 ScopedBackend::~ScopedBackend() {

@@ -1,19 +1,19 @@
 // Kernel backends for the compute hot path. tensor::ops (dense) and
-// tensor::ops::Spmm (sparse) dispatch every hot kernel — MatMul, SpMM,
-// GatherRows, ScatterAddRows, RowDot, elementwise map/zip and the scalar
-// reduction — through the active KernelBackend, so swapping the execution
-// strategy never touches the call sites. The serving read path dispatches
+// tensor::ops::Spmm (sparse) dispatch every hot kernel — MatMul and its
+// two transposed-operand forms (the MatMul backward), SpMM, GatherRows,
+// ScatterAddRows, RowDot, elementwise map/zip, the rank-2 broadcast zips
+// with their row/column sums, and the scalar reduction — through the
+// active KernelBackend, so swapping the execution strategy never touches
+// the call sites. The serving read path dispatches
 // here too: QueryDot / QueryDotIndexed are the one-query-against-many-rows
 // scans behind ExactRetriever, IvfRetriever and the HNSW builder, and
 // I8QueryDot is the int8 code scan of the quantized IVF tier
 // (tensor/quantize.h).
 //
 // Registered backends:
-//   "serial"  — straight-line loops on the calling thread; the bit-exact
-//               reference (backend_kernels.h).
-//   "sharded" — row-range partitioning (shard_plan.h) over a persistent
-//               std::thread worker pool (shard_pool.h), sized by
-//               GNMR_SHARD_WORKERS / SetShardWorkers. Each range runs the
+//   "sharded" — the default: row-range partitioning (shard_plan.h) over
+//               a persistent std::thread worker pool (shard_pool.h), sized
+//               by GNMR_SHARD_WORKERS / SetShardWorkers. Each range runs the
 //               hand-vectorized AVX2 kernels of backend_simd.cc when the
 //               runtime cpuid probe (util/cpu_features.h) reports
 //               AVX2+FMA, and the serial bodies otherwise. The vector
@@ -21,11 +21,15 @@
 //               unfused mul+add, so "sharded" is bit-identical to "serial"
 //               at any worker count on either kernel set. The serving scans
 //               run on the calling thread.
+//   "serial"  — straight-line loops on the calling thread; the bit-exact
+//               reference (backend_kernels.h) every "sharded" kernel is
+//               tested against.
 //
 // Selection: SetBackend()/ScopedBackend at runtime, or the GNMR_BACKEND
 // environment variable read on first use (bench/example binaries also map
-// a --backend= flag onto SetBackend). Default: "serial". An unknown name
-// aborts with the list of registered backends.
+// a --backend= flag onto SetBackend). Default: "sharded"; GNMR_BACKEND=
+// serial runs the reference. An unknown name aborts with the list of
+// registered backends.
 //
 // Contract: all kernels are pure (no hidden state), write into
 // caller-allocated zero-initialised outputs, and must accumulate each
@@ -97,6 +101,20 @@ class KernelBackend {
   virtual void MatMul(const float* a, const float* b, float* out, int64_t n,
                       int64_t k, int64_t m) const = 0;
 
+  /// a [n,k] x b^T -> out [n,m], where b is stored [m,k] (MatMul's
+  /// input-gradient shape G * B^T). Each element accumulates exactly as
+  /// MatMul(a, Transpose(b)) would: ascending k, terms with a == 0
+  /// skipped, unfused mul+add. out is zero-initialised.
+  virtual void MatMulTransB(const float* a, const float* b, float* out,
+                            int64_t n, int64_t k, int64_t m) const = 0;
+
+  /// a^T x b -> out [n,m], where a is stored [k,n] and b is [k,m]
+  /// (MatMul's weight-gradient shape A^T * G). Each element accumulates
+  /// exactly as MatMul(Transpose(a), b) would: ascending k, terms with
+  /// a == 0 skipped, unfused mul+add. out is zero-initialised.
+  virtual void MatMulTransA(const float* a, const float* b, float* out,
+                            int64_t n, int64_t k, int64_t m) const = 0;
+
   /// Sparse-dense product a [n,m] x x [m,d] -> out [n,d]; out zeroed.
   virtual void Spmm(const CsrMatrix& a, const float* x, float* out,
                     int64_t d) const = 0;
@@ -128,6 +146,34 @@ class KernelBackend {
   /// Sum of all elements via fixed-chunk double partials (kReduceSumChunk);
   /// bit-identical across backends and thread counts.
   virtual double ReduceSum(const float* in, int64_t n) const = 0;
+
+  // ---- Rank-2 broadcasts and their reductions -------------------------------
+  // The shapes of bias rows and per-row gates: one [n,m] operand against a
+  // [n,1] column (kCol) or a [1,m] row (kRow), and the reductions that
+  // bring a gradient back to those shapes.
+
+  /// Which dimension of a broadcast operand has size 1.
+  enum class Broadcast {
+    kCol,  ///< [n,1]: b[i] applies to all of row i.
+    kRow,  ///< [1,m]: b[j] applies to column j of every row.
+  };
+
+  /// out[i,j] = f(a[i,j], bb, p), or f(bb, a[i,j], p) when `b_first`,
+  /// where bb = b[i] (kCol) or b[j] (kRow) and a is [n,m]. `out` may alias
+  /// `a` (in-place update). Per-element, so no order to keep.
+  virtual void BroadcastZip(const float* a, const float* b, float* out,
+                            int64_t n, int64_t m, Broadcast kind,
+                            bool b_first, ZipFn f, float p) const = 0;
+
+  /// out[i] = sum of row i of in [n,m] ([n,m] -> [n,1]), accumulated in
+  /// float from +0.0f in ascending column order.
+  virtual void RowSums(const float* in, float* out, int64_t n,
+                       int64_t m) const = 0;
+
+  /// out[j] = sum of column j of in [n,m] ([n,m] -> [1,m]), accumulated in
+  /// float from +0.0f in ascending row order. out is zero-initialised.
+  virtual void ColSums(const float* in, float* out, int64_t n,
+                       int64_t m) const = 0;
 
   // ---- Serving scan ops -----------------------------------------------------
   // One query row against many embedding rows — the shape of a top-N
@@ -207,6 +253,9 @@ bool ShardedUsesVectorKernelsForTest();
 class ScopedBackend {
  public:
   explicit ScopedBackend(const std::string& name);
+  /// Switches to an unregistered instance such as
+  /// ShardedSerialKernelsForTest().
+  explicit ScopedBackend(const KernelBackend* backend);
   ~ScopedBackend();
   ScopedBackend(const ScopedBackend&) = delete;
   ScopedBackend& operator=(const ScopedBackend&) = delete;

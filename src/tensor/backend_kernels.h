@@ -38,6 +38,41 @@ inline void MatMulRows(const float* a, const float* b, float* out, int64_t k,
   for (int64_t i = i0; i < i1; ++i) MatMulRow(a + i * k, b, out + i * m, k, m);
 }
 
+// Output rows [i0, i1) of a [n,k] x b^T with b stored [m,k]: MatMulRow's
+// order (ascending kk, a == 0 skipped), reading b's column kk where the
+// materialised transpose would have had its row kk.
+inline void MatMulTransBRows(const float* a, const float* b, float* out,
+                             int64_t k, int64_t m, int64_t i0, int64_t i1) {
+  for (int64_t i = i0; i < i1; ++i) {
+    const float* a_row = a + i * k;
+    float* out_row = out + i * m;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      float av = a_row[kk];
+      if (av == 0.0f) continue;
+      for (int64_t j = 0; j < m; ++j) out_row[j] += av * b[j * k + kk];
+    }
+  }
+}
+
+// Output rows [i0, i1) of a^T x b with a stored [k,n]: output row i is
+// MatMulRow over column i of a. The kk loop runs outermost so both a and
+// b are read along their rows; every output element still sees ascending
+// kk with the a == 0 skip.
+inline void MatMulTransARows(const float* a, const float* b, float* out,
+                             int64_t n, int64_t k, int64_t m, int64_t i0,
+                             int64_t i1) {
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* a_row = a + kk * n;
+    const float* brow = b + kk * m;
+    for (int64_t i = i0; i < i1; ++i) {
+      float av = a_row[i];
+      if (av == 0.0f) continue;
+      float* out_row = out + i * m;
+      for (int64_t j = 0; j < m; ++j) out_row[j] += av * brow[j];
+    }
+  }
+}
+
 // One sparse output row over the raw CSR arrays: out_row += A[i, :] * x,
 // entries in ascending order.
 inline void SpmmRowRaw(const int64_t* row_ptr, const int64_t* col_idx,
@@ -65,18 +100,13 @@ inline void SpmmRow(const CsrMatrix& a, const float* x, float* out_row,
              out_row, i, d);
 }
 
-// Scatter-add restricted to target rows in [row_lo, row_hi): scans all
-// source rows in ascending order and applies only in-range ones, so each
-// target row sees the same accumulation order as the serial loop no matter
-// how [0, rows) is partitioned.
-inline void ScatterAddRowRange(float* target, int64_t m, const int64_t* idx,
-                               int64_t count, const float* src,
-                               int64_t row_lo, int64_t row_hi) {
+// Scatter-add of every source row, in ascending source order:
+// target[idx[r], :] += src[r, :].
+inline void ScatterAddRowList(float* target, int64_t m, const int64_t* idx,
+                              int64_t count, const float* src) {
   for (int64_t r = 0; r < count; ++r) {
-    int64_t dst = idx[r];
-    if (dst < row_lo || dst >= row_hi) continue;
     const float* srow = src + r * m;
-    float* trow = target + dst * m;
+    float* trow = target + idx[r] * m;
     for (int64_t j = 0; j < m; ++j) trow[j] += srow[j];
   }
 }
@@ -128,6 +158,76 @@ inline double ChunkSum(const float* in, int64_t begin, int64_t end) {
   return acc;
 }
 
+// out[i] = sum of row i of in [., m] for i in [lo, hi): float, from +0.0f,
+// ascending columns (ReduceToShape's [n,m] -> [n,1] order).
+inline void RowSumsRange(const float* in, float* out, int64_t m, int64_t lo,
+                         int64_t hi) {
+  for (int64_t i = lo; i < hi; ++i) {
+    float acc = 0.0f;
+    for (int64_t j = 0; j < m; ++j) acc += in[i * m + j];
+    out[i] = acc;
+  }
+}
+
+// out[j] += in[i, j] over all rows in ascending order (ReduceToShape's
+// [n,m] -> [1,m] order on a zeroed out).
+inline void ColSumsRange(const float* in, float* out, int64_t n, int64_t m) {
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < m; ++j) out[j] += in[i * m + j];
+  }
+}
+
+// Rows [lo, hi) of KernelBackend::BroadcastZip through the contiguous zip
+// body `f` (a MapLoop/ZipLoop instantiation or its vector twin): the
+// broadcast operand is expanded into a block-sized stack buffer, so `f`
+// runs over long contiguous spans instead of one element at a time. The
+// expansion copies values only, so each output element is f of exactly
+// the operands the strided definition names.
+inline constexpr int64_t kBroadcastBlock = 1024;
+
+inline void BroadcastZipRows(const float* a, const float* b, float* out,
+                             int64_t m, KernelBackend::Broadcast kind,
+                             bool b_first, KernelBackend::ZipFn f, float p,
+                             int64_t lo, int64_t hi) {
+  float buf[kBroadcastBlock];
+  auto zip = [&](int64_t offset, const float* bb, int64_t len) {
+    if (b_first) {
+      f(bb, a + offset, out + offset, len, p);
+    } else {
+      f(a + offset, bb, out + offset, len, p);
+    }
+  };
+  const bool col = kind == KernelBackend::Broadcast::kCol;
+  if (m > kBroadcastBlock) {
+    // Long rows: a bias row is already contiguous; a gate value fills the
+    // buffer once per row and is zipped chunk by chunk.
+    for (int64_t i = lo; i < hi; ++i) {
+      if (!col) {
+        zip(i * m, b, m);
+        continue;
+      }
+      std::fill(buf, buf + kBroadcastBlock, b[i]);
+      for (int64_t j = 0; j < m; j += kBroadcastBlock) {
+        zip(i * m + j, buf, std::min(kBroadcastBlock, m - j));
+      }
+    }
+    return;
+  }
+  const int64_t block_rows = kBroadcastBlock / m;
+  if (!col) {
+    for (int64_t r = 0; r < block_rows; ++r) std::copy(b, b + m, buf + r * m);
+  }
+  for (int64_t i = lo; i < hi; i += block_rows) {
+    const int64_t rows = std::min(block_rows, hi - i);
+    if (col) {
+      for (int64_t r = 0; r < rows; ++r) {
+        std::fill(buf + r * m, buf + (r + 1) * m, b[i + r]);
+      }
+    }
+    zip(i * m, buf, rows * m);
+  }
+}
+
 // ---- Serving scans: the lane-partial (float) and int32 (code) references.
 
 inline void QueryDotRows(const float* q, const float* rows, float* out,
@@ -153,10 +253,12 @@ inline void I8QueryDotRows(const int8_t* q, const int8_t* codes, int32_t* out,
 // The serial bodies as a range table: what the sharded backend runs per
 // shard on hosts without AVX2+FMA. Eltwise bodies run as given.
 inline constexpr RangeKernels kSerialRangeKernels = {
-    &MatMulRows, &SpmmRows,     &GatherRowRange,      &ScatterAddRowRange,
-    &RowDotRows, &ChunkSum,     &QueryDotRows,        &QueryDotIndexedRows,
-    &I8QueryDotRows, nullptr,   0,                    nullptr,
-    0,
+    &MatMulRows,       &MatMulTransBRows,    &MatMulTransARows,
+    &SpmmRows,         &GatherRowRange,      &ScatterAddRowList,
+    &RowDotRows,       &ChunkSum,            &RowSumsRange,
+    &ColSumsRange,     &QueryDotRows,        &QueryDotIndexedRows,
+    &I8QueryDotRows,   nullptr,              0,
+    nullptr,           0,
 };
 
 }  // namespace kernels

@@ -42,6 +42,13 @@ struct RangeKernels {
   /// Output rows [i0, i1) of a [n,k] x b [k,m]; `out` is the whole output.
   void (*matmul_rows)(const float* a, const float* b, float* out, int64_t k,
                       int64_t m, int64_t i0, int64_t i1);
+  /// Output rows [i0, i1) of a [n,k] x b^T, b stored [m,k].
+  void (*matmul_trans_b_rows)(const float* a, const float* b, float* out,
+                              int64_t k, int64_t m, int64_t i0, int64_t i1);
+  /// Output rows [i0, i1) of a^T x b, a stored [k,n], b [k,m].
+  void (*matmul_trans_a_rows)(const float* a, const float* b, float* out,
+                              int64_t n, int64_t k, int64_t m, int64_t i0,
+                              int64_t i1);
   /// Output rows [i0, i1) of the CSR product A x; `out` is the whole output.
   void (*spmm_rows)(const int64_t* row_ptr, const int64_t* col_idx,
                     const float* values, const float* x, float* out,
@@ -49,16 +56,20 @@ struct RangeKernels {
   /// out[r, :] = a[idx[r], :] for r in [lo, hi).
   void (*gather_rows)(const float* a, int64_t m, const int64_t* idx,
                       float* out, int64_t lo, int64_t hi);
-  /// target[idx[r], :] += src[r, :] over all r, applied only to target rows
-  /// in [lo, hi), in ascending r.
+  /// target[idx[r], :] += src[r, :] for r = 0, ..., count-1 in order.
   void (*scatter_add_rows)(float* target, int64_t m, const int64_t* idx,
-                           int64_t count, const float* src, int64_t lo,
-                           int64_t hi);
+                           int64_t count, const float* src);
   /// out[i] = lane-partial dot(a[i, :], b[i, :]) for i in [lo, hi).
   void (*row_dot)(const float* a, const float* b, float* out, int64_t m,
                   int64_t lo, int64_t hi);
   /// Lane-partial double sum of in[begin, end) (one ReduceSum chunk).
   double (*chunk_sum)(const float* in, int64_t begin, int64_t end);
+  /// out[i] = float sum of row i of in [., m], ascending columns, for i in
+  /// [lo, hi).
+  void (*row_sums)(const float* in, float* out, int64_t m, int64_t lo,
+                   int64_t hi);
+  /// out[j] += every row's in[., j] in ascending row order, in [n, m].
+  void (*col_sums)(const float* in, float* out, int64_t n, int64_t m);
   /// The three serving scans, with the KernelBackend signatures.
   void (*query_dot)(const float* q, const float* rows, float* out, int64_t n,
                     int64_t m);

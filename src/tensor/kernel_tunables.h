@@ -94,9 +94,14 @@ inline constexpr int64_t kShardMinRowsPerShard = 8;
 /// per shard.
 inline constexpr int64_t kShardMinElemsPerShard = int64_t{1} << 12;
 
-/// The sharded ExactRetriever never splits the catalogue below this many
-/// items per shard (one retrieval tile, see ExactRetriever::kItemBlock).
-inline constexpr int64_t kShardMinItemsPerShard = 256;
+/// The sharded ExactRetriever (and IvfRetriever's candidate scan) never
+/// splits one request's catalogue below this many items per shard. At 256
+/// the 2600-item catalogue of perfbench train_taobao (two request
+/// threads) split 4 ways and p99_us rose on 10 of 10 alternating pairs
+/// against 2048, which scans it inline, with max_qps unchanged
+/// (BENCH_serve_split_floor.json). Where the break-even lies for larger
+/// catalogues is not measured end to end.
+inline constexpr int64_t kShardMinItemsPerShard = 2048;
 
 /// Whether sharded SpMM partitions rows nnz-balanced (true) or uniformly
 /// (false). Nnz balancing absorbs power-law degree skew at the cost of one

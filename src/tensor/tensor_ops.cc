@@ -43,10 +43,27 @@ std::vector<int64_t> BroadcastStrides(const std::vector<int64_t>& padded,
 using ElMapFn = float (*)(float x, float p);
 using ElZipFn = float (*)(float x, float y, float p);
 
-// Binary elementwise with broadcasting. The contiguous same-shape case —
-// the hot path (layer outputs, gradients) — dispatches to the backend's
-// EltwiseZip; strided broadcasts (bias rows, column vectors) stay serial
-// here since they touch little data.
+// The rank-2 broadcast kind of `small` (padded to rank 2) against an
+// [n,m] output: kCol for [n,1], kRow for [1,m]; false for anything else
+// (scalars against a full matrix, both operands broadcasting, ...).
+bool BroadcastKindOf(const std::vector<int64_t>& small,
+                     const std::vector<int64_t>& out,
+                     KernelBackend::Broadcast* kind) {
+  if (small[0] == out[0] && small[1] == 1) {
+    *kind = KernelBackend::Broadcast::kCol;
+    return true;
+  }
+  if (small[0] == 1 && small[1] == out[1]) {
+    *kind = KernelBackend::Broadcast::kRow;
+    return true;
+  }
+  return false;
+}
+
+// Binary elementwise with broadcasting. The same-shape case — layer
+// outputs, gradients — is the backend's EltwiseZip; one full [n,m]
+// operand against an [n,1] gate or a [1,m] bias row (either order) is its
+// BroadcastZip. Only the other broadcast shapes run the strided loop here.
 template <ElZipFn F>
 Tensor BinaryBroadcast(const Tensor& a, const Tensor& b, float p = 0.0f) {
   if (a.shape() == b.shape()) {
@@ -59,6 +76,19 @@ Tensor BinaryBroadcast(const Tensor& a, const Tensor& b, float p = 0.0f) {
   size_t rank = out_shape.size();
   std::vector<int64_t> pa = PadShape(a.shape(), rank);
   std::vector<int64_t> pb = PadShape(b.shape(), rank);
+  KernelBackend::Broadcast kind = KernelBackend::Broadcast::kCol;
+  if (rank == 2 && (pa == out_shape || pb == out_shape)) {
+    const bool b_first = pb == out_shape;
+    const Tensor& full = b_first ? b : a;
+    const Tensor& small = b_first ? a : b;
+    if (BroadcastKindOf(b_first ? pa : pb, out_shape, &kind)) {
+      Tensor out(out_shape);
+      GetBackend().BroadcastZip(full.data(), small.data(), out.data(),
+                                out_shape[0], out_shape[1], kind, b_first,
+                                ZipLoop<F>, p);
+      return out;
+    }
+  }
   std::vector<int64_t> sa = BroadcastStrides(pa, out_shape);
   std::vector<int64_t> sb = BroadcastStrides(pb, out_shape);
 
@@ -139,6 +169,10 @@ Tensor ReduceToShape(const Tensor& t,
     double acc = 0.0;
     for (int64_t i = 0; i < t.dim(0); ++i) acc += td[i];
     od[0] = static_cast<float>(acc);
+  } else if (pt[0] == t.dim(0) && pt[1] == 1) {
+    GetBackend().RowSums(td, od, t.dim(0), t.dim(1));
+  } else if (pt[0] == 1 && pt[1] == t.dim(1)) {
+    GetBackend().ColSums(td, od, t.dim(0), t.dim(1));
   } else {
     int64_t n = t.dim(0);
     int64_t m = t.dim(1);
@@ -193,6 +227,32 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   int64_t m = b.cols();
   Tensor out({n, m});
   GetBackend().MatMul(a.data(), b.data(), out.data(), n, k, m);
+  return out;
+}
+
+Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
+  GNMR_CHECK_EQ(a.rank(), 2);
+  GNMR_CHECK_EQ(b.rank(), 2);
+  GNMR_CHECK_EQ(a.cols(), b.cols())
+      << a.ShapeString() << " x " << b.ShapeString() << "^T";
+  int64_t n = a.rows();
+  int64_t k = a.cols();
+  int64_t m = b.rows();
+  Tensor out({n, m});
+  GetBackend().MatMulTransB(a.data(), b.data(), out.data(), n, k, m);
+  return out;
+}
+
+Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
+  GNMR_CHECK_EQ(a.rank(), 2);
+  GNMR_CHECK_EQ(b.rank(), 2);
+  GNMR_CHECK_EQ(a.rows(), b.rows())
+      << a.ShapeString() << "^T x " << b.ShapeString();
+  int64_t n = a.cols();
+  int64_t k = a.rows();
+  int64_t m = b.cols();
+  Tensor out({n, m});
+  GetBackend().MatMulTransA(a.data(), b.data(), out.data(), n, k, m);
   return out;
 }
 
@@ -296,10 +356,7 @@ Tensor SumAxis(const Tensor& a, int axis) {
   const float* ad = a.data();
   if (axis == 0) {
     Tensor out({1, m});
-    float* od = out.data();
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = 0; j < m; ++j) od[j] += ad[i * m + j];
-    }
+    GetBackend().ColSums(ad, out.data(), n, m);
     return out;
   }
   Tensor out({n, 1});

@@ -49,6 +49,10 @@ Tensor Neg(const Tensor& a);
 
 /// [n,k] x [k,m] -> [n,m].
 Tensor MatMul(const Tensor& a, const Tensor& b);
+/// [n,k] x [m,k]^T -> [n,m]; bit-identical to MatMul(a, Transpose(b)).
+Tensor MatMulTransB(const Tensor& a, const Tensor& b);
+/// [k,n]^T x [k,m] -> [n,m]; bit-identical to MatMul(Transpose(a), b).
+Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 /// Rank-2 transpose.
 Tensor Transpose(const Tensor& a);
 

@@ -24,6 +24,7 @@
 #include "src/tensor/kernel_tunables.h"
 #include "src/tensor/kmeans.h"
 #include "src/tensor/quantize.h"
+#include "src/tensor/shard_pool.h"
 #include "src/util/rng.h"
 
 namespace gnmr {
@@ -421,9 +422,9 @@ TEST(IvfArtifactTest, RejectsCorruptV2Files) {
 // Builds a clustered model + index where two items in DIFFERENT posting
 // lists share identical embeddings, so their scores tie exactly for every
 // user and the tie must break across clusters by item id.
-std::shared_ptr<const core::ServingModel> TiedIvfModel(int64_t* tied_lo,
-                                                       int64_t* tied_hi) {
-  core::ServingModel m = ClusteredModel(24, 512, 8, 8, 61);
+std::shared_ptr<const core::ServingModel> TiedIvfModel(
+    int64_t* tied_lo, int64_t* tied_hi, int64_t num_items = 512) {
+  core::ServingModel m = ClusteredModel(24, num_items, 8, 8, 61);
   const int64_t width = m.embeddings.cols();
   GNMR_CHECK(core::BuildIvfIndex(&m, 8).ok());
   // Pick the first item of two different posting lists and duplicate the
@@ -442,6 +443,27 @@ std::shared_ptr<const core::ServingModel> TiedIvfModel(int64_t* tied_lo,
   return std::make_shared<const core::ServingModel>(std::move(m));
 }
 
+// Catalogues for the ItemShardMode::kOn cases, sized so a request's
+// candidate scan cuts at least 3 shards at kShardMinItemsPerShard on a
+// 3-worker pool: every item when all 8 lists are probed, and 3 of the 8
+// equal-sized lists at nprobe = 3.
+constexpr int64_t kAllListsShardedItems =
+    3 * tensor::kShardMinItemsPerShard + 64;
+constexpr int64_t kThreeListsShardedItems =
+    8 * tensor::kShardMinItemsPerShard + 64;
+
+// Pins the pool at 3 workers for the kOn cases, restoring it on exit.
+class ScopedThreeShardWorkers {
+ public:
+  ScopedThreeShardWorkers() : previous_(tensor::ShardWorkers()) {
+    tensor::SetShardWorkers(3);
+  }
+  ~ScopedThreeShardWorkers() { tensor::SetShardWorkers(previous_); }
+
+ private:
+  int64_t previous_;
+};
+
 serve::SeenItems MakeSeen(int64_t num_users, int64_t num_items) {
   data::Dataset d;
   d.name = "seen";
@@ -459,7 +481,8 @@ serve::SeenItems MakeSeen(int64_t num_users, int64_t num_items) {
 
 TEST(IvfRetrieverTest, NprobeEqualsNlistBitIdenticalToExact) {
   int64_t tied_lo = 0, tied_hi = 0;
-  auto model = TiedIvfModel(&tied_lo, &tied_hi);
+  auto model = TiedIvfModel(&tied_lo, &tied_hi, kAllListsShardedItems);
+  ScopedThreeShardWorkers workers;
   auto seen = std::make_shared<const serve::SeenItems>(
       MakeSeen(model->num_users, model->num_items));
   for (const tensor::KernelBackend* backend : tensor::AllBackends()) {
@@ -492,7 +515,8 @@ TEST(IvfRetrieverTest, NprobeEqualsNlistBitIdenticalToExact) {
 
 TEST(IvfRetrieverTest, BatchMatchesPerUserCalls) {
   int64_t tied_lo = 0, tied_hi = 0;
-  auto model = TiedIvfModel(&tied_lo, &tied_hi);
+  auto model = TiedIvfModel(&tied_lo, &tied_hi, kThreeListsShardedItems);
+  ScopedThreeShardWorkers workers;
   std::vector<int64_t> users;
   for (int64_t u = 0; u < model->num_users; ++u) users.push_back(u);
   for (ItemShardMode mode : {ItemShardMode::kOff, ItemShardMode::kOn}) {
@@ -507,12 +531,17 @@ TEST(IvfRetrieverTest, BatchMatchesPerUserCalls) {
 
 TEST(IvfRetrieverTest, ShardedMatchesUnsharded) {
   int64_t tied_lo = 0, tied_hi = 0;
-  auto model = TiedIvfModel(&tied_lo, &tied_hi);
+  auto model = TiedIvfModel(&tied_lo, &tied_hi, kThreeListsShardedItems);
+  ScopedThreeShardWorkers workers;
   IvfRetriever off(model, nullptr, /*nprobe=*/3, ItemShardMode::kOff);
   IvfRetriever on(model, nullptr, /*nprobe=*/3, ItemShardMode::kOn);
   for (int64_t user = 0; user < model->num_users; ++user) {
     ExpectExactlyEqual(on.RetrieveTopN(user, 10), off.RetrieveTopN(user, 10));
   }
+  // Every request's candidate scan was big enough to cut 3 shards.
+  const serve::RetrieverStats stats = on.Stats();
+  EXPECT_GE(stats.scanned_items / stats.requests,
+            3u * static_cast<uint64_t>(tensor::kShardMinItemsPerShard));
 }
 
 TEST(IvfRetrieverTest, RecallAtQuarterNprobeOnClusteredData) {
@@ -722,8 +751,9 @@ TEST(IvfQuantizedTest, DeterministicAcrossBackendsAndShardModes) {
   // float expression, the pool is a total-order top set, and the rerank
   // is the lane-partial contract — so EVERY registered backend, at every
   // shard mode, must reproduce the reference bitwise.
-  core::ServingModel m = ClusteredModel(24, 512, 8, 8, 89);
+  core::ServingModel m = ClusteredModel(24, kThreeListsShardedItems, 8, 8, 89);
   ASSERT_TRUE(core::BuildIvfIndex(&m, 8, /*quantize=*/true).ok());
+  ScopedThreeShardWorkers workers;
   auto model = std::make_shared<const core::ServingModel>(std::move(m));
   auto seen = std::make_shared<const serve::SeenItems>(
       MakeSeen(model->num_users, model->num_items));

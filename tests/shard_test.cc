@@ -516,9 +516,9 @@ namespace {
 
 using tensor::ScopedBackend;
 
-// Serving model big enough for several catalogue shards
-// (kShardMinItemsPerShard = 256), with duplicated item rows so exact ties
-// cross shard boundaries.
+// Serving model for the catalogue-shard tests, with duplicated item rows
+// so exact ties cross shard boundaries. Catalogues of kShardedItems cut 3
+// shards at kShardMinItemsPerShard (2048) with 3 or more workers.
 std::shared_ptr<const core::ServingModel> TiedModel(int64_t num_users,
                                                     int64_t num_items,
                                                     int64_t width,
@@ -533,7 +533,8 @@ std::shared_ptr<const core::ServingModel> TiedModel(int64_t num_users,
   // Clone item 3's embedding across the catalogue, including into other
   // shards, so the global top-k must break score ties by item id across
   // shard merges.
-  for (int64_t clone : {int64_t{700}, int64_t{1400}, int64_t{2741}}) {
+  for (int64_t clone : {int64_t{700}, int64_t{1400}, int64_t{2741},
+                        int64_t{4500}, int64_t{6150}}) {
     if (clone >= num_items) continue;  // smaller catalogues skip the far clones
     for (int64_t c = 0; c < width; ++c) {
       data[(num_users + clone) * width + c] =
@@ -542,6 +543,8 @@ std::shared_ptr<const core::ServingModel> TiedModel(int64_t num_users,
   }
   return std::make_shared<const core::ServingModel>(std::move(m));
 }
+
+constexpr int64_t kShardedItems = 3 * tensor::kShardMinItemsPerShard + 100;
 
 std::vector<RecEntry> BruteForceTopN(const core::ServingModel& m,
                                      int64_t user, int64_t k,
@@ -570,7 +573,11 @@ void ExpectExactlyEqual(const std::vector<RecEntry>& got,
 }
 
 TEST(ShardedRetrieverTest, MatchesBruteForceIncludingTies) {
-  auto model = TiedModel(12, 3000, 8, 41);
+  auto model = TiedModel(12, kShardedItems, 8, 41);
+  ASSERT_EQ(tensor::ShardPlan::Uniform(kShardedItems, 7,
+                                       tensor::kShardMinItemsPerShard)
+                .num_shards(),
+            3);
   ExactRetriever unsharded(model, nullptr, ItemShardMode::kOff);
   ExactRetriever sharded(model, nullptr, ItemShardMode::kOn);
   for (int64_t workers : {int64_t{1}, int64_t{2}, int64_t{7}}) {
@@ -591,7 +598,7 @@ TEST(ShardedRetrieverTest, MatchesBruteForceIncludingTies) {
 }
 
 TEST(ShardedRetrieverTest, SeenFilteringUnderSharding) {
-  const int64_t num_users = 6, num_items = 2000;
+  const int64_t num_users = 6, num_items = kShardedItems;
   auto model = TiedModel(num_users, num_items, 8, 42);
   // Synthetic seen sets: user u has interacted with every item where
   // item % (u + 2) == 0 under the target behavior.
@@ -617,7 +624,7 @@ TEST(ShardedRetrieverTest, SeenFilteringUnderSharding) {
 }
 
 TEST(ShardedRetrieverTest, AutoModeFollowsActiveBackend) {
-  auto model = TiedModel(4, 1500, 8, 43);
+  auto model = TiedModel(4, kShardedItems, 8, 43);
   ExactRetriever retriever(model);  // kAuto
   ScopedShardWorkers scoped(3);
   std::vector<RecEntry> serial_out, sharded_out;
@@ -635,7 +642,7 @@ TEST(ShardedRetrieverTest, AutoModeFollowsActiveBackend) {
 }
 
 TEST(ShardedRetrieverTest, BatchMatchesPerUserUnderSharding) {
-  auto model = TiedModel(40, 2000, 8, 44);
+  auto model = TiedModel(40, kShardedItems, 8, 44);
   ExactRetriever sharded(model, nullptr, ItemShardMode::kOn);
   ExactRetriever unsharded(model, nullptr, ItemShardMode::kOff);
   ScopedShardWorkers scoped(4);
@@ -691,29 +698,42 @@ TEST(TrainerShardStatsTest, EpochReportsPerShardTimingsUnderShardedBackend) {
 
 TEST(TrainerShardStatsTest, LossCurveBitIdenticalToSerialBackend) {
   // Whole-training parity: the sharded backend must reproduce the serial
-  // loss trajectory exactly (it reuses the serial kernel bodies per shard
-  // and the fixed-chunk ReduceSum association).
-  auto run_losses = [](const std::string& backend_name) {
-    tensor::ScopedBackend backend(backend_name);
-    data::Dataset full = data::GenerateSynthetic(data::MovieLensLike(0.3));
-    data::TrainTestSplit split = data::LeaveLatestOut(full);
-    GnmrConfig cfg;
-    cfg.use_pretrain = false;
-    cfg.num_layers = 1;
-    cfg.epochs = 2;
-    GnmrTrainer trainer(cfg, split.train);
+  // loss trajectory exactly at any worker count and on either kernel
+  // table (same per-element accumulation order, fixed-chunk ReduceSum).
+  // TaobaoLike(1.0) at d=16 (2400 nodes) is big enough that the step's
+  // MatMuls, broadcasts, reductions and zips really fan out over the pool.
+  data::Dataset train = data::GenerateSynthetic(data::TaobaoLike(1.0, 9));
+  GnmrConfig cfg;
+  cfg.use_pretrain = false;
+  cfg.num_layers = 1;
+  cfg.num_channels = 4;
+  cfg.embedding_dim = 16;
+  cfg.epochs = 2;
+  cfg.batch_users = 256;
+  cfg.positives_per_user = 2;
+  cfg.negatives_per_positive = 2;
+  auto run_losses = [&](const tensor::KernelBackend* backend) {
+    tensor::ScopedBackend scoped(backend);
+    GnmrTrainer trainer(cfg, train);
     std::vector<double> losses;
     for (int64_t e = 0; e < cfg.epochs; ++e) {
       losses.push_back(trainer.TrainEpoch().mean_loss);
     }
     return losses;
   };
-  tensor::SetShardWorkers(3);
-  std::vector<double> serial = run_losses("serial");
-  std::vector<double> sharded = run_losses("sharded");
-  ASSERT_EQ(serial.size(), sharded.size());
-  for (size_t e = 0; e < serial.size(); ++e) {
-    EXPECT_EQ(serial[e], sharded[e]) << "epoch " << e;  // bitwise
+  const std::vector<double> serial = run_losses(tensor::FindBackend("serial"));
+  const struct {
+    const tensor::KernelBackend* backend;
+    int64_t workers;
+    const char* tag;
+  } cases[] = {
+      {tensor::FindBackend("sharded"), 1, "sharded@1"},
+      {tensor::FindBackend("sharded"), 3, "sharded@3"},
+      {tensor::ShardedSerialKernelsForTest(), 3, "sharded/serial-kernels@3"},
+  };
+  for (const auto& c : cases) {
+    ScopedShardWorkers workers(c.workers);
+    EXPECT_EQ(run_losses(c.backend), serial) << c.tag;  // bitwise
   }
 }
 

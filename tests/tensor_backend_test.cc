@@ -1,10 +1,12 @@
 // Parity tests of the kernel backends (backend.h): "sharded" must match
 // the SerialBackend reference bit-for-bit on every kernel
-// (MatMul/SpMM/Gather/Scatter/RowDot/map/zip, the fixed-chunk ReduceSum
-// and the serving scans), on the AVX2 range kernels and on the serial
-// ones. There is no sanctioned slack: the whole build compiles with
-// -ffp-contract=off, so the vector tiles may not fuse multiply-adds the
-// serial reference keeps separate — even under -march=native.
+// (MatMul and its two transposed-operand forms, SpMM/Gather/Scatter/
+// RowDot/map/zip, the rank-2 broadcast zips and their row/column sums,
+// the fixed-chunk ReduceSum and the serving scans), on the AVX2 range
+// kernels and on the serial ones. There is no sanctioned slack: the whole
+// build compiles with -ffp-contract=off, so the vector tiles may not fuse
+// multiply-adds the serial reference keeps separate — even under
+// -march=native.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include "src/tensor/gradcheck.h"
 #include "src/tensor/kernel_tunables.h"
 #include "src/tensor/quantize.h"
+#include "src/tensor/shard_pool.h"
 #include "src/tensor/sparse.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/cpu_features.h"
@@ -594,6 +597,241 @@ TEST(BackendParityTest, ShardedMatMulAvx2TilePathForced) {
                                      a.ShapeString() + "x" + b.ShapeString());
   }
   simd::SetSimdAvx512TilesEnabledForTest(true);
+}
+
+// ------------------------------- broadcasts, reductions, transposed MatMul --
+
+// RAII worker-count switch so the sweeps below cut ragged shards.
+class ScopedShardWorkers {
+ public:
+  explicit ScopedShardWorkers(int64_t workers) : previous_(ShardWorkers()) {
+    SetShardWorkers(workers);
+  }
+  ~ScopedShardWorkers() { SetShardWorkers(previous_); }
+
+ private:
+  int64_t previous_;
+};
+
+// Runs `check` for every variant at 1 and 3 pool workers (3 never divides
+// the ragged row counts below evenly).
+void ForEachVariantAndWorkers(
+    const std::function<void(const KernelBackend*, const std::string&)>&
+        check) {
+  for (const Variant& v : Variants()) {
+    for (int64_t workers : {int64_t{1}, int64_t{3}}) {
+      ScopedShardWorkers scoped(workers);
+      check(v.backend, v.tag + "@" + std::to_string(workers) + "w");
+    }
+  }
+}
+
+// Row counts for width m: tiny, just past one shard's minimum, and large
+// enough to fan out (n * m over every parallel threshold) with a ragged
+// last shard.
+std::vector<int64_t> RaggedRows(int64_t m) {
+  return {1, 7, 4099, (int64_t{1} << 16) / m + 13};
+}
+
+TEST(BackendParityTest, BroadcastZipBothKindsAndOrders) {
+  util::Rng rng(31);
+  const KernelBackend* serial = FindBackend("serial");
+  const KernelBackend::ZipFn sub = &ZipLoop<&elops::SubEl>;
+  for (int64_t m : {int64_t{1}, int64_t{3}, int64_t{16}, int64_t{17}}) {
+    for (int64_t n : RaggedRows(m)) {
+      Tensor a = Tensor::RandomNormal({n, m}, &rng);
+      Tensor col = Tensor::RandomNormal({n, 1}, &rng);
+      Tensor row = Tensor::RandomNormal({1, m}, &rng);
+      for (auto kind : {KernelBackend::Broadcast::kCol,
+                        KernelBackend::Broadcast::kRow}) {
+        const Tensor& b =
+            kind == KernelBackend::Broadcast::kCol ? col : row;
+        for (bool b_first : {false, true}) {
+          // Sub is order-sensitive, so a swapped operand shows.
+          Tensor ref({n, m});
+          serial->BroadcastZip(a.data(), b.data(), ref.data(), n, m, kind,
+                               b_first, sub, 0.0f);
+          for (int64_t i = 0; i < n; i += std::max<int64_t>(1, n / 5)) {
+            for (int64_t j = 0; j < m; ++j) {
+              const float bb = kind == KernelBackend::Broadcast::kCol
+                                   ? col.at(i, 0)
+                                   : row.at(0, j);
+              const float want =
+                  b_first ? bb - a.at(i, j) : a.at(i, j) - bb;
+              ASSERT_EQ(ref.at(i, j), want) << "serial definition";
+            }
+          }
+          const std::string what =
+              std::string(kind == KernelBackend::Broadcast::kCol ? " col"
+                                                                 : " row") +
+              (b_first ? " b-first " : " a-first ") + a.ShapeString();
+          ForEachVariantAndWorkers([&](const KernelBackend* backend,
+                                       const std::string& tag) {
+            Tensor got({n, m});
+            backend->BroadcastZip(a.data(), b.data(), got.data(), n, m, kind,
+                                  b_first, sub, 0.0f);
+            ExpectBitIdentical(ref, got, tag + what);
+            // In place: out aliases the full operand.
+            Tensor inplace = a;
+            backend->BroadcastZip(inplace.data(), b.data(), inplace.data(), n,
+                                  m, kind, b_first, sub, 0.0f);
+            ExpectBitIdentical(ref, inplace, tag + " in-place" + what);
+          });
+        }
+      }
+    }
+  }
+}
+
+TEST(BackendParityTest, RowAndColSumsRagged) {
+  util::Rng rng(32);
+  const KernelBackend* serial = FindBackend("serial");
+  for (int64_t m : {int64_t{1}, int64_t{3}, int64_t{16}, int64_t{17},
+                    int64_t{200}}) {
+    for (int64_t n : RaggedRows(m)) {
+      Tensor t = Tensor::RandomNormal({n, m}, &rng);
+      Tensor rows_ref({n, 1}), cols_ref({1, m});
+      serial->RowSums(t.data(), rows_ref.data(), n, m);
+      serial->ColSums(t.data(), cols_ref.data(), n, m);
+      // The serial kernels are the ReduceToShape definition: float
+      // accumulation from +0.0f in ascending order.
+      float first_row = 0.0f, first_col = 0.0f;
+      for (int64_t j = 0; j < m; ++j) first_row += t.at(0, j);
+      for (int64_t i = 0; i < n; ++i) first_col += t.at(i, 0);
+      ASSERT_EQ(rows_ref.at(0, 0), first_row);
+      ASSERT_EQ(cols_ref.at(0, 0), first_col);
+      ForEachVariantAndWorkers([&](const KernelBackend* backend,
+                                   const std::string& tag) {
+        Tensor rows_got({n, 1}), cols_got({1, m});
+        backend->RowSums(t.data(), rows_got.data(), n, m);
+        backend->ColSums(t.data(), cols_got.data(), n, m);
+        ExpectBitIdentical(rows_ref, rows_got,
+                           tag + " row sums " + t.ShapeString());
+        ExpectBitIdentical(cols_ref, cols_got,
+                           tag + " col sums " + t.ShapeString());
+      });
+    }
+  }
+}
+
+TEST(BackendParityTest, TransposedMatMulsMatchMaterialisedTranspose) {
+  // The reference is serial MatMul against an explicit transpose: the
+  // transposed-operand kernels must reproduce it bit for bit, zero-skip
+  // included (a third of A's entries are zeroed, as after a ReLU).
+  const struct { int64_t n, k, m; } shapes[] = {
+      {1, 1, 1},     {5, 3, 17},   {13, 16, 16},   {7, 300, 9},
+      {4099, 16, 8}, {4099, 16, 1}, {1000, 17, 33}, {37, 64, 48},
+  };
+  util::Rng rng(33);
+  const KernelBackend* serial = FindBackend("serial");
+  for (const auto& s : shapes) {
+    Tensor a = Tensor::RandomNormal({s.n, s.k}, &rng);
+    for (int64_t i = 0; i < a.numel(); i += 3) a.data()[i] = 0.0f;
+    Tensor bt = Tensor::RandomNormal({s.m, s.k}, &rng);  // b^T, stored [m,k]
+    Tensor at = ops::Transpose(a);                       // a^T, stored [k,n]
+    Tensor b = ops::Transpose(bt);
+    Tensor ref({s.n, s.m});
+    serial->MatMul(a.data(), b.data(), ref.data(), s.n, s.k, s.m);
+    // Weight-gradient shape: MatMulTransA(at, g) = MatMul(a, g).
+    Tensor g = Tensor::RandomNormal({s.k, s.m}, &rng);
+    Tensor wref({s.n, s.m});
+    serial->MatMul(a.data(), g.data(), wref.data(), s.n, s.k, s.m);
+    for (const KernelBackend* backend : AllBackends()) {
+      Tensor got({s.n, s.m});
+      backend->MatMulTransB(a.data(), bt.data(), got.data(), s.n, s.k, s.m);
+      ExpectBitIdentical(ref, got,
+                         std::string(backend->name()) + " a x b^T " +
+                             a.ShapeString() + "x" + bt.ShapeString() + "^T");
+      Tensor wgot({s.n, s.m});
+      backend->MatMulTransA(at.data(), g.data(), wgot.data(), s.n, s.k, s.m);
+      ExpectBitIdentical(wref, wgot,
+                         std::string(backend->name()) + " a^T x g " +
+                             at.ShapeString() + "^T x" + g.ShapeString());
+    }
+    for (bool avx512 : {true, false}) {
+      simd::SetSimdAvx512TilesEnabledForTest(avx512);
+      ForEachVariantAndWorkers([&](const KernelBackend* backend,
+                                   const std::string& tag) {
+        const std::string ctx = tag + (avx512 ? "" : "/avx2-tiles");
+        Tensor got({s.n, s.m});
+        backend->MatMulTransB(a.data(), bt.data(), got.data(), s.n, s.k, s.m);
+        ExpectBitIdentical(ref, got, ctx + " a x b^T " + a.ShapeString());
+        Tensor wgot({s.n, s.m});
+        backend->MatMulTransA(at.data(), g.data(), wgot.data(), s.n, s.k,
+                              s.m);
+        ExpectBitIdentical(wref, wgot, ctx + " a^T x g " + at.ShapeString());
+      });
+    }
+    simd::SetSimdAvx512TilesEnabledForTest(true);
+  }
+}
+
+// The transposed forms keep MatMul's zero-skip: a zero in the left
+// operand never multiplies the right operand's inf (which would give NaN).
+TEST(BackendParityTest, TransposedMatMulsKeepZeroSkip) {
+  const int64_t n = 13, k = 9, m = 40, kz = 4;
+  util::Rng rng(35);
+  Tensor a = Tensor::RandomNormal({n, k}, &rng);
+  Tensor bt = Tensor::RandomNormal({m, k}, &rng);
+  for (int64_t i = 0; i < n; ++i) a.at(i, kz) = (i % 2 == 0) ? 0.0f : 1.0f;
+  for (int64_t j = 0; j < m; j += 3) {
+    bt.at(j, kz) = std::numeric_limits<float>::infinity();
+  }
+  Tensor at = ops::Transpose(a);
+  Tensor b = ops::Transpose(bt);
+  Tensor ref({n, m});
+  FindBackend("serial")->MatMul(a.data(), b.data(), ref.data(), n, k, m);
+  ASSERT_TRUE(std::isinf(ref.at(1, 0)) && !std::isinf(ref.at(0, 0)));
+  for (bool avx512 : {true, false}) {
+    simd::SetSimdAvx512TilesEnabledForTest(avx512);
+    for (const KernelBackend* backend :
+         {FindBackend("serial"), FindBackend("sharded"),
+          ShardedSerialKernelsForTest()}) {
+      Tensor got({n, m}), wgot({n, m});
+      backend->MatMulTransB(a.data(), bt.data(), got.data(), n, k, m);
+      backend->MatMulTransA(at.data(), b.data(), wgot.data(), n, k, m);
+      ExpectBitIdentical(ref, got, std::string(backend->name()) + " a x b^T");
+      ExpectBitIdentical(ref, wgot, std::string(backend->name()) + " a^T x b");
+    }
+  }
+  simd::SetSimdAvx512TilesEnabledForTest(true);
+}
+
+// The ops-level wrappers route every shape through the new kernels and
+// agree with the strided definition.
+TEST(BackendDispatchTest, BroadcastOpsAndReduceToShapeAcrossBackends) {
+  util::Rng rng(34);
+  Tensor x = Tensor::RandomNormal({2503, 17}, &rng);
+  Tensor col = Tensor::RandomNormal({2503, 1}, &rng);
+  Tensor row = Tensor::RandomNormal({1, 17}, &rng);
+  Tensor vec = Tensor::RandomNormal({17}, &rng);
+  Tensor w = Tensor::RandomNormal({16, 17}, &rng);
+  auto run = [&] {
+    std::vector<Tensor> outs = {
+        ops::Mul(x, col),  ops::Mul(col, x),  ops::Add(x, row),
+        ops::Add(row, x),  ops::Sub(x, col),  ops::Sub(row, x),
+        ops::Div(col, x),  ops::Div(x, row),  ops::Add(x, vec),
+        ops::ReduceToShape(x, {2503, 1}), ops::ReduceToShape(x, {1, 17}),
+        ops::ReduceToShape(x, {17}),      ops::SumAxis(x, 0),
+        ops::MatMulTransB(x, w), ops::MatMulTransA(x, x)};
+    return outs;
+  };
+  std::vector<Tensor> ref;
+  {
+    ScopedBackend scoped("serial");
+    ref = run();
+  }
+  EXPECT_EQ(ref[0].at(5, 3), x.at(5, 3) * col.at(5, 0));
+  EXPECT_EQ(ref[5].at(9, 2), row.at(0, 2) - x.at(9, 2));
+  EXPECT_EQ(ref[6].at(1, 4), col.at(1, 0) / x.at(1, 4));
+  {
+    ScopedBackend scoped("sharded");
+    std::vector<Tensor> got = run();
+    ASSERT_EQ(got.size(), ref.size());
+    for (size_t i = 0; i < ref.size(); ++i) {
+      ExpectBitIdentical(ref[i], got[i], "op " + std::to_string(i));
+    }
+  }
 }
 
 // --------------------------------------------------------- ops-level dispatch --

@@ -4,10 +4,12 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "src/tensor/ad_ops.h"
 #include "src/tensor/autodiff.h"
+#include "src/tensor/backend.h"
 #include "src/tensor/gradcheck.h"
 #include "src/tensor/sparse.h"
 #include "src/tensor/tensor_ops.h"
@@ -83,6 +85,41 @@ TEST(GradTest, DivAwayFromZero) {
   Tensor bt = Tensor::RandomUniform({3, 3}, &rng, 1.0f, 2.0f);
   Var b = Var::Param(bt);
   ExpectGradOk([&] { return WeightedSum(Div(a, b)); }, {a, b});
+}
+
+// Every binary op against a [N,1] gate and a [1,M] bias row, in both
+// operand orders, under both kernel backends: the forward runs the
+// backend's BroadcastZip and the backward its RowSums / ColSums.
+TEST(GradTest, BinaryOpsAgainstColumnAndRowOperandsBothOrders) {
+  using BinaryOp = Var (*)(const Var&, const Var&);
+  const struct {
+    const char* name;
+    BinaryOp op;
+  } ops[] = {{"add", &Add}, {"sub", &Sub}, {"mul", &Mul}, {"div", &Div}};
+  const std::vector<std::vector<int64_t>> small_shapes = {{5, 1}, {1, 3}};
+  for (const char* backend : {"serial", "sharded"}) {
+    tensor::ScopedBackend scoped(backend);
+    for (const auto& op : ops) {
+      for (const auto& shape : small_shapes) {
+        for (bool small_first : {false, true}) {
+          util::Rng rng(50);
+          Var full = Var::Param(
+              Tensor::RandomUniform({5, 3}, &rng, 1.0f, 2.0f));
+          Var small =
+              Var::Param(Tensor::RandomUniform(shape, &rng, 1.0f, 2.0f));
+          SCOPED_TRACE(std::string(backend) + " " + op.name + " " +
+                       small.value().ShapeString() +
+                       (small_first ? " first" : " second"));
+          ExpectGradOk(
+              [&] {
+                return WeightedSum(small_first ? op.op(small, full)
+                                               : op.op(full, small));
+              },
+              {full, small});
+        }
+      }
+    }
+  }
 }
 
 TEST(GradTest, ScalarOps) {
@@ -336,6 +373,70 @@ TEST(TapeTest, BackwardWithExplicitSeed) {
   BackwardWithGrad(y, Tensor::FromData({2}, {1.0f, 10.0f}));
   EXPECT_NEAR(x.grad().at(0), 2.0f, 1e-5f);
   EXPECT_NEAR(x.grad().at(1), 40.0f, 1e-5f);
+}
+
+TEST(TapeTest, FirstGradientIsAdoptedLaterOnesAdd) {
+  Node node;
+  node.value = Tensor({2, 2});
+  Tensor g = Tensor::FromData({2, 2}, {1.0f, -0.0f, 2.0f, 3.0f});
+  const float* storage = g.data();
+  node.AccumulateGrad(std::move(g));
+  // Moved in, not copied into a zero buffer: same storage, and the -0.0f
+  // that zero-plus-add would have turned into +0.0f is kept.
+  EXPECT_EQ(node.grad.data(), storage);
+  EXPECT_TRUE(std::signbit(node.grad.at(0, 1)));
+  node.AccumulateGrad(Tensor::FromData({2, 2}, {1.0f, 1.0f, 1.0f, 1.0f}));
+  EXPECT_EQ(node.grad.data(), storage);  // added in place
+  EXPECT_EQ(node.grad.at(0, 0), 2.0f);
+  EXPECT_EQ(node.grad.at(0, 1), 1.0f);
+  EXPECT_EQ(node.grad.at(1, 1), 4.0f);
+}
+
+TEST(TapeTest, ViewGradientIsCopiedNeverAdopted) {
+  // A read-only view (the storage kind of a memory-mapped tensor) seeds a
+  // Reshape's backward. The seed must be copied into owned storage: an
+  // adopted view would abort on the next in-place accumulation.
+  std::vector<float> backing = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f};
+  Tensor seed = Tensor::FromView({3, 2}, backing.data(), nullptr);
+  Var x = Var::Param(Tensor::Ones({2, 3}));
+  Var y = Reshape(x, {3, 2});
+  BackwardWithGrad(y, seed);
+  ASSERT_TRUE(y.has_grad() && x.has_grad());
+  EXPECT_TRUE(y.grad().owns_storage());
+  EXPECT_TRUE(x.grad().owns_storage());
+  // The second pass adds into both gradients in place (must not abort).
+  // y's gradient is now 2 * seed and is pushed whole into x again, so x
+  // holds seed + 2 * seed.
+  BackwardWithGrad(y, seed);
+  for (int64_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(y.grad().data()[i], 2.0f * backing[static_cast<size_t>(i)]);
+    EXPECT_EQ(x.grad().data()[i], 3.0f * backing[static_cast<size_t>(i)]);
+  }
+  // The view's memory was never written.
+  EXPECT_EQ(backing, (std::vector<float>{1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f}));
+
+  Node node;
+  node.value = Tensor({3, 2});
+  node.AccumulateGrad(seed);
+  EXPECT_TRUE(node.grad.owns_storage());
+  EXPECT_NE(node.grad.data(), backing.data());
+  node.AccumulateGrad(seed);
+  EXPECT_EQ(node.grad.at(2, 1), 12.0f);
+}
+
+TEST(TapeTest, SliceColsBackwardAddsIntoItsColumns) {
+  Var x = Var::Param(Tensor::Ones({2, 4}));
+  // Two slices of the same input: the first allocates the gradient, the
+  // second adds into its own columns only.
+  Var loss = Add(SumAll(MulScalar(SliceCols(x, 1, 2), 3.0f)),
+                 SumAll(MulScalar(SliceCols(x, 2, 2), 5.0f)));
+  Backward(loss);
+  const float want[4] = {0.0f, 3.0f, 8.0f, 5.0f};
+  for (int64_t i = 0; i < 2; ++i) {
+    for (int64_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(x.grad().at(i, j), want[j]) << i << "," << j;
+    }
+  }
 }
 
 TEST(TapeDeathTest, NonScalarBackwardAborts) {
