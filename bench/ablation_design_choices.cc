@@ -2,7 +2,8 @@
 // paper's Figure 2): neighbor normalisation (the paper's Eq. 2 sum vs the
 // mean / sqrt-degree used here), multi-order readout (concat vs summed
 // layers), autoencoder pre-training vs random init, and the gate vs
-// uniform behavior fusion. Justifies the defaults documented in DESIGN.md.
+// uniform behavior fusion. Justifies the defaults listed in README.md,
+// "Model and deviations from the paper".
 #include <cstdio>
 
 #include "bench/harness.h"

@@ -2,8 +2,8 @@
 // dense matmul, sparse SpMM, graph construction, negative sampling, one
 // GNMR layer forward and a full training step — plus per-backend variants
 // of the hot kernels (serial / sharded, see backend.h) and
-// the pipelined-vs-serial trainer epoch. These back the scalability claims
-// in DESIGN.md and catch kernel-level performance regressions.
+// the pipelined-vs-serial trainer epoch. They catch kernel-level
+// performance regressions against the record in BENCH_micro_kernels.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -3,8 +3,9 @@
 //   Yelp    19800 users  22734 items  1.4e6 interactions {Tip,Dislike,Neutral,Like}
 //   ML10M   67788 users   8704 items  9.9e6 interactions {Dislike,Neutral,Like}
 //   Taobao 147894 users  99037 items  7.6e6 interactions {PV,Fav,Cart,Purchase}
-// Our synthetic substitutes are scaled down (see DESIGN.md) but preserve
-// behavior-type structure, per-user density ordering and popularity skew.
+// Our synthetic substitutes are scaled down (README.md, "Model and
+// deviations from the paper") but preserve behavior-type structure,
+// per-user density ordering and popularity skew.
 #include <cstdio>
 
 #include "bench/harness.h"

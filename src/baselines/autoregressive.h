@@ -7,7 +7,8 @@
 // with tied weights, and predict the hidden item against sampled
 // negatives. This "subset autoregression" keeps the parameter sharing and
 // ordering-average that give NADE its strength at a CPU-tractable cost
-// (substitution documented in DESIGN.md).
+// (substitution listed in README.md, "Model and deviations from the
+// paper").
 //
 // CF-UIcA [Du et al., AAAI 2018] co-autoregresses over users AND items:
 // the score for (u, i) combines a user-side encoding of u's history with

@@ -1,12 +1,12 @@
 // DIPN [Guo et al., KDD 2019]: deep intent prediction network. The
 // original predicts real-time purchasing intent from browse/purchase
 // streams with a bi-RNN + hierarchical attention. Here (substitution
-// documented in DESIGN.md): per behavior type, a GRU encodes the user's
-// time-ordered item sequence; inter-behavior attention (queried by the
-// user embedding) pools the per-behavior states into a user intent
-// representation scored against item embeddings. Timestamps come from the
-// dataset's per-user logical clocks. Multi-behavior: consumes ALL
-// behavior types.
+// listed in README.md, "Model and deviations from the paper"): per
+// behavior type, a GRU encodes the user's time-ordered item sequence;
+// inter-behavior attention (queried by the user embedding) pools the
+// per-behavior states into a user intent representation scored against
+// item embeddings. Timestamps come from the dataset's per-user logical
+// clocks. Multi-behavior: consumes ALL behavior types.
 #ifndef GNMR_BASELINES_DIPN_H_
 #define GNMR_BASELINES_DIPN_H_
 

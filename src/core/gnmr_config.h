@@ -26,8 +26,9 @@ struct GnmrConfig {
   int64_t num_layers = 2;
   /// Neighbor aggregation normalisation. Eq. 2 uses a plain sum (kSum);
   /// symmetric sqrt-degree is the default here for training stability and
-  /// accuracy at high degree — DESIGN.md documents the deviation, and kSum
-  /// / kMean are tested and supported.
+  /// accuracy at high degree — README.md ("Model and deviations from the
+  /// paper") lists the deviation, and kSum / kMean are tested and
+  /// supported.
   graph::NeighborNorm neighbor_norm = graph::NeighborNorm::kSqrtDegree;
 
   /// Multi-order matching readout (Algorithm 1 line 16). kSumLayers scores

@@ -1,9 +1,7 @@
 #include "src/core/gnmr_layers.h"
 
-#include <cmath>
-
+#include "src/core/gnmr_fused_ops.h"
 #include "src/nn/init.h"
-#include "src/tensor/ad_ops.h"
 #include "src/util/check.h"
 
 namespace gnmr {
@@ -12,8 +10,7 @@ namespace core {
 // ------------------------------------------------------ TypeBehaviorEmbedding
 
 TypeBehaviorEmbedding::TypeBehaviorEmbedding(int64_t dim, int64_t channels,
-                                             util::Rng* rng)
-    : channels_(channels) {
+                                             util::Rng* rng) {
   GNMR_CHECK_GT(channels, 0);
   w1_ = ad::Var::Param(nn::XavierUniform(dim, channels, rng));
   b1_ = ad::Var::Param(tensor::Tensor({1, channels}));
@@ -24,17 +21,7 @@ TypeBehaviorEmbedding::TypeBehaviorEmbedding(int64_t dim, int64_t channels,
 }
 
 ad::Var TypeBehaviorEmbedding::Forward(const ad::Var& s) const {
-  // alpha = ReLU(s W1 + b1): [N, C]
-  ad::Var alpha = ad::Relu(ad::Add(ad::MatMul(s, w1_), b1_));
-  ad::Var out;
-  for (int64_t c = 0; c < channels_; ++c) {
-    // alpha[:, c] broadcasts over the projected embedding.
-    ad::Var gate = ad::SliceCols(alpha, c, 1);                  // [N, 1]
-    ad::Var proj = ad::MatMul(s, w2_[static_cast<size_t>(c)]);  // [N, d]
-    ad::Var term = ad::Mul(proj, gate);
-    out = out.defined() ? ad::Add(out, term) : term;
-  }
-  return out;
+  return FusedTypeEmbedding(s, w1_, b1_, w2_);
 }
 
 std::vector<ad::Var> TypeBehaviorEmbedding::Parameters() const {
@@ -47,70 +34,27 @@ std::vector<ad::Var> TypeBehaviorEmbedding::Parameters() const {
 
 BehaviorRelationAttention::BehaviorRelationAttention(int64_t dim,
                                                      int64_t heads,
-                                                     util::Rng* rng)
-    : heads_(heads) {
+                                                     util::Rng* rng) {
   GNMR_CHECK_GT(heads, 0);
   GNMR_CHECK_EQ(dim % heads, 0) << "heads must divide embedding dim";
-  head_dim_ = dim / heads;
+  const int64_t head_dim = dim / heads;
   for (int64_t s = 0; s < heads; ++s) {
-    q_.push_back(ad::Var::Param(nn::XavierUniform(dim, head_dim_, rng)));
-    k_.push_back(ad::Var::Param(nn::XavierUniform(dim, head_dim_, rng)));
-    v_.push_back(ad::Var::Param(nn::XavierUniform(dim, head_dim_, rng)));
+    q_.push_back(ad::Var::Param(nn::XavierUniform(dim, head_dim, rng)));
+    k_.push_back(ad::Var::Param(nn::XavierUniform(dim, head_dim, rng)));
+    v_.push_back(ad::Var::Param(nn::XavierUniform(dim, head_dim, rng)));
   }
 }
 
 std::vector<ad::Var> BehaviorRelationAttention::Forward(
     const std::vector<ad::Var>& behaviors) const {
-  GNMR_CHECK(!behaviors.empty());
-  int64_t num_k = static_cast<int64_t>(behaviors.size());
-  float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  const int64_t num_k = static_cast<int64_t>(behaviors.size());
+  return SplitBehaviors(ForwardStacked(StackBehaviors(behaviors), num_k),
+                        num_k);
+}
 
-  // Pre-project every behavior embedding under every head.
-  std::vector<std::vector<ad::Var>> queries(static_cast<size_t>(heads_));
-  std::vector<std::vector<ad::Var>> keys(static_cast<size_t>(heads_));
-  std::vector<std::vector<ad::Var>> values(static_cast<size_t>(heads_));
-  for (int64_t s = 0; s < heads_; ++s) {
-    for (int64_t k = 0; k < num_k; ++k) {
-      const ad::Var& h = behaviors[static_cast<size_t>(k)];
-      queries[static_cast<size_t>(s)].push_back(
-          ad::MatMul(h, q_[static_cast<size_t>(s)]));
-      keys[static_cast<size_t>(s)].push_back(
-          ad::MatMul(h, k_[static_cast<size_t>(s)]));
-      values[static_cast<size_t>(s)].push_back(
-          ad::MatMul(h, v_[static_cast<size_t>(s)]));
-    }
-  }
-
-  std::vector<ad::Var> out;
-  out.reserve(static_cast<size_t>(num_k));
-  for (int64_t k = 0; k < num_k; ++k) {
-    std::vector<ad::Var> head_msgs;
-    head_msgs.reserve(static_cast<size_t>(heads_));
-    for (int64_t s = 0; s < heads_; ++s) {
-      // beta^s_{k,k'} per node: [N, K] logits.
-      std::vector<ad::Var> logit_cols;
-      logit_cols.reserve(static_cast<size_t>(num_k));
-      for (int64_t kp = 0; kp < num_k; ++kp) {
-        ad::Var dot = ad::RowDot(queries[static_cast<size_t>(s)][static_cast<size_t>(k)],
-                                 keys[static_cast<size_t>(s)][static_cast<size_t>(kp)]);
-        logit_cols.push_back(ad::MulScalar(dot, scale));
-      }
-      ad::Var attn = ad::SoftmaxRows(ad::ConcatCols(logit_cols));  // [N, K]
-      ad::Var msg;
-      for (int64_t kp = 0; kp < num_k; ++kp) {
-        ad::Var w = ad::SliceCols(attn, kp, 1);  // [N, 1]
-        ad::Var term =
-            ad::Mul(values[static_cast<size_t>(s)][static_cast<size_t>(kp)], w);
-        msg = msg.defined() ? ad::Add(msg, term) : term;
-      }
-      head_msgs.push_back(msg);  // [N, d/S]
-    }
-    // Concatenate heads, then residual back to the type-specific embedding
-    // (the element-wise addition of Section III-B).
-    ad::Var recalibrated = ad::ConcatCols(head_msgs);  // [N, d]
-    out.push_back(ad::Add(recalibrated, behaviors[static_cast<size_t>(k)]));
-  }
-  return out;
+ad::Var BehaviorRelationAttention::ForwardStacked(const ad::Var& stack,
+                                                  int64_t num_k) const {
+  return FusedRelationAttention(stack, num_k, q_, k_, v_);
 }
 
 std::vector<ad::Var> BehaviorRelationAttention::Parameters() const {
@@ -132,22 +76,13 @@ BehaviorGate::BehaviorGate(int64_t dim, int64_t hidden_dim, util::Rng* rng) {
 }
 
 ad::Var BehaviorGate::Forward(const std::vector<ad::Var>& behaviors) const {
-  GNMR_CHECK(!behaviors.empty());
-  int64_t num_k = static_cast<int64_t>(behaviors.size());
-  std::vector<ad::Var> logit_cols;
-  logit_cols.reserve(static_cast<size_t>(num_k));
-  for (const ad::Var& h : behaviors) {
-    ad::Var hidden = ad::Relu(ad::Add(ad::MatMul(h, w3_), b2_));  // [N, d']
-    logit_cols.push_back(ad::Add(ad::MatMul(hidden, w2_), b3_));  // [N, 1]
-  }
-  ad::Var gate = ad::SoftmaxRows(ad::ConcatCols(logit_cols));  // [N, K]
-  ad::Var out;
-  for (int64_t k = 0; k < num_k; ++k) {
-    ad::Var w = ad::SliceCols(gate, k, 1);
-    ad::Var term = ad::Mul(behaviors[static_cast<size_t>(k)], w);
-    out = out.defined() ? ad::Add(out, term) : term;
-  }
-  return out;
+  return ForwardStacked(StackBehaviors(behaviors),
+                        static_cast<int64_t>(behaviors.size()));
+}
+
+ad::Var BehaviorGate::ForwardStacked(const ad::Var& stack,
+                                     int64_t num_k) const {
+  return FusedBehaviorGate(stack, num_k, w3_, b2_, w2_, b3_);
 }
 
 std::vector<ad::Var> BehaviorGate::Parameters() const {
@@ -176,28 +111,14 @@ GnmrLayer::GnmrLayer(const GnmrConfig& config,
 }
 
 ad::Var GnmrLayer::Forward(const ad::Var& h) const {
-  int64_t num_k = graph_->num_behaviors();
-  std::vector<ad::Var> per_behavior;
-  per_behavior.reserve(static_cast<size_t>(num_k));
-  for (int64_t k = 0; k < num_k; ++k) {
-    const graph::SparseOp* adj =
-        graph_->UnifiedAdjacency(k, config_->neighbor_norm);
-    ad::Var summary = ad::Spmm(&adj->forward, &adj->backward, h);
-    per_behavior.push_back(type_embedding_ ? type_embedding_->Forward(summary)
-                                           : summary);
-  }
-  if (relation_attn_) {
-    per_behavior = relation_attn_->Forward(per_behavior);
-  }
-  if (gate_) {
-    return gate_->Forward(per_behavior);
-  }
+  const int64_t num_k = graph_->num_behaviors();
+  ad::Var stack =
+      StackedSpmm(graph_->UnifiedAdjacencies(config_->neighbor_norm), h);
+  if (type_embedding_) stack = type_embedding_->Forward(stack);
+  if (relation_attn_) stack = relation_attn_->ForwardStacked(stack, num_k);
   // Ablation fallback: uniform average across behavior types.
-  ad::Var sum;
-  for (const ad::Var& b : per_behavior) {
-    sum = sum.defined() ? ad::Add(sum, b) : b;
-  }
-  return ad::MulScalar(sum, 1.0f / static_cast<float>(num_k));
+  return gate_ ? gate_->ForwardStacked(stack, num_k)
+               : BehaviorMean(stack, num_k);
 }
 
 std::vector<ad::Var> GnmrLayer::Parameters() const {

@@ -8,7 +8,13 @@
 //   psi  (Eq. 4-5) BehaviorGate — softmax gating network fusing the K
 //                 recalibrated type-specific embeddings.
 //
-// GnmrLayer wires them together over the unified [users; items] node space.
+// GnmrLayer wires them together over the unified [users; items] node space
+// in the stacked layout: the K per-behavior summaries are one [K*N, d]
+// tensor (block k = rows [k*N, (k+1)*N)), and each of eta, xi and psi is
+// one fused tape op over it (gnmr_fused_ops.h) — a wide MatMul against the
+// module's column-packed weights plus one per-row body. The vector
+// Forward overloads of xi and psi are thin stack/split wrappers around
+// ForwardStacked for callers that hold K separate tensors.
 #ifndef GNMR_CORE_GNMR_LAYERS_H_
 #define GNMR_CORE_GNMR_LAYERS_H_
 
@@ -31,13 +37,13 @@ class TypeBehaviorEmbedding : public nn::Module {
  public:
   TypeBehaviorEmbedding(int64_t dim, int64_t channels, util::Rng* rng);
 
-  /// s: [N, d] -> [N, d].
+  /// s: [R, d] -> [R, d], row by row, so R may be one behavior's N rows
+  /// or the whole [K*N, d] stack.
   ad::Var Forward(const ad::Var& s) const;
 
   std::vector<ad::Var> Parameters() const override;
 
  private:
-  int64_t channels_;
   ad::Var w1_;                 // [d, C]
   ad::Var b1_;                 // [1, C]
   std::vector<ad::Var> w2_;    // C x [d, d]
@@ -53,11 +59,12 @@ class BehaviorRelationAttention : public nn::Module {
   /// Inputs: K tensors [N, d]. Returns K recalibrated tensors [N, d].
   std::vector<ad::Var> Forward(const std::vector<ad::Var>& behaviors) const;
 
+  /// The [K*N, d] stack of K behaviors -> the recalibrated stack.
+  ad::Var ForwardStacked(const ad::Var& stack, int64_t num_k) const;
+
   std::vector<ad::Var> Parameters() const override;
 
  private:
-  int64_t heads_;
-  int64_t head_dim_;
   std::vector<ad::Var> q_;  // S x [d, d/S]
   std::vector<ad::Var> k_;  // S x [d, d/S]
   std::vector<ad::Var> v_;  // S x [d, d/S]
@@ -71,6 +78,9 @@ class BehaviorGate : public nn::Module {
 
   /// Inputs: K tensors [N, d]. Returns the fused [N, d] embedding.
   ad::Var Forward(const std::vector<ad::Var>& behaviors) const;
+
+  /// The [K*N, d] stack of K behaviors -> the fused [N, d] embedding.
+  ad::Var ForwardStacked(const ad::Var& stack, int64_t num_k) const;
 
   std::vector<ad::Var> Parameters() const override;
 

@@ -116,7 +116,11 @@ void GnmrTrainer::TrainStep(const TripletBatch& batch, double* loss_sum,
                             int64_t* steps, EpochStats* stats) {
   GNMR_TRACE_SPAN("train.step");
   if (batch.users.empty()) return;
-  std::vector<ad::Var> layers = model_->Propagate();
+  std::vector<ad::Var> layers;
+  {
+    GNMR_TRACE_SPAN("train.propagate");
+    layers = model_->Propagate();
+  }
   ad::Var pos_scores = model_->ScorePairs(layers, batch.users,
                                           batch.pos_items);
   ad::Var neg_scores = model_->ScorePairs(layers, batch.users,
@@ -127,7 +131,11 @@ void GnmrTrainer::TrainStep(const TripletBatch& batch, double* loss_sum,
   *loss_sum += static_cast<double>(loss.value().at(0));
   ++*steps;
 
-  ad::Backward(loss);
+  {
+    GNMR_TRACE_SPAN("train.backward");
+    ad::Backward(loss);
+  }
+  GNMR_TRACE_SPAN("train.adam");
   if (config_.grad_clip > 0.0) {
     nn::ClipGradNorm(params_, config_.grad_clip);
   }

@@ -33,7 +33,8 @@ struct TrainTestSplit {
 /// held-out (latest) target interaction mostly happen in the same future
 /// session — leaving them in train would leak a direct flag on the test
 /// positive. 0 keeps all auxiliary events (paper-faithful for timestamped
-/// real data); benches use 0.75 (see DESIGN.md).
+/// real data); benches use 0.75 (README.md, "Model and deviations from
+/// the paper").
 TrainTestSplit LeaveLatestOut(const Dataset& full,
                               int64_t min_target_interactions = 2,
                               double aux_holdout_prob = 0.0,

@@ -2,8 +2,8 @@
 //
 // The paper evaluates on MovieLens-10M, Yelp and Taobao, which cannot be
 // redistributed with this repository. These generators produce statistically
-// matched substitutes from a latent-factor ground-truth model (documented in
-// DESIGN.md):
+// matched substitutes from a latent-factor ground-truth model (README.md,
+// "Model and deviations from the paper"):
 //
 //   affinity(i,j) = u_i . q_j + w_pop * pop_j + noise
 //

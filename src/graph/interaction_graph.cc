@@ -208,6 +208,16 @@ const SparseOp* MultiBehaviorGraph::UnifiedAdjacency(int64_t behavior,
   return it->second.get();
 }
 
+std::vector<const SparseOp*> MultiBehaviorGraph::UnifiedAdjacencies(
+    NeighborNorm norm) const {
+  std::vector<const SparseOp*> out;
+  out.reserve(static_cast<size_t>(num_behaviors_));
+  for (int64_t k = 0; k < num_behaviors_; ++k) {
+    out.push_back(UnifiedAdjacency(k, norm));
+  }
+  return out;
+}
+
 const SparseOp* MultiBehaviorGraph::MergedAdjacency(NeighborNorm norm) const {
   int key = static_cast<int>(norm);
   auto it = merged_cache_.find(key);

@@ -86,6 +86,9 @@ class MultiBehaviorGraph {
   /// use; the returned pointer lives as long as this graph.
   const SparseOp* UnifiedAdjacency(int64_t behavior, NeighborNorm norm) const;
 
+  /// UnifiedAdjacency of every behavior, in behavior order.
+  std::vector<const SparseOp*> UnifiedAdjacencies(NeighborNorm norm) const;
+
   /// Union of all behaviors' edges as one unified adjacency (baselines that
   /// ignore behavior types, e.g. NGCF). Cached.
   const SparseOp* MergedAdjacency(NeighborNorm norm) const;

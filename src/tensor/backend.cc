@@ -116,6 +116,12 @@ class SerialBackend : public KernelBackend {
                int64_t m) const override {
     ColSumsRange(in, out, n, m);
   }
+
+  void RunRows(int64_t n, int64_t work_per_row,
+               const RowsFn& rows) const override {
+    (void)work_per_row;
+    rows(0, n);
+  }
 };
 
 // ---- ShardedBackend ---------------------------------------------------------
@@ -304,6 +310,17 @@ class ShardedBackend : public KernelBackend {
   void ColSums(const float* in, float* out, int64_t n,
                int64_t m) const override {
     k_.col_sums(in, out, n, m);
+  }
+
+  void RunRows(int64_t n, int64_t work_per_row,
+               const RowsFn& rows) const override {
+    if (n <= 1 || n * work_per_row < kParallelRowsMinWork) {
+      rows(0, n);
+      return;
+    }
+    RunUniform(n, kShardMinRowsPerShard, [&](const ShardRange& r) {
+      rows(r.begin, r.end);
+    });
   }
 
   // The serving scans stay on the calling thread: they run on serving

@@ -8,7 +8,8 @@
 // here too: QueryDot / QueryDotIndexed are the one-query-against-many-rows
 // scans behind ExactRetriever, IvfRetriever and the HNSW builder, and
 // I8QueryDot is the int8 code scan of the quantized IVF tier
-// (tensor/quantize.h).
+// (tensor/quantize.h). RunRows hands out row ranges for caller-written
+// row bodies, the per-row kernels of the fused GNMR layer ops.
 //
 // Registered backends:
 //   "sharded" — the default: row-range partitioning (shard_plan.h) over
@@ -41,6 +42,7 @@
 #define GNMR_TENSOR_BACKEND_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -174,6 +176,22 @@ class KernelBackend {
   /// float from +0.0f in ascending row order. out is zero-initialised.
   virtual void ColSums(const float* in, float* out, int64_t n,
                        int64_t m) const = 0;
+
+  // ---- Row-independent bodies ----------------------------------------------
+
+  /// A body that computes rows [lo, hi) of its outputs, each row from its
+  /// own inputs only (no cross-row accumulation).
+  using RowsFn = std::function<void(int64_t lo, int64_t hi)>;
+
+  /// Runs `rows` over a partition of [0, n): whole on the calling thread
+  /// (serial, and sharded below kParallelRowsMinWork total work), else cut
+  /// into row shards on the pool. `work_per_row` is the body's cost of one
+  /// row in multiply-adds, which only sizes the cut. Every row is computed
+  /// whole by one call of the same body, so the partition never changes a
+  /// result: the fused GNMR layer ops (core/gnmr_fused_ops.h) are
+  /// bit-identical across backends and worker counts by construction.
+  virtual void RunRows(int64_t n, int64_t work_per_row,
+                       const RowsFn& rows) const = 0;
 
   // ---- Serving scan ops -----------------------------------------------------
   // One query row against many embedding rows — the shape of a top-N

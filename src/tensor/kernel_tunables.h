@@ -21,8 +21,9 @@ inline constexpr int64_t kParallelMatMulMinWork = int64_t{1} << 16;
 /// SpMM fans out only when nnz*d (multiply-adds) reaches this.
 inline constexpr int64_t kParallelSpmmMinWork = int64_t{1} << 16;
 
-/// Row-indexed kernels (GatherRows / ScatterAddRows / RowDot) fan out only
-/// when rows*cols (floats moved) reaches this.
+/// Row-indexed kernels (GatherRows / RowDot) fan out only when rows*cols
+/// (floats moved) reaches this; KernelBackend::RunRows bodies when rows
+/// times their per-row multiply-adds does.
 inline constexpr int64_t kParallelRowsMinWork = int64_t{1} << 15;
 
 /// Elementwise map/zip kernels fan out only at this many elements.

@@ -1,17 +1,29 @@
 // Tests for the GNMR core model: layer mechanics, gradient correctness,
-// config ablations, and end-to-end learning on synthetic data.
+// config ablations, and end-to-end learning on synthetic data. The fused
+// layer ops (gnmr_fused_ops.h) are held to the unfused composition of
+// small ad ops kept below as the reference: bitwise on forward values,
+// finite differences and a tolerance on gradients, and bit-identical
+// gradients across backends and worker counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <map>
+#include <string>
 
+#include "src/core/gnmr_fused_ops.h"
 #include "src/core/gnmr_layers.h"
 #include "src/core/gnmr_model.h"
 #include "src/core/gnmr_trainer.h"
 #include "src/data/split.h"
 #include "src/data/synthetic.h"
 #include "src/eval/evaluator.h"
+#include "src/obs/trace.h"
 #include "src/tensor/ad_ops.h"
+#include "src/tensor/backend.h"
 #include "src/tensor/gradcheck.h"
+#include "src/tensor/shard_pool.h"
 
 namespace gnmr {
 namespace core {
@@ -35,6 +47,204 @@ GnmrConfig FastConfig() {
   cfg.batch_users = 64;
   cfg.verbose = false;
   return cfg;
+}
+
+// ------------------------------------------- Unfused reference composition
+// The layer as it ran before fusion: eta, xi and psi as compositions of
+// small ad ops, one behavior, channel and head at a time. Parameters come
+// in each module's Parameters() order.
+
+namespace reference {
+
+using Params = std::vector<ad::Var>;
+
+// eta on one behavior's [N, d] summary; p = {W1, b1, W2_0 .. W2_{C-1}}.
+ad::Var Eta(const ad::Var& s, const Params& p) {
+  ad::Var alpha = ad::Relu(ad::Add(ad::MatMul(s, p[0]), p[1]));
+  ad::Var out;
+  for (size_t c = 2; c < p.size(); ++c) {
+    ad::Var gate = ad::SliceCols(alpha, static_cast<int64_t>(c - 2), 1);
+    ad::Var term = ad::Mul(ad::MatMul(s, p[c]), gate);
+    out = out.defined() ? ad::Add(out, term) : term;
+  }
+  return out;
+}
+
+// xi over K behaviors; p = {q_0..q_{S-1}, k_0.., v_0..}.
+std::vector<ad::Var> Xi(const std::vector<ad::Var>& behaviors,
+                        const Params& p) {
+  const size_t heads = p.size() / 3;
+  const size_t num_k = behaviors.size();
+  const int64_t head_dim = p[0].value().cols();
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  std::vector<std::vector<ad::Var>> q(heads), k(heads), v(heads);
+  for (size_t s = 0; s < heads; ++s) {
+    for (const ad::Var& h : behaviors) {
+      q[s].push_back(ad::MatMul(h, p[s]));
+      k[s].push_back(ad::MatMul(h, p[heads + s]));
+      v[s].push_back(ad::MatMul(h, p[2 * heads + s]));
+    }
+  }
+  std::vector<ad::Var> out;
+  for (size_t kq = 0; kq < num_k; ++kq) {
+    std::vector<ad::Var> head_msgs;
+    for (size_t s = 0; s < heads; ++s) {
+      std::vector<ad::Var> logits;
+      for (size_t kk = 0; kk < num_k; ++kk) {
+        logits.push_back(
+            ad::MulScalar(ad::RowDot(q[s][kq], k[s][kk]), scale));
+      }
+      ad::Var attn = ad::SoftmaxRows(ad::ConcatCols(logits));
+      ad::Var msg;
+      for (size_t kk = 0; kk < num_k; ++kk) {
+        ad::Var term = ad::Mul(
+            v[s][kk], ad::SliceCols(attn, static_cast<int64_t>(kk), 1));
+        msg = msg.defined() ? ad::Add(msg, term) : term;
+      }
+      head_msgs.push_back(msg);
+    }
+    out.push_back(ad::Add(ad::ConcatCols(head_msgs), behaviors[kq]));
+  }
+  return out;
+}
+
+// psi over K behaviors; p = {W3, b2, w2, b3}.
+ad::Var Psi(const std::vector<ad::Var>& behaviors, const Params& p) {
+  std::vector<ad::Var> logits;
+  for (const ad::Var& h : behaviors) {
+    ad::Var hidden = ad::Relu(ad::Add(ad::MatMul(h, p[0]), p[1]));
+    logits.push_back(ad::Add(ad::MatMul(hidden, p[2]), p[3]));
+  }
+  ad::Var gate = ad::SoftmaxRows(ad::ConcatCols(logits));
+  ad::Var out;
+  for (size_t kk = 0; kk < behaviors.size(); ++kk) {
+    ad::Var term = ad::Mul(behaviors[kk],
+                           ad::SliceCols(gate, static_cast<int64_t>(kk), 1));
+    out = out.defined() ? ad::Add(out, term) : term;
+  }
+  return out;
+}
+
+ad::Var Mean(const std::vector<ad::Var>& behaviors) {
+  ad::Var sum;
+  for (const ad::Var& b : behaviors) {
+    sum = sum.defined() ? ad::Add(sum, b) : b;
+  }
+  return ad::MulScalar(sum, 1.0f / static_cast<float>(behaviors.size()));
+}
+
+// The modules' parameters of one layer, split per module.
+struct LayerParams {
+  Params eta, xi, psi;
+};
+
+LayerParams SplitLayerParams(const GnmrConfig& cfg, const Params& all) {
+  LayerParams out;
+  size_t at = 0;
+  auto take = [&](size_t count, Params* dst) {
+    dst->assign(all.begin() + static_cast<int64_t>(at),
+                all.begin() + static_cast<int64_t>(at + count));
+    at += count;
+  };
+  if (cfg.use_type_embedding) {
+    take(2 + static_cast<size_t>(cfg.num_channels), &out.eta);
+  }
+  if (cfg.use_relation_attention) {
+    take(3 * static_cast<size_t>(cfg.num_heads), &out.xi);
+  }
+  if (cfg.use_behavior_gate) take(4, &out.psi);
+  EXPECT_EQ(at, all.size());
+  return out;
+}
+
+// Spmm per behavior, then eta / xi / psi (or the mean) as configured.
+ad::Var Layer(const GnmrConfig& cfg,
+              const std::vector<const graph::SparseOp*>& adj,
+              const LayerParams& p, const ad::Var& h) {
+  std::vector<ad::Var> behaviors;
+  for (const graph::SparseOp* a : adj) {
+    ad::Var summary = ad::Spmm(&a->forward, &a->backward, h);
+    behaviors.push_back(cfg.use_type_embedding ? Eta(summary, p.eta)
+                                               : summary);
+  }
+  if (cfg.use_relation_attention) behaviors = Xi(behaviors, p.xi);
+  return cfg.use_behavior_gate ? Psi(behaviors, p.psi) : Mean(behaviors);
+}
+
+}  // namespace reference
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Largest |a - b| relative to the larger magnitude of either tensor.
+double MaxRelDiff(const Tensor& a, const Tensor& b) {
+  EXPECT_EQ(a.shape(), b.shape());
+  double scale = 1e-12;
+  double diff = 0.0;
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    scale = std::max({scale, std::fabs(static_cast<double>(a.data()[i])),
+                      std::fabs(static_cast<double>(b.data()[i]))});
+    diff = std::max(diff, std::fabs(static_cast<double>(a.data()[i]) -
+                                    b.data()[i]));
+  }
+  return diff / scale;
+}
+
+// A fixed random weighting of every output element, summed.
+ad::Var WeightedSum(const ad::Var& v, uint64_t seed = 99) {
+  util::Rng rng(seed);
+  return ad::SumAll(ad::Mul(
+      v, ad::Var::Constant(Tensor::RandomNormal(v.value().shape(), &rng))));
+}
+
+class ScopedShardWorkers {
+ public:
+  explicit ScopedShardWorkers(int64_t workers)
+      : previous_(tensor::ShardWorkers()) {
+    tensor::SetShardWorkers(workers);
+  }
+  ~ScopedShardWorkers() { tensor::SetShardWorkers(previous_); }
+
+ private:
+  int64_t previous_;
+};
+
+// The bit-exact backend configurations every fused-op result must agree
+// across: the serial reference, sharded at 1 and 3 workers, and sharded
+// on the serial range kernels.
+struct BackendCase {
+  const tensor::KernelBackend* backend;
+  int64_t workers;
+  const char* tag;
+};
+
+std::vector<BackendCase> BitExactBackends() {
+  return {{tensor::FindBackend("serial"), 1, "serial"},
+          {tensor::FindBackend("sharded"), 1, "sharded@1"},
+          {tensor::FindBackend("sharded"), 3, "sharded@3"},
+          {tensor::ShardedSerialKernelsForTest(), 3,
+           "sharded/serial-kernels@3"}};
+}
+
+// A random [n, n] operator with ragged rows (some empty) and its transpose.
+std::unique_ptr<graph::SparseOp> RandomAdjacency(int64_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<tensor::Coo> entries;
+  for (int64_t i = 0; i < n; ++i) {
+    if (i % 7 == 3) continue;
+    const int64_t deg = rng.UniformInt(1, 6);
+    for (int64_t e = 0; e < deg; ++e) {
+      entries.push_back({i, rng.UniformInt(0, n - 1),
+                         rng.Uniform(0.1f, 1.0f)});
+    }
+  }
+  auto op = std::make_unique<graph::SparseOp>();
+  op->forward = tensor::CsrMatrix::FromCoo(n, n, entries);
+  op->backward = op->forward.Transposed();
+  return op;
 }
 
 // ------------------------------------------------------ TypeBehaviorEmbedding
@@ -202,6 +412,209 @@ TEST(GnmrLayerTest, AblationsShrinkParameterCount) {
   EXPECT_GT(l_full.NumParameters(), l_ma.NumParameters());
 }
 
+// ------------------------------------------------ Fused layer vs reference
+
+// Every ablation combination under both readouts: each propagated layer
+// of the fused model is bitwise equal to the unfused reference run on the
+// same parameters, so are the readout scores, and the gradients agree
+// with the reference's up to the reassociated sums.
+TEST(FusedLayerTest, ForwardBitwiseEqualsReferenceAllAblationsAndReadouts) {
+  data::Dataset train = TinyTrainSet();
+  std::vector<int64_t> users = {0, 1, 2, 5, 7};
+  std::vector<int64_t> items = {3, 0, 5, 2, 9};
+  for (GnmrConfig::Readout readout :
+       {GnmrConfig::Readout::kConcat, GnmrConfig::Readout::kSumLayers}) {
+    for (int mask = 0; mask < 8; ++mask) {
+      GnmrConfig cfg = FastConfig();
+      cfg.readout = readout;
+      cfg.use_type_embedding = (mask & 1) != 0;
+      cfg.use_relation_attention = (mask & 2) != 0;
+      cfg.use_behavior_gate = (mask & 4) != 0;
+      const std::string tag = "mask " + std::to_string(mask) + " readout " +
+                              std::to_string(static_cast<int>(readout));
+      GnmrModel model(cfg, train);
+      const std::vector<ad::Var> params = model.Parameters();
+      std::vector<ad::Var> fused = model.Propagate();
+
+      // params = {H^0} then each layer's modules in order.
+      const auto adj = model.graph().UnifiedAdjacencies(cfg.neighbor_norm);
+      const size_t per_layer = (params.size() - 1) / cfg.num_layers;
+      std::vector<ad::Var> ref = {params[0]};
+      for (int64_t l = 0; l < cfg.num_layers; ++l) {
+        const auto first = params.begin() + 1 + l * per_layer;
+        const reference::LayerParams lp = reference::SplitLayerParams(
+            cfg, std::vector<ad::Var>(first, first + per_layer));
+        ref.push_back(reference::Layer(cfg, adj, lp, ref.back()));
+      }
+      ASSERT_EQ(fused.size(), ref.size()) << tag;
+      for (size_t l = 0; l < fused.size(); ++l) {
+        EXPECT_TRUE(BitwiseEqual(fused[l].value(), ref[l].value()))
+            << tag << " layer " << l;
+      }
+      ad::Var fused_scores = model.ScorePairs(fused, users, items);
+      ad::Var ref_scores = model.ScorePairs(ref, users, items);
+      EXPECT_TRUE(BitwiseEqual(fused_scores.value(), ref_scores.value()))
+          << tag;
+
+      auto grads_of = [&](const ad::Var& scores) {
+        for (ad::Var p : params) p.ZeroGrad();
+        ad::Backward(WeightedSum(scores));
+        std::vector<Tensor> g;
+        for (const ad::Var& p : params) g.push_back(p.grad());
+        return g;
+      };
+      const std::vector<Tensor> g_fused = grads_of(fused_scores);
+      const std::vector<Tensor> g_ref = grads_of(ref_scores);
+      for (size_t i = 0; i < params.size(); ++i) {
+        // psi's b3 shifts all K logits of a node alike, so the softmax
+        // cancels it: its true gradient is 0, and both tapes return
+        // rounding noise of different association.
+        if (params[i].shape() == std::vector<int64_t>{1, 1}) continue;
+        EXPECT_LT(MaxRelDiff(g_fused[i], g_ref[i]), 1e-5)
+            << tag << " param " << i;
+      }
+    }
+  }
+}
+
+// Odd shapes (K, C, S in {1, 3}, {1, 3}, {1, 4}; d = 12; N = 3001, not a
+// multiple of any shard cut) through StackedSpmm, eta, xi and psi or the
+// mean: forward bitwise equal to the reference on every bit-exact backend
+// configuration, gradients bit-identical across them.
+TEST(FusedLayerTest, OddShapesBitwiseAcrossBackends) {
+  constexpr int64_t kNodes = 3001;
+  constexpr int64_t kDim = 12;
+  constexpr int64_t kGateHidden = 7;
+  for (int64_t num_k : {1, 3}) {
+    for (int64_t channels : {1, 3}) {
+      for (int64_t heads : {1, 4}) {
+        for (bool gate : {true, false}) {
+          const std::string tag =
+              "K=" + std::to_string(num_k) + " C=" + std::to_string(channels) +
+              " S=" + std::to_string(heads) + (gate ? " psi" : " mean");
+          util::Rng rng(static_cast<uint64_t>(100 * num_k + 10 * channels +
+                                              heads));
+          std::vector<std::unique_ptr<graph::SparseOp>> owned;
+          std::vector<const graph::SparseOp*> adj;
+          for (int64_t k = 0; k < num_k; ++k) {
+            owned.push_back(RandomAdjacency(kNodes, 7 + k));
+            adj.push_back(owned.back().get());
+          }
+          TypeBehaviorEmbedding eta(kDim, channels, &rng);
+          BehaviorRelationAttention xi(kDim, heads, &rng);
+          BehaviorGate psi(kDim, kGateHidden, &rng);
+          ad::Var h = ad::Var::Param(
+              Tensor::RandomNormal({kNodes, kDim}, &rng, 0.0f, 0.5f));
+          std::vector<ad::Var> params = {h};
+          for (const nn::Module* m :
+               std::vector<const nn::Module*>{&eta, &xi, &psi}) {
+            for (const ad::Var& p : m->Parameters()) params.push_back(p);
+          }
+          GnmrConfig cfg;
+          cfg.use_behavior_gate = gate;
+          reference::LayerParams lp;
+          lp.eta = eta.Parameters();
+          lp.xi = xi.Parameters();
+          lp.psi = psi.Parameters();
+
+          std::vector<Tensor> first_grads;
+          for (const BackendCase& c : BitExactBackends()) {
+            tensor::ScopedBackend scoped(c.backend);
+            ScopedShardWorkers workers(c.workers);
+            ad::Var stack = eta.Forward(StackedSpmm(adj, h));
+            stack = xi.ForwardStacked(stack, num_k);
+            ad::Var out = gate ? psi.ForwardStacked(stack, num_k)
+                               : BehaviorMean(stack, num_k);
+            ad::Var ref = reference::Layer(cfg, adj, lp, h);
+            EXPECT_TRUE(BitwiseEqual(out.value(), ref.value()))
+                << tag << " " << c.tag;
+            for (ad::Var p : params) p.ZeroGrad();
+            ad::Backward(WeightedSum(out));
+            for (size_t i = 0; i < params.size(); ++i) {
+              if (!params[i].has_grad()) continue;  // psi's when unused
+              if (first_grads.size() < params.size()) {
+                first_grads.resize(params.size());
+              }
+              if (first_grads[i].empty()) {
+                first_grads[i] = params[i].grad();
+                continue;
+              }
+              EXPECT_TRUE(BitwiseEqual(params[i].grad(), first_grads[i]))
+                  << tag << " " << c.tag << " param " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Finite-difference checks of each fused op on its own, in the
+// tensor_grad_test style: a random weighting of every output element.
+void ExpectFusedGradOk(const std::function<ad::Var()>& out_fn,
+                       const std::vector<ad::Var>& params) {
+  auto report = ad::GradCheck([&] { return WeightedSum(out_fn()); }, params);
+  EXPECT_TRUE(report.Accept(2e-2, 2e-3))
+      << "rel=" << report.max_rel_err << " abs=" << report.max_abs_err
+      << " at " << report.worst;
+}
+
+ad::Var RandomParam(std::vector<int64_t> shape, uint64_t seed,
+                    float stddev = 1.0f) {
+  util::Rng rng(seed);
+  return ad::Var::Param(
+      Tensor::RandomNormal(std::move(shape), &rng, 0.0f, stddev));
+}
+
+TEST(FusedOpGradTest, StackedSpmm) {
+  auto a0 = RandomAdjacency(6, 1);
+  auto a1 = RandomAdjacency(6, 2);
+  ad::Var h = RandomParam({6, 3}, 3);
+  ExpectFusedGradOk([&] { return StackedSpmm({a0.get(), a1.get()}, h); },
+                    {h});
+}
+
+TEST(FusedOpGradTest, TypeEmbedding) {
+  ad::Var s = RandomParam({7, 4}, 4);
+  ad::Var w1 = RandomParam({4, 3}, 5);
+  ad::Var b1 = RandomParam({1, 3}, 6, 0.3f);
+  std::vector<ad::Var> w2 = {RandomParam({4, 4}, 7), RandomParam({4, 4}, 8),
+                             RandomParam({4, 4}, 9)};
+  std::vector<ad::Var> params = {s, w1, b1};
+  params.insert(params.end(), w2.begin(), w2.end());
+  ExpectFusedGradOk([&] { return FusedTypeEmbedding(s, w1, b1, w2); },
+                    params);
+}
+
+TEST(FusedOpGradTest, RelationAttention) {
+  // K = 3 behaviors of 4 nodes, d = 4, S = 2 heads.
+  ad::Var x = RandomParam({12, 4}, 10);
+  std::vector<ad::Var> q = {RandomParam({4, 2}, 11), RandomParam({4, 2}, 12)};
+  std::vector<ad::Var> k = {RandomParam({4, 2}, 13), RandomParam({4, 2}, 14)};
+  std::vector<ad::Var> v = {RandomParam({4, 2}, 15), RandomParam({4, 2}, 16)};
+  std::vector<ad::Var> params = {x};
+  for (const auto* group : {&q, &k, &v}) {
+    params.insert(params.end(), group->begin(), group->end());
+  }
+  ExpectFusedGradOk([&] { return FusedRelationAttention(x, 3, q, k, v); },
+                    params);
+}
+
+TEST(FusedOpGradTest, BehaviorGate) {
+  ad::Var x = RandomParam({12, 4}, 17);
+  ad::Var w3 = RandomParam({4, 5}, 18);
+  ad::Var b2 = RandomParam({1, 5}, 19, 0.3f);
+  ad::Var w2 = RandomParam({5, 1}, 20);
+  ad::Var b3 = RandomParam({1, 1}, 21);
+  ExpectFusedGradOk([&] { return FusedBehaviorGate(x, 3, w3, b2, w2, b3); },
+                    {x, w3, b2, w2, b3});
+}
+
+TEST(FusedOpGradTest, BehaviorMean) {
+  ad::Var x = RandomParam({12, 4}, 22);
+  ExpectFusedGradOk([&] { return BehaviorMean(x, 3); }, {x});
+}
+
 // ------------------------------------------------------------------ GnmrModel
 
 TEST(GnmrModelTest, PropagateReturnsLayersPlusInput) {
@@ -344,6 +757,29 @@ TEST(GnmrTrainerTest, DepthSweepRuns) {
     trainer.Train();
     trainer.model().RefreshInferenceCache();
     EXPECT_TRUE(std::isfinite(trainer.model().Score(0, 0)));
+  }
+}
+
+TEST(GnmrTrainerTest, TracedEpochRecordsTrainingSpansPerLayerPerStep) {
+  data::Dataset train = TinyTrainSet();
+  GnmrConfig cfg = FastConfig();
+  GnmrTrainer trainer(cfg, train);
+  obs::ClearTrace();
+  obs::SetTraceEnabled(true);
+  trainer.TrainEpoch();
+  obs::SetTraceEnabled(false);
+  std::map<std::string, int64_t> count;
+  for (const obs::TraceEvent& e : obs::TraceSnapshot()) ++count[e.name];
+  obs::ClearTrace();
+  const int64_t steps = count["train.step"];
+  ASSERT_GT(steps, 1);
+  for (const char* name : {"train.propagate", "train.backward", "train.adam"}) {
+    EXPECT_EQ(count[name], steps) << name;
+  }
+  for (const char* name :
+       {"train.spmm", "train.eta", "train.xi", "train.psi", "train.spmm.bwd",
+        "train.eta.bwd", "train.xi.bwd", "train.psi.bwd"}) {
+    EXPECT_EQ(count[name], cfg.num_layers * steps) << name;
   }
 }
 

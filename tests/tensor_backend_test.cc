@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -631,6 +632,35 @@ void ForEachVariantAndWorkers(
 // last shard.
 std::vector<int64_t> RaggedRows(int64_t m) {
   return {1, 7, 4099, (int64_t{1} << 16) / m + 13};
+}
+
+TEST(BackendParityTest, RunRowsCoversEveryRowOnce) {
+  // Serial runs the body once over [0, n); sharded cuts it into ordered,
+  // disjoint ranges once n * work reaches kParallelRowsMinWork. Either
+  // way every row is visited exactly once.
+  for (const KernelBackend* backend : AllBackends()) {
+    for (int64_t workers : {int64_t{1}, int64_t{3}}) {
+      ScopedShardWorkers scoped(workers);
+      for (int64_t n : {int64_t{1}, int64_t{7}, int64_t{4099}}) {
+        std::vector<int> visits(static_cast<size_t>(n), 0);
+        std::atomic<int64_t> num_calls{0};
+        backend->RunRows(n, 64, [&](int64_t lo, int64_t hi) {
+          ASSERT_LE(0, lo);
+          ASSERT_LT(lo, hi);
+          ASSERT_LE(hi, n);
+          num_calls.fetch_add(1);
+          for (int64_t r = lo; r < hi; ++r) ++visits[static_cast<size_t>(r)];
+        });
+        const std::string tag = std::string(backend->name()) + "@" +
+                                std::to_string(workers) + " n=" +
+                                std::to_string(n);
+        EXPECT_EQ(std::count(visits.begin(), visits.end(), 1), n) << tag;
+        const bool fans_out = std::string(backend->name()) == "sharded" &&
+                              workers > 1 && n * 64 >= kParallelRowsMinWork;
+        EXPECT_EQ(num_calls.load() > 1, fans_out) << tag;
+      }
+    }
+  }
 }
 
 TEST(BackendParityTest, BroadcastZipBothKindsAndOrders) {
