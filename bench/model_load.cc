@@ -41,7 +41,7 @@ struct Artifact {
   int64_t bytes = 0;
 };
 
-// Builds the v3 artifact once per process; every benchmark loads the same
+// Builds the artifact once per process; every benchmark loads the same
 // file, so heap vs mapped is an apples-to-apples read of the same bytes.
 const Artifact& SharedArtifact() {
   static const Artifact artifact = [] {
@@ -58,8 +58,8 @@ const Artifact& SharedArtifact() {
       data[i] = static_cast<float>((i % 997) - 498) * 0.01f;
     }
     Artifact a;
-    a.path = std::string(P_tmpdir) + "/gnmr_bench_model_v3.bin";
-    GNMR_CHECK(core::SaveServingModelV3(m, a.path).ok());
+    a.path = std::string(P_tmpdir) + "/gnmr_bench_model.bin";
+    GNMR_CHECK(core::SaveServingModel(m, a.path).ok());
     a.bytes = m.embeddings.numel() * static_cast<int64_t>(sizeof(float));
     return a;
   }();

@@ -6,7 +6,7 @@
 //   ./build/examples/gnmr_serve [--epochs=8] [--scale=0.3] [--k=10]
 //                               [--threads=4] [--requests=20000]
 //                               [--zipf=1.1] [--model=path] [--mmap]
-//                               [--save=path] [--save_v3=path]
+//                               [--save=path]
 //                               [--backend=sharded|serial]
 //                               [--shard_workers=N]
 //                               [--retriever=exact|ivf|hnsw] [--nlist=N]
@@ -16,31 +16,30 @@
 //                               [--trace_json=path] [--trace_sample=N]
 //
 // --model=path skips training and loads a SaveServingModel artifact;
-// --save=path writes the trained artifact for later runs. --mmap opens a
-// v3 artifact zero-copy (core::LoadServingModelMapped): the embeddings
-// serve straight out of the page cache, shared read-only across every
-// process mapping the same file (pre-v3 artifacts fall back to a heap
-// load). --save_v3=path writes the zero-copy v3 container alongside (or
-// instead of) the classic --save artifact. --backend= selects the kernel
-// backend (same choices as the GNMR_BACKEND env var; see
-// src/tensor/backend.h): "sharded" (the default) or the "serial"
-// reference. --shard_workers= sizes the shard pool used by the sharded
-// backend and the item-sharded retriever (same as the GNMR_SHARD_WORKERS
-// env var); 0 auto-sizes to one worker per hardware thread.
+// --save=path writes the artifact (with whatever index it carries) for
+// later runs. --mmap opens the artifact zero-copy
+// (core::LoadServingModelMapped): the embeddings serve straight out of
+// the page cache, shared read-only across every process mapping the same
+// file. --backend= selects the kernel backend (same choices as the
+// GNMR_BACKEND env var; see src/tensor/backend.h): "sharded" (the
+// default) or the "serial" reference. --shard_workers= sizes the shard
+// pool used by the sharded backend and the item-sharded retriever (same as
+// the GNMR_SHARD_WORKERS env var); 0 auto-sizes to one worker per hardware
+// thread.
 //
 // --retriever=ivf serves through the clustered IVF index (approximate;
 // see src/serve/ivf_retriever.h): --nlist= sets the cluster count used
 // when the index must be built here (0 = tensor::kIvfDefaultNlist),
 // --nprobe= the clusters probed per request (0 = default). An artifact
 // loaded with --model= reuses its embedded index when it has one; --save=
-// writes a v2 artifact carrying the index. Catalogues smaller than
+// writes an artifact carrying the index. Catalogues smaller than
 // tensor::kIvfMinItemsForIndex fall back to the exact scan.
 //
 // --quantized serves the probed posting lists through the two-phase int8
 // code scan (approximate code scan + exact float rerank of the rerank_k
 // best candidates; see src/serve/ivf_retriever.h). Indexes built here get
-// int8 codes attached, and --save= then writes the v4 quantized
-// container; an artifact loaded without codes serves float silently.
+// int8 codes attached, and --save= then writes the code sections too; an
+// artifact loaded without codes serves float silently.
 // --rerank_k= bounds the exact-rerank pool (0 =
 // tensor::kIvfDefaultRerankK).
 //
@@ -50,7 +49,7 @@
 // (0 = tensor::kHnswDefaultM), --ef_search= the level-0 beam width per
 // request (0 = tensor::kHnswDefaultEfSearch). An artifact loaded with
 // --model= reuses its embedded graph when it has one; --save= then writes
-// the v5 container carrying it. Catalogues smaller than
+// an artifact carrying it. Catalogues smaller than
 // tensor::kHnswMinItemsForIndex fall back to the exact scan. The final
 // report adds hops and distance evaluations per query next to the MB
 // streamed.
@@ -75,6 +74,8 @@
 #include "src/core/model_io.h"
 #include "src/data/split.h"
 #include "src/data/synthetic.h"
+#include "src/serve/hnsw_retriever.h"
+#include "src/serve/ivf_retriever.h"
 #include "src/serve/rec_service.h"
 #include "src/serve/zipf_stream.h"
 #include "src/tensor/backend.h"
@@ -170,7 +171,6 @@ int main(int argc, char** argv) {
   std::string model_path = flags.GetString("model", "");
   bool use_mmap = flags.GetBool("mmap", false);
   std::string save_path = flags.GetString("save", "");
-  std::string save_v3_path = flags.GetString("save_v3", "");
   std::string retriever_name = flags.GetString("retriever", "exact");
   int64_t nlist = flags.GetInt("nlist", 0);
   int64_t nprobe = flags.GetInt("nprobe", 0);
@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
   }
 
   // 1b. Retrieval strategy: attach the IVF index before the snapshot is
-  //     frozen. A loaded v2 artifact brings its own index; --nlist forces
+  //     frozen. A loaded artifact may bring its own index; --nlist forces
   //     a rebuild at a different cluster count.
   serve::RecService::Options service_options;
   // Hot swaps reload the artifact the same way it was first opened.
@@ -307,16 +307,11 @@ int main(int argc, char** argv) {
     }
   }
   if (!save_path.empty()) {
-    // v1 without an index, v2 with one, v5 with an HNSW graph — so
+    // The artifact carries whatever index was attached above, so
     // --retriever=ivf (or =hnsw) --save= upgrades an artifact in place.
     util::Status s = core::SaveServingModel(artifact, save_path);
     std::printf("saved artifact to %s: %s\n", save_path.c_str(),
                 s.ToString().c_str());
-  }
-  if (!save_v3_path.empty()) {
-    util::Status s = core::SaveServingModelV3(artifact, save_v3_path);
-    std::printf("saved v3 (zero-copy) artifact to %s: %s\n",
-                save_v3_path.c_str(), s.ToString().c_str());
   }
   auto snapshot =
       std::make_shared<const core::ServingModel>(std::move(artifact));

@@ -1,17 +1,13 @@
 #include "src/core/model_io.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <fstream>
-#include <queue>
+#include <limits>
 #include <utility>
 
 #include "src/obs/trace.h"
 #include "src/tensor/backend.h"
 #include "src/tensor/kernel_tunables.h"
-#include "src/tensor/kmeans.h"
-#include "src/tensor/quantize.h"
 #include "src/util/check.h"
 #include "src/util/crc32.h"
 
@@ -20,28 +16,28 @@ namespace core {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'G', 'N', 'M', 'R', 'S', 'M', '0', '1'};
-constexpr char kMagicV2[8] = {'G', 'N', 'M', 'R', 'S', 'M', '0', '2'};
-constexpr char kMagicV3[8] = {'G', 'N', 'M', 'R', 'S', 'M', '0', '3'};
-constexpr char kMagicV4[8] = {'G', 'N', 'M', 'R', 'S', 'M', '0', '4'};
-constexpr char kMagicV5[8] = {'G', 'N', 'M', 'R', 'S', 'M', '0', '5'};
+// The magic every artifact is written with. Earlier builds also wrote
+// "GNMRSM04" and "GNMRSM05" for the same container; the parser accepts all
+// three and reads the content from the section table alone.
+constexpr char kMagic[8] = {'G', 'N', 'M', 'R', 'S', 'M', '0', '3'};
+constexpr size_t kMagicBytes = sizeof(kMagic);
 
-// v3 container layout constants. Payload sections start at 64-byte-
-// aligned file offsets so that, under a page-aligned mmap base, every
-// tensor view is 64-byte-aligned in memory (cache-line / SIMD friendly).
-constexpr int64_t kV3Align = 64;
-constexpr int64_t kV3HeaderBytes = 8 + 4 * 8;  // magic + 4 int64 fields
-constexpr int64_t kV3EntryBytes = 4 * 8;       // id, offset, length, crc
+// Container layout constants. Payload sections start at 64-byte-aligned
+// file offsets so that, under a page-aligned mmap base, every tensor view
+// is 64-byte-aligned in memory (cache-line / SIMD friendly).
+constexpr int64_t kAlign = 64;
+constexpr int64_t kHeaderBytes = 8 + 4 * 8;  // magic + 4 int64 fields
+constexpr int64_t kEntryBytes = 4 * 8;       // id, offset, length, crc
 
 // Section ids, in their mandatory file order.
 constexpr int64_t kSecEmbeddings = 1;
 constexpr int64_t kSecIvfCentroids = 2;
 constexpr int64_t kSecIvfOffsets = 3;
 constexpr int64_t kSecIvfItems = 4;
-// v4 only: the quantized scan tier (posting-list position order).
+// The quantized scan tier (posting-list position order).
 constexpr int64_t kSecIvfCodes = 5;
 constexpr int64_t kSecIvfScales = 6;
-// v5 only: the HNSW graph tier (meta, per-level CSR offsets, neighbors).
+// The HNSW graph tier (meta, per-level CSR offsets, neighbors).
 constexpr int64_t kSecHnswMeta = 7;
 constexpr int64_t kSecHnswOffsets = 8;
 constexpr int64_t kSecHnswNeighbors = 9;
@@ -51,7 +47,18 @@ constexpr int64_t kSecMaxId = 9;
 constexpr int64_t kHnswMetaFields = 4;
 
 int64_t AlignUp64(int64_t offset) {
-  return (offset + kV3Align - 1) / kV3Align * kV3Align;
+  return (offset + kAlign - 1) / kAlign * kAlign;
+}
+
+// a * b * elem_bytes for non-negative a, b and positive elem_bytes, or -1
+// when the product exceeds `limit`. Every section lies inside the file, so
+// a header field whose size product exceeds the file size is corrupt;
+// testing by division keeps the arithmetic itself from overflowing.
+int64_t BytesWithin(int64_t a, int64_t b, int64_t elem_bytes, int64_t limit) {
+  if (b > limit / elem_bytes) return -1;
+  const int64_t row_bytes = b * elem_bytes;
+  if (row_bytes != 0 && a > limit / row_bytes) return -1;
+  return a * row_bytes;
 }
 
 struct SectionEntry {
@@ -81,17 +88,22 @@ class ServingScorer : public eval::Scorer {
   std::shared_ptr<const ServingModel> keepalive_;
 };
 
+// One section's payload as Storage<T>: an owned copy, or a view that
+// `keepalive` (the mapping) anchors.
+template <typename T>
+tensor::Storage<T> SectionStorage(
+    const uint8_t* base, const SectionEntry& e, bool copy_into_owned,
+    const std::shared_ptr<const util::MappedFile>& keepalive) {
+  const T* p = reinterpret_cast<const T*>(base + e.offset);
+  const int64_t n = e.length / static_cast<int64_t>(sizeof(T));
+  if (copy_into_owned) return tensor::Storage<T>(std::vector<T>(p, p + n));
+  return tensor::Storage<T>::View(p, n, keepalive);
+}
+
 template <typename T>
 void WritePod(std::ofstream& out, const T* data, size_t count) {
   out.write(reinterpret_cast<const char*>(data),
             static_cast<std::streamsize>(count * sizeof(T)));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T* data, size_t count) {
-  in.read(reinterpret_cast<char*>(data),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  return in.good();
 }
 
 // Structural validation shared by LoadServingModel and CheckConsistent;
@@ -148,7 +160,10 @@ std::string IvfProblem(const IvfIndex& ivf, int64_t num_items,
 // a message ("" = sound) so the loader can surface a ParseError for a
 // corrupt neighbor section instead of aborting.
 std::string HnswProblem(const HnswIndex& hnsw, int64_t num_items) {
-  if (hnsw.m < 1) return "hnsw m invalid";
+  // The level-0 cap is 2 * m, so m must leave room to double.
+  if (hnsw.m < 1 || hnsw.m > std::numeric_limits<int64_t>::max() / 2) {
+    return "hnsw m invalid";
+  }
   if (hnsw.ef_construction < 1) return "hnsw ef_construction invalid";
   if (hnsw.num_levels < 1 ||
       hnsw.num_levels > tensor::kHnswMaxLevel + 1) {
@@ -202,50 +217,58 @@ std::string HnswProblem(const HnswIndex& hnsw, int64_t num_items) {
   return "";
 }
 
-// True if the first 8 bytes of `data` (size permitting) carry the v3, v4
-// or v5 container magic — the formats ParseV3 understands.
-bool HasV3FamilyMagic(const uint8_t* data, int64_t size) {
-  if (size < static_cast<int64_t>(sizeof(kMagicV3))) return false;
-  return std::memcmp(data, kMagicV3, sizeof(kMagicV3)) == 0 ||
-         std::memcmp(data, kMagicV4, sizeof(kMagicV4)) == 0 ||
-         std::memcmp(data, kMagicV5, sizeof(kMagicV5)) == 0;
-}
-
-// Parses a v3/v4 container from a contiguous byte range. With
+// Parses the section container from a contiguous byte range. With
 // `copy_into_owned`, tensors are deep-copied into heap storage; otherwise
 // they are constructed as views with `keepalive` (the mapping) anchoring
 // the memory. Structural validation always runs; payload checksums only
 // when `verify_checksums` (they touch every byte).
-util::Result<ServingModel> ParseV3(
+util::Result<ServingModel> ParseContainer(
     const uint8_t* base, int64_t file_size, const std::string& path,
     bool copy_into_owned, bool verify_checksums,
     std::shared_ptr<const util::MappedFile> keepalive) {
-  if (file_size < kV3HeaderBytes) {
-    return util::Status::ParseError("truncated v3 header in " + path);
+  if (file_size < static_cast<int64_t>(kMagicBytes)) {
+    return util::Status::ParseError("truncated header in " + path);
   }
-  GNMR_CHECK(HasV3FamilyMagic(base, file_size));
-  const bool is_v4 = std::memcmp(base, kMagicV4, sizeof(kMagicV4)) == 0;
-  const bool is_v5 = std::memcmp(base, kMagicV5, sizeof(kMagicV5)) == 0;
+  // GNMRSM03, 04 and 05 name the same container. 01 and 02 were a
+  // streamed layout with no section table that this build no longer reads.
+  const std::string magic(reinterpret_cast<const char*>(base), kMagicBytes);
+  if (magic == "GNMRSM01" || magic == "GNMRSM02") {
+    return util::Status::ParseError("retired artifact format " + magic +
+                                    " in " + path +
+                                    "; re-save with this build");
+  }
+  if (magic != "GNMRSM03" && magic != "GNMRSM04" && magic != "GNMRSM05") {
+    return util::Status::ParseError("bad magic in " + path);
+  }
+  if (file_size < kHeaderBytes) {
+    return util::Status::ParseError("truncated header in " + path);
+  }
   int64_t header[4];
-  std::memcpy(header, base + 8, sizeof(header));
+  std::memcpy(header, base + kMagicBytes, sizeof(header));
   ServingModel model;
   model.num_users = header[0];
   model.num_items = header[1];
   const int64_t width = header[2];
   const int64_t section_count = header[3];
   if (model.num_users <= 0 || model.num_items <= 0 || width <= 0) {
-    return util::Status::ParseError("invalid dimensions in v3 header");
+    return util::Status::ParseError("invalid dimensions in header");
+  }
+  // Each dimension counts at least one stored byte, so none can exceed
+  // the file size; this also keeps num_users + num_items from overflowing.
+  if (model.num_users > file_size || model.num_items > file_size ||
+      width > file_size) {
+    return util::Status::ParseError("dimensions exceed the file size");
   }
   if (section_count < 1 || section_count > kSecMaxId) {
-    return util::Status::ParseError("invalid v3 section count");
+    return util::Status::ParseError("invalid section count");
   }
-  const int64_t table_end = kV3HeaderBytes + section_count * kV3EntryBytes;
+  const int64_t table_end = kHeaderBytes + section_count * kEntryBytes;
   if (file_size < table_end) {
-    return util::Status::ParseError("truncated v3 section table in " + path);
+    return util::Status::ParseError("truncated section table in " + path);
   }
   std::vector<SectionEntry> entries(static_cast<size_t>(section_count));
-  std::memcpy(entries.data(), base + kV3HeaderBytes,
-              static_cast<size_t>(section_count * kV3EntryBytes));
+  std::memcpy(entries.data(), base + kHeaderBytes,
+              static_cast<size_t>(section_count * kEntryBytes));
 
   // The writer lays sections out back-to-back at the next 64-byte-aligned
   // offset, in ascending id order, with nothing after the last one;
@@ -257,16 +280,16 @@ util::Result<ServingModel> ParseV3(
   for (int64_t i = 0; i < section_count; ++i) {
     const SectionEntry& e = entries[static_cast<size_t>(i)];
     if (e.id <= prev_id || e.id > kSecMaxId) {
-      return util::Status::ParseError("unexpected v3 section id");
+      return util::Status::ParseError("unexpected section id");
     }
     prev_id = e.id;
     sec[e.id] = &e;
     if (e.length < 0 || e.offset != expected_offset ||
         e.offset > file_size - e.length) {
-      return util::Status::ParseError("v3 section out of bounds");
+      return util::Status::ParseError("section out of bounds");
     }
     if (e.crc < 0 || e.crc > 0xFFFFFFFFll) {
-      return util::Status::ParseError("invalid v3 section crc");
+      return util::Status::ParseError("invalid section crc");
     }
     expected_offset = AlignUp64(e.offset + e.length);
   }
@@ -275,11 +298,9 @@ util::Result<ServingModel> ParseV3(
     return util::Status::ParseError("trailing bytes in " + path);
   }
 
-  // Tier presence: IVF travels as all three sections or none, codes as
-  // both or neither (and only on top of IVF), HNSW as all three or none —
-  // and the magic must match the content. v3: embeddings, optionally IVF.
-  // v4: exactly the six IVF + code sections. v5: an HNSW graph on top of
-  // any v3/v4 combination.
+  // Section presence defines the content: embeddings always, IVF as all
+  // three sections or none, codes as both or neither (and only on top of
+  // IVF), HNSW as all three or none.
   const bool has_ivf_secs = sec[kSecIvfCentroids] != nullptr;
   const bool has_code_secs = sec[kSecIvfCodes] != nullptr;
   const bool has_hnsw_secs = sec[kSecHnswMeta] != nullptr;
@@ -290,68 +311,62 @@ util::Result<ServingModel> ParseV3(
       (has_code_secs && !has_ivf_secs) ||
       has_hnsw_secs != (sec[kSecHnswOffsets] != nullptr) ||
       has_hnsw_secs != (sec[kSecHnswNeighbors] != nullptr)) {
-    return util::Status::ParseError("incomplete v3 section set");
-  }
-  if (is_v5 ? !has_hnsw_secs
-            : (has_hnsw_secs || (is_v4 != has_code_secs))) {
-    return util::Status::ParseError("v3 magic does not match sections");
+    return util::Status::ParseError("incomplete section set");
   }
 
+  constexpr int64_t kF32 = static_cast<int64_t>(sizeof(float));
+  constexpr int64_t kI64 = static_cast<int64_t>(sizeof(int64_t));
   const int64_t rows = model.num_users + model.num_items;
   if (sec[kSecEmbeddings]->length !=
-      rows * width * static_cast<int64_t>(sizeof(float))) {
-    return util::Status::ParseError("v3 embeddings size mismatch");
+      BytesWithin(rows, width, kF32, file_size)) {
+    return util::Status::ParseError("embeddings size mismatch");
   }
   int64_t nlist = 0;
   if (has_ivf_secs) {
     const SectionEntry& off = *sec[kSecIvfOffsets];
-    if (off.length < 2 * static_cast<int64_t>(sizeof(int64_t)) ||
-        off.length % static_cast<int64_t>(sizeof(int64_t)) != 0) {
-      return util::Status::ParseError("v3 ivf offsets size mismatch");
+    if (off.length < 2 * kI64 || off.length % kI64 != 0) {
+      return util::Status::ParseError("ivf offsets size mismatch");
     }
-    nlist = off.length / static_cast<int64_t>(sizeof(int64_t)) - 1;
+    nlist = off.length / kI64 - 1;
     if (nlist < 1 || nlist > model.num_items) {
-      return util::Status::ParseError("invalid v3 ivf nlist");
+      return util::Status::ParseError("invalid ivf nlist");
     }
     if (sec[kSecIvfCentroids]->length !=
-        nlist * width * static_cast<int64_t>(sizeof(float))) {
-      return util::Status::ParseError("v3 ivf centroids size mismatch");
+        BytesWithin(nlist, width, kF32, file_size)) {
+      return util::Status::ParseError("ivf centroids size mismatch");
     }
     if (sec[kSecIvfItems]->length !=
-        model.num_items * static_cast<int64_t>(sizeof(int64_t))) {
-      return util::Status::ParseError("v3 ivf items size mismatch");
+        BytesWithin(model.num_items, 1, kI64, file_size)) {
+      return util::Status::ParseError("ivf items size mismatch");
     }
   }
   if (has_code_secs) {
-    if (sec[kSecIvfCodes]->length != model.num_items * width) {
-      return util::Status::ParseError("v4 ivf codes size mismatch");
+    if (sec[kSecIvfCodes]->length !=
+        BytesWithin(model.num_items, width, 1, file_size)) {
+      return util::Status::ParseError("ivf codes size mismatch");
     }
     if (sec[kSecIvfScales]->length !=
-        model.num_items * static_cast<int64_t>(sizeof(float))) {
-      return util::Status::ParseError("v4 ivf scales size mismatch");
+        BytesWithin(model.num_items, 1, kF32, file_size)) {
+      return util::Status::ParseError("ivf scales size mismatch");
     }
   }
   int64_t hnsw_meta[kHnswMetaFields] = {0, 0, 0, 0};
   if (has_hnsw_secs) {
-    if (sec[kSecHnswMeta]->length !=
-        kHnswMetaFields * static_cast<int64_t>(sizeof(int64_t))) {
-      return util::Status::ParseError("v5 hnsw meta size mismatch");
+    if (sec[kSecHnswMeta]->length != kHnswMetaFields * kI64) {
+      return util::Status::ParseError("hnsw meta size mismatch");
     }
     std::memcpy(hnsw_meta, base + sec[kSecHnswMeta]->offset,
                 sizeof(hnsw_meta));
     const int64_t num_levels = hnsw_meta[3];
     if (num_levels < 1 || num_levels > tensor::kHnswMaxLevel + 1) {
-      return util::Status::ParseError("invalid v5 hnsw level count");
+      return util::Status::ParseError("invalid hnsw level count");
     }
     if (sec[kSecHnswOffsets]->length !=
-        num_levels * (model.num_items + 1) *
-            static_cast<int64_t>(sizeof(int64_t))) {
-      return util::Status::ParseError("v5 hnsw offsets size mismatch");
+        BytesWithin(num_levels, model.num_items + 1, kI64, file_size)) {
+      return util::Status::ParseError("hnsw offsets size mismatch");
     }
-    if (sec[kSecHnswNeighbors]->length %
-            static_cast<int64_t>(sizeof(int64_t)) !=
-        0) {
-      return util::Status::ParseError("v5 hnsw neighbors size mismatch");
+    if (sec[kSecHnswNeighbors]->length % kI64 != 0) {
+      return util::Status::ParseError("hnsw neighbors size mismatch");
     }
   }
 
@@ -378,27 +393,7 @@ util::Result<ServingModel> ParseV3(
     return tensor::Tensor::FromView(std::move(shape), p, keepalive);
   };
   const auto int_view = [&](const SectionEntry& e) {
-    const int64_t* p = reinterpret_cast<const int64_t*>(base + e.offset);
-    const int64_t n = e.length / static_cast<int64_t>(sizeof(int64_t));
-    if (copy_into_owned) {
-      return tensor::Storage<int64_t>(std::vector<int64_t>(p, p + n));
-    }
-    return tensor::Storage<int64_t>::View(p, n, keepalive);
-  };
-  const auto i8_view = [&](const SectionEntry& e) {
-    const int8_t* p = reinterpret_cast<const int8_t*>(base + e.offset);
-    if (copy_into_owned) {
-      return tensor::Storage<int8_t>(std::vector<int8_t>(p, p + e.length));
-    }
-    return tensor::Storage<int8_t>::View(p, e.length, keepalive);
-  };
-  const auto f32_view = [&](const SectionEntry& e) {
-    const float* p = reinterpret_cast<const float*>(base + e.offset);
-    const int64_t n = e.length / static_cast<int64_t>(sizeof(float));
-    if (copy_into_owned) {
-      return tensor::Storage<float>(std::vector<float>(p, p + n));
-    }
-    return tensor::Storage<float>::View(p, n, keepalive);
+    return SectionStorage<int64_t>(base, e, copy_into_owned, keepalive);
   };
 
   model.embeddings = float_view(*sec[kSecEmbeddings], {rows, width});
@@ -408,8 +403,10 @@ util::Result<ServingModel> ParseV3(
     ivf->list_offsets = int_view(*sec[kSecIvfOffsets]);
     ivf->list_items = int_view(*sec[kSecIvfItems]);
     if (has_code_secs) {
-      ivf->codes = i8_view(*sec[kSecIvfCodes]);
-      ivf->code_scales = f32_view(*sec[kSecIvfScales]);
+      ivf->codes = SectionStorage<int8_t>(base, *sec[kSecIvfCodes],
+                                          copy_into_owned, keepalive);
+      ivf->code_scales = SectionStorage<float>(base, *sec[kSecIvfScales],
+                                               copy_into_owned, keepalive);
     }
     const std::string problem = IvfProblem(*ivf, model.num_items, width);
     if (!problem.empty()) {
@@ -478,463 +475,8 @@ ServingModel ExportServingModel(const GnmrModel& model) {
   return out;
 }
 
-util::Status BuildIvfIndex(ServingModel* model, int64_t nlist,
-                           bool quantize) {
-  GNMR_CHECK(model != nullptr);
-  if (model->embeddings.empty() ||
-      model->embeddings.rows() != model->num_users + model->num_items) {
-    return util::Status::InvalidArgument("inconsistent serving model");
-  }
-  if (nlist <= 0) nlist = tensor::kIvfDefaultNlist;
-  nlist = std::min(nlist, model->num_items);
-
-  const int64_t width = model->embeddings.cols();
-  // Read through const data(): the model may be view-backed (mmap), in
-  // which case the mutable accessor would abort.
-  const float* item_rows =
-      std::as_const(model->embeddings).data() + model->num_users * width;
-  tensor::KMeansOptions options;
-  options.max_iters = tensor::kIvfKMeansMaxIters;
-  tensor::KMeansResult clusters =
-      tensor::KMeansRows(item_rows, model->num_items, width, nlist, options);
-
-  auto ivf = std::make_shared<IvfIndex>();
-  ivf->centroids = std::move(clusters.centroids);
-  std::vector<int64_t> list_offsets(static_cast<size_t>(nlist) + 1, 0);
-  for (int64_t c = 0; c < nlist; ++c) {
-    list_offsets[static_cast<size_t>(c) + 1] =
-        list_offsets[static_cast<size_t>(c)] +
-        clusters.sizes[static_cast<size_t>(c)];
-  }
-  // Counting sort by cluster: walking items in ascending id order makes
-  // each posting list ascending by construction.
-  std::vector<int64_t> list_items(static_cast<size_t>(model->num_items));
-  std::vector<int64_t> cursor(list_offsets.begin(), list_offsets.end() - 1);
-  for (int64_t item = 0; item < model->num_items; ++item) {
-    const int64_t c = clusters.assignments[static_cast<size_t>(item)];
-    list_items[static_cast<size_t>(cursor[static_cast<size_t>(c)]++)] = item;
-  }
-  ivf->list_offsets = std::move(list_offsets);
-  ivf->list_items = std::move(list_items);
-  if (quantize) {
-    // Codes live in posting-list position order so the serving scan
-    // streams each probed list contiguously: position pos quantizes the
-    // embedding row of item list_items[pos].
-    std::vector<int8_t> codes(
-        static_cast<size_t>(model->num_items * width));
-    std::vector<float> scales(static_cast<size_t>(model->num_items));
-    for (int64_t pos = 0; pos < model->num_items; ++pos) {
-      const int64_t item = ivf->list_items[static_cast<size_t>(pos)];
-      scales[static_cast<size_t>(pos)] = tensor::quant::QuantizeRowI8(
-          item_rows + item * width, width,
-          codes.data() + pos * width);
-    }
-    ivf->codes = std::move(codes);
-    ivf->code_scales = std::move(scales);
-  }
-  ivf->CheckConsistent(model->num_items, width);
-  model->ivf = std::move(ivf);
-  return util::Status::OK();
-}
-
-namespace {
-
-// A scored graph-build candidate under the serving total order (score
-// desc, ties by ascending item id) — the same contract as
-// serve::BetterThan, restated here because core cannot depend on serve.
-struct HnswCand {
-  int64_t id = 0;
-  float score = 0.0f;
-};
-
-bool HnswBetter(const HnswCand& a, const HnswCand& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.id < b.id;
-}
-
-// splitmix64 of (item, kHnswLevelSeed): the level draw must be a pure
-// per-item function — independent of insertion order, backend and every
-// runtime knob — so the layer structure is reproducible by construction.
-uint64_t HnswItemHash(int64_t item) {
-  uint64_t z = static_cast<uint64_t>(item) + tensor::kHnswLevelSeed;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-// Geometric level assignment: floor(-ln(u) / ln(m)) with u uniform in
-// (0, 1] from the item hash — each level keeps ~1/m of the one below.
-int64_t HnswLevelForItem(int64_t item, double inv_log_m) {
-  const uint64_t bits = HnswItemHash(item) >> 11;  // top 53 bits
-  const double u =
-      (static_cast<double>(bits) + 1.0) * (1.0 / 9007199254740992.0);
-  const double level = -std::log(u) * inv_log_m;
-  return std::min(static_cast<int64_t>(level), tensor::kHnswMaxLevel);
-}
-
-// Offline HNSW construction state. Every distance is an inner-product
-// score through KernelBackend::QueryDotIndexed (single dots via
-// tensor::LanePartialDot — the identical accumulation), ranked under the
-// HnswBetter total order, so the finished graph is bit-identical on every
-// backend.
-class HnswBuilder {
- public:
-  HnswBuilder(const float* item_rows, int64_t n, int64_t width, int64_t m,
-              int64_t ef_construction)
-      : rows_(item_rows),
-        n_(n),
-        width_(width),
-        m_(m),
-        ef_(ef_construction),
-        levels_(static_cast<size_t>(n)),
-        visited_(static_cast<size_t>(n), 0) {
-    const double inv_log_m = 1.0 / std::log(static_cast<double>(m_));
-    int64_t max_level = 0;
-    for (int64_t i = 0; i < n_; ++i) {
-      levels_[static_cast<size_t>(i)] = HnswLevelForItem(i, inv_log_m);
-      max_level = std::max(max_level, levels_[static_cast<size_t>(i)]);
-    }
-    adj_.resize(static_cast<size_t>(max_level) + 1);
-    for (auto& level : adj_) level.resize(static_cast<size_t>(n));
-  }
-
-  void InsertAll() {
-    // Hash-shuffled insertion order (a second splitmix64 pass over the
-    // level hash, ties by id): catalogues often lay correlated items out
-    // contiguously — think one category's items in one id range — and
-    // inserting them in id order starts every such region with no graph
-    // structure near it, fragmenting the region into components the
-    // search cannot cross. Shuffling makes every insertion prefix a
-    // uniform sample of the catalogue. Still a pure function of the item
-    // ids, so the graph stays reproducible by construction.
-    std::vector<int64_t> order(static_cast<size_t>(n_));
-    for (int64_t i = 0; i < n_; ++i) order[static_cast<size_t>(i)] = i;
-    std::vector<uint64_t> keys(static_cast<size_t>(n_));
-    for (int64_t i = 0; i < n_; ++i) {
-      uint64_t z = HnswItemHash(i) + 0x9e3779b97f4a7c15ull;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      keys[static_cast<size_t>(i)] = z ^ (z >> 31);
-    }
-    std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-      const uint64_t ka = keys[static_cast<size_t>(a)];
-      const uint64_t kb = keys[static_cast<size_t>(b)];
-      if (ka != kb) return ka < kb;
-      return a < b;
-    });
-    for (int64_t q : order) Insert(q);
-  }
-
-  int64_t entry_point() const { return entry_; }
-  int64_t num_levels() const { return static_cast<int64_t>(adj_.size()); }
-
-  /// Flattens the adjacency into the persisted CSR form: per-level rows of
-  /// ascending neighbor ids, levels tiled back to back.
-  void Flatten(std::vector<int64_t>* offsets,
-               std::vector<int64_t>* neighbors) const {
-    const int64_t stride = n_ + 1;
-    offsets->assign(static_cast<size_t>(num_levels() * stride), 0);
-    size_t total = 0;
-    for (const auto& level : adj_) {
-      for (const auto& list : level) total += list.size();
-    }
-    neighbors->clear();
-    neighbors->reserve(total);
-    int64_t pos = 0;
-    for (int64_t l = 0; l < num_levels(); ++l) {
-      for (int64_t i = 0; i < n_; ++i) {
-        (*offsets)[static_cast<size_t>(l * stride + i)] = pos;
-        std::vector<int64_t> sorted = adj_[static_cast<size_t>(l)]
-                                          [static_cast<size_t>(i)];
-        std::sort(sorted.begin(), sorted.end());
-        neighbors->insert(neighbors->end(), sorted.begin(), sorted.end());
-        pos += static_cast<int64_t>(sorted.size());
-      }
-      (*offsets)[static_cast<size_t>(l * stride + n_)] = pos;
-    }
-  }
-
- private:
-  const float* Row(int64_t item) const { return rows_ + item * width_; }
-
-  HnswCand ScoreOne(const float* qrow, int64_t item) const {
-    return {item,
-            static_cast<float>(tensor::LanePartialDot(qrow, Row(item),
-                                                      width_))};
-  }
-
-  void Insert(int64_t q) {
-    GNMR_TRACE_SPAN("hnsw.insert");
-    const int64_t q_level = levels_[static_cast<size_t>(q)];
-    if (entry_ < 0) {  // the first node seeds every layer it occupies
-      entry_ = q;
-      max_level_ = q_level;
-      return;
-    }
-    const float* qrow = Row(q);
-    std::vector<HnswCand> eps = {ScoreOne(qrow, entry_)};
-    // Greedy descent through the layers above q: ef = 1 keeps only the
-    // closest node per layer, the classic zoom-in phase.
-    for (int64_t l = max_level_; l > q_level; --l) {
-      eps = SearchLayer(qrow, eps, 1, l);
-    }
-    for (int64_t l = std::min(q_level, max_level_); l >= 0; --l) {
-      std::vector<HnswCand> found = SearchLayer(qrow, eps, ef_, l);
-      const int64_t cap = l == 0 ? 2 * m_ : m_;
-      const std::vector<HnswCand> chosen =
-          SelectNeighbors(found, m_, Row(q));
-      std::vector<int64_t>& q_list =
-          adj_[static_cast<size_t>(l)][static_cast<size_t>(q)];
-      for (const HnswCand& s : chosen) {
-        q_list.push_back(s.id);
-        LinkBack(l, s.id, q, cap);
-      }
-      eps = std::move(found);
-    }
-    if (q_level > max_level_) {
-      entry_ = q;
-      max_level_ = q_level;
-    }
-  }
-
-  /// Best-first beam search over one layer: expands the closest frontier
-  /// node until the best unexpanded candidate cannot improve the
-  /// ef-bounded result set. Returns the results sorted best first.
-  std::vector<HnswCand> SearchLayer(const float* qrow,
-                                    const std::vector<HnswCand>& entries,
-                                    int64_t ef, int64_t level) {
-    ++epoch_;
-    const auto worse = [](const HnswCand& a, const HnswCand& b) {
-      return HnswBetter(b, a);
-    };
-    std::priority_queue<HnswCand, std::vector<HnswCand>, decltype(worse)>
-        frontier(worse);
-    std::vector<HnswCand> best;  // worst-on-top bounded heap of size ef
-    best.reserve(static_cast<size_t>(ef) + 1);
-    for (const HnswCand& e : entries) {
-      if (visited_[static_cast<size_t>(e.id)] == epoch_) continue;
-      visited_[static_cast<size_t>(e.id)] = epoch_;
-      frontier.push(e);
-      OfferBounded(&best, ef, e);
-    }
-    const auto& level_adj = adj_[static_cast<size_t>(level)];
-    std::vector<int64_t> fresh;
-    std::vector<float> scores;
-    while (!frontier.empty()) {
-      const HnswCand c = frontier.top();
-      frontier.pop();
-      if (static_cast<int64_t>(best.size()) == ef &&
-          !HnswBetter(c, best.front())) {
-        break;
-      }
-      fresh.clear();
-      for (int64_t nb : level_adj[static_cast<size_t>(c.id)]) {
-        if (visited_[static_cast<size_t>(nb)] == epoch_) continue;
-        visited_[static_cast<size_t>(nb)] = epoch_;
-        fresh.push_back(nb);
-      }
-      if (fresh.empty()) continue;
-      scores.resize(fresh.size());
-      tensor::GetBackend().QueryDotIndexed(
-          qrow, rows_, fresh.data(), scores.data(),
-          static_cast<int64_t>(fresh.size()), width_);
-      for (size_t i = 0; i < fresh.size(); ++i) {
-        const HnswCand cand{fresh[i], scores[i]};
-        frontier.push(cand);
-        OfferBounded(&best, ef, cand);
-      }
-    }
-    std::sort(best.begin(), best.end(), HnswBetter);
-    return best;
-  }
-
-  /// serve::OfferToBoundedHeap restated for build candidates (no seen
-  /// filtering): worst-on-top heap, kept set independent of offer order.
-  static void OfferBounded(std::vector<HnswCand>* heap, int64_t k,
-                           const HnswCand& e) {
-    if (static_cast<int64_t>(heap->size()) == k &&
-        !HnswBetter(e, heap->front())) {
-      return;
-    }
-    if (static_cast<int64_t>(heap->size()) < k) {
-      heap->push_back(e);
-      std::push_heap(heap->begin(), heap->end(), HnswBetter);
-    } else {
-      std::pop_heap(heap->begin(), heap->end(), HnswBetter);
-      heap->back() = e;
-      std::push_heap(heap->begin(), heap->end(), HnswBetter);
-    }
-  }
-
-  /// The heuristic prune (Malkov & Yashunin, Algorithm 4) in inner-product
-  /// form: walking candidates best first, keep c only when no
-  /// already-selected s is closer to c than the new node is (dot(c, s) <=
-  /// dot(c, q)) — selected neighbors spread across directions instead of
-  /// crowding one cluster. Dominated candidates backfill remaining slots
-  /// (keep-pruned-connections), preserving degree for connectivity.
-  std::vector<HnswCand> SelectNeighbors(const std::vector<HnswCand>& cands,
-                                        int64_t cap,
-                                        const float* qrow) const {
-    (void)qrow;
-    std::vector<HnswCand> selected;
-    selected.reserve(static_cast<size_t>(cap));
-    for (const HnswCand& c : cands) {
-      if (static_cast<int64_t>(selected.size()) == cap) break;
-      const float* crow = Row(c.id);
-      bool keep = true;
-      for (const HnswCand& s : selected) {
-        const float cs = static_cast<float>(
-            tensor::LanePartialDot(crow, Row(s.id), width_));
-        if (cs > c.score) {
-          keep = false;
-          break;
-        }
-      }
-      if (keep) selected.push_back(c);
-    }
-    if (static_cast<int64_t>(selected.size()) < cap) {
-      for (const HnswCand& c : cands) {
-        if (static_cast<int64_t>(selected.size()) == cap) break;
-        bool present = false;
-        for (const HnswCand& s : selected) {
-          if (s.id == c.id) {
-            present = true;
-            break;
-          }
-        }
-        if (!present) selected.push_back(c);
-      }
-    }
-    return selected;
-  }
-
-  /// Adds the back edge s -> q, re-pruning s's list when it exceeds the
-  /// level cap (scored against s, same heuristic as the forward edges).
-  void LinkBack(int64_t level, int64_t s, int64_t q, int64_t cap) {
-    std::vector<int64_t>& list =
-        adj_[static_cast<size_t>(level)][static_cast<size_t>(s)];
-    list.push_back(q);
-    if (static_cast<int64_t>(list.size()) <= cap) return;
-    const float* srow = Row(s);
-    std::vector<float> scores(list.size());
-    tensor::GetBackend().QueryDotIndexed(srow, rows_, list.data(),
-                                         scores.data(),
-                                         static_cast<int64_t>(list.size()),
-                                         width_);
-    std::vector<HnswCand> cands(list.size());
-    for (size_t i = 0; i < list.size(); ++i) {
-      cands[i] = {list[i], scores[i]};
-    }
-    std::sort(cands.begin(), cands.end(), HnswBetter);
-    const std::vector<HnswCand> kept = SelectNeighbors(cands, cap, srow);
-    list.clear();
-    for (const HnswCand& c : kept) list.push_back(c.id);
-  }
-
-  const float* rows_;
-  const int64_t n_;
-  const int64_t width_;
-  const int64_t m_;
-  const int64_t ef_;
-  std::vector<int64_t> levels_;
-  /// adj_[level][item] = current neighbor ids (unordered during build).
-  std::vector<std::vector<std::vector<int64_t>>> adj_;
-  /// Epoch-stamped visited set: one int64 compare per lookup, no O(n)
-  /// clear between the ~n * levels SearchLayer calls of a build.
-  std::vector<int64_t> visited_;
-  int64_t epoch_ = 0;
-  int64_t entry_ = -1;
-  int64_t max_level_ = 0;
-};
-
-}  // namespace
-
-util::Status BuildHnswIndex(ServingModel* model, int64_t m,
-                            int64_t ef_construction) {
-  GNMR_CHECK(model != nullptr);
-  if (model->embeddings.empty() ||
-      model->embeddings.rows() != model->num_users + model->num_items) {
-    return util::Status::InvalidArgument("inconsistent serving model");
-  }
-  GNMR_TRACE_SPAN("hnsw.build");
-  if (m <= 0) m = tensor::kHnswDefaultM;
-  // m = 1 would make the level draw degenerate (ln 1 = 0) and the graph a
-  // chain; two neighbors is the meaningful floor.
-  m = std::max<int64_t>(m, 2);
-  if (ef_construction <= 0) {
-    ef_construction = tensor::kHnswDefaultEfConstruction;
-  }
-  // The beam must at least cover one full neighbor selection.
-  ef_construction = std::max(ef_construction, m);
-
-  const int64_t width = model->embeddings.cols();
-  // Read through const data(): the model may be view-backed (mmap), in
-  // which case the mutable accessor would abort.
-  const float* item_rows =
-      std::as_const(model->embeddings).data() + model->num_users * width;
-  HnswBuilder builder(item_rows, model->num_items, width, m,
-                      ef_construction);
-  builder.InsertAll();
-
-  auto hnsw = std::make_shared<HnswIndex>();
-  hnsw->m = m;
-  hnsw->ef_construction = ef_construction;
-  hnsw->entry_point = builder.entry_point();
-  hnsw->num_levels = builder.num_levels();
-  std::vector<int64_t> offsets;
-  std::vector<int64_t> neighbors;
-  builder.Flatten(&offsets, &neighbors);
-  hnsw->neighbor_offsets = std::move(offsets);
-  hnsw->neighbors = std::move(neighbors);
-  hnsw->CheckConsistent(model->num_items);
-  model->hnsw = std::move(hnsw);
-  return util::Status::OK();
-}
-
 util::Status SaveServingModel(const ServingModel& model,
                               const std::string& path) {
-  // Quantized codes and HNSW graphs have no v1/v2 encoding; such models
-  // round-trip through the v4/v5 container (which every loader here
-  // accepts).
-  if ((model.has_ivf() && model.ivf->has_codes()) || model.has_hnsw()) {
-    return SaveServingModelV3(model, path);
-  }
-  GNMR_TRACE_SPAN("io.save");
-  if (model.embeddings.empty() ||
-      model.embeddings.rows() != model.num_users + model.num_items) {
-    return util::Status::InvalidArgument("inconsistent serving model");
-  }
-  if (model.has_ivf()) {
-    model.ivf->CheckConsistent(model.num_items, model.embeddings.cols());
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) return util::Status::IOError("cannot open " + path);
-  // A model without an index round-trips as v1, byte-identical to what
-  // pre-index builds wrote, so their readers keep working.
-  out.write(model.has_ivf() ? kMagicV2 : kMagicV1, sizeof(kMagicV1));
-  int64_t header[3] = {model.num_users, model.num_items,
-                       model.embeddings.cols()};
-  WritePod(out, header, 3);
-  WritePod(out, model.embeddings.data(),
-           static_cast<size_t>(model.embeddings.numel()));
-  if (model.has_ivf()) {
-    const IvfIndex& ivf = *model.ivf;
-    const int64_t nlist = ivf.nlist();
-    WritePod(out, &nlist, 1);
-    WritePod(out, ivf.centroids.data(),
-             static_cast<size_t>(ivf.centroids.numel()));
-    WritePod(out, ivf.list_offsets.data(),
-             static_cast<size_t>(ivf.list_offsets.size()));
-    WritePod(out, ivf.list_items.data(),
-             static_cast<size_t>(ivf.list_items.size()));
-  }
-  out.flush();
-  if (!out.good()) return util::Status::IOError("write error on " + path);
-  return util::Status::OK();
-}
-
-util::Status SaveServingModelV3(const ServingModel& model,
-                                const std::string& path) {
   GNMR_TRACE_SPAN("io.save");
   if (model.embeddings.empty() ||
       model.embeddings.rows() != model.num_users + model.num_items) {
@@ -991,11 +533,10 @@ util::Status SaveServingModelV3(const ServingModel& model,
                         static_cast<int64_t>(hnsw.neighbors.size() *
                                              sizeof(int64_t))});
   }
-  const bool quantized = model.has_ivf() && model.ivf->has_codes();
 
   const int64_t section_count = static_cast<int64_t>(payloads.size());
   std::vector<SectionEntry> entries;
-  int64_t offset = AlignUp64(kV3HeaderBytes + section_count * kV3EntryBytes);
+  int64_t offset = AlignUp64(kHeaderBytes + section_count * kEntryBytes);
   for (const Payload& p : payloads) {
     SectionEntry e;
     e.id = p.id;
@@ -1009,17 +550,16 @@ util::Status SaveServingModelV3(const ServingModel& model,
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out.is_open()) return util::Status::IOError("cannot open " + path);
-  out.write(model.has_hnsw() ? kMagicV5 : (quantized ? kMagicV4 : kMagicV3),
-            sizeof(kMagicV3));
+  out.write(kMagic, kMagicBytes);
   int64_t header[4] = {model.num_users, model.num_items, width,
                        section_count};
   WritePod(out, header, 4);
   WritePod(out, entries.data(), entries.size());
-  int64_t pos = kV3HeaderBytes + section_count * kV3EntryBytes;
-  static constexpr char kZeros[kV3Align] = {};
+  int64_t pos = kHeaderBytes + section_count * kEntryBytes;
+  static constexpr char kZeros[kAlign] = {};
   for (size_t i = 0; i < payloads.size(); ++i) {
     const int64_t pad = entries[i].offset - pos;
-    GNMR_CHECK(pad >= 0 && pad < kV3Align);
+    GNMR_CHECK(pad >= 0 && pad < kAlign);
     out.write(kZeros, static_cast<std::streamsize>(pad));
     out.write(static_cast<const char*>(payloads[i].data),
               static_cast<std::streamsize>(payloads[i].length));
@@ -1030,96 +570,33 @@ util::Status SaveServingModelV3(const ServingModel& model,
   return util::Status::OK();
 }
 
+util::Status SaveServingModelV3(const ServingModel& model,
+                                const std::string& path) {
+  return SaveServingModel(model, path);
+}
+
+util::Result<ServingModel> LoadServingModel(const std::string& path) {
+  GNMR_TRACE_SPAN("io.load");
+  // Parsed from the same mapping as the zero-copy path, then deep-copied
+  // into owned storage with every section checksum verified; the mapping
+  // is released on return.
+  auto mapped = util::MappedFile::Open(path);
+  if (!mapped.ok()) return mapped.status();
+  const std::shared_ptr<const util::MappedFile> file =
+      std::move(mapped).value();
+  return ParseContainer(file->data(), file->size(), path,
+                        /*copy_into_owned=*/true, /*verify_checksums=*/true,
+                        nullptr);
+}
+
 util::Result<ServingModel> LoadServingModelMapped(const std::string& path,
                                                   bool verify_checksums) {
   GNMR_TRACE_SPAN("io.load_mapped");
   auto mapped = util::MappedFile::Open(path);
   if (!mapped.ok()) return mapped.status();
   std::shared_ptr<const util::MappedFile> file = std::move(mapped).value();
-  if (!HasV3FamilyMagic(file->data(), file->size())) {
-    // Pre-v3 artifacts have no alignment guarantees; load them the
-    // classic way into owned storage.
-    return LoadServingModel(path);
-  }
-  return ParseV3(file->data(), file->size(), path, /*copy_into_owned=*/false,
-                 verify_checksums, file);
-}
-
-util::Result<ServingModel> LoadServingModel(const std::string& path) {
-  GNMR_TRACE_SPAN("io.load");
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return util::Status::IOError("cannot open " + path);
-  char magic[8];
-  if (!ReadPod(in, magic, sizeof(magic))) {
-    return util::Status::ParseError("bad magic in " + path);
-  }
-  bool has_ivf = false;
-  if (HasV3FamilyMagic(reinterpret_cast<const uint8_t*>(magic),
-                       static_cast<int64_t>(sizeof(magic)))) {
-    // v3/v4 is parsed from a contiguous mapping (same parser as the
-    // zero-copy path), then deep-copied into owned storage with every
-    // section checksum verified.
-    in.close();
-    auto mapped = util::MappedFile::Open(path);
-    if (!mapped.ok()) return mapped.status();
-    std::shared_ptr<const util::MappedFile> file = std::move(mapped).value();
-    return ParseV3(file->data(), file->size(), path,
-                   /*copy_into_owned=*/true, /*verify_checksums=*/true,
-                   nullptr);
-  }
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-    has_ivf = true;
-  } else if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) != 0) {
-    return util::Status::ParseError("bad magic in " + path);
-  }
-  int64_t header[3];
-  if (!ReadPod(in, header, 3)) {
-    return util::Status::ParseError("truncated header");
-  }
-  ServingModel model;
-  model.num_users = header[0];
-  model.num_items = header[1];
-  int64_t width = header[2];
-  if (model.num_users <= 0 || model.num_items <= 0 || width <= 0) {
-    return util::Status::ParseError("invalid dimensions in header");
-  }
-  int64_t rows = model.num_users + model.num_items;
-  model.embeddings = tensor::Tensor({rows, width});
-  if (!ReadPod(in, model.embeddings.data(),
-               static_cast<size_t>(model.embeddings.numel()))) {
-    return util::Status::ParseError("truncated embeddings");
-  }
-  if (has_ivf) {
-    int64_t nlist = 0;
-    if (!ReadPod(in, &nlist, 1)) {
-      return util::Status::ParseError("truncated ivf header");
-    }
-    if (nlist < 1 || nlist > model.num_items) {
-      return util::Status::ParseError("invalid ivf nlist");
-    }
-    auto ivf = std::make_shared<IvfIndex>();
-    ivf->centroids = tensor::Tensor({nlist, width});
-    std::vector<int64_t> list_offsets(static_cast<size_t>(nlist) + 1);
-    std::vector<int64_t> list_items(static_cast<size_t>(model.num_items));
-    if (!ReadPod(in, ivf->centroids.data(),
-                 static_cast<size_t>(ivf->centroids.numel())) ||
-        !ReadPod(in, list_offsets.data(), list_offsets.size()) ||
-        !ReadPod(in, list_items.data(), list_items.size())) {
-      return util::Status::ParseError("truncated ivf index");
-    }
-    ivf->list_offsets = std::move(list_offsets);
-    ivf->list_items = std::move(list_items);
-    const std::string problem = IvfProblem(*ivf, model.num_items, width);
-    if (!problem.empty()) {
-      return util::Status::ParseError("corrupt ivf index: " + problem);
-    }
-    model.ivf = std::move(ivf);
-  }
-  // Must be at EOF now.
-  char extra;
-  in.read(&extra, 1);
-  if (!in.eof()) return util::Status::ParseError("trailing bytes in " + path);
-  return model;
+  return ParseContainer(file->data(), file->size(), path,
+                        /*copy_into_owned=*/false, verify_checksums, file);
 }
 
 }  // namespace core

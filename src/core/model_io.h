@@ -1,48 +1,34 @@
 // Serving-oriented model persistence. Training happens offline; what a
 // serving path needs is the multi-order node embeddings (the inference
 // cache) plus enough metadata to validate compatibility. This module
-// writes/reads that state in a self-describing binary format.
+// writes and reads that state in one self-describing binary container,
+// and does nothing else: the index builders core::BuildIvfIndex and
+// core::BuildHnswIndex live next to the retrievers that read their
+// output (serve/ivf_retriever.h, serve/hnsw_retriever.h).
 //
-// Artifact versions:
-//   v1 ("GNMRSM01") — header (num_users, num_items, width) + row-major
-//     float32 embeddings. Written when the model carries no index; every
-//     v1 file ever written keeps loading unchanged.
-//   v2 ("GNMRSM02") — the v1 payload followed by an IVF index section:
-//     nlist, the [nlist, width] centroid tensor, and CSR item-to-cluster
-//     posting lists (offsets + item ids, ascending within each cluster).
-//     Written when the model carries an index (see BuildIvfIndex).
-//   v3 ("GNMRSM03") — fixed-layout, alignment-friendly container designed
-//     for zero-copy loading: magic + int64 header (num_users, num_items,
-//     width, section_count) + a section table of (id, offset, length,
-//     crc32) entries + the section payloads, each starting at a 64-byte-
-//     aligned file offset. Sections: 1 = embeddings, and — when the model
-//     carries an index — 2 = IVF centroids, 3 = IVF list offsets,
-//     4 = IVF list items, in that order. Because mmap bases are page-
-//     aligned, 64-byte file alignment gives 64-byte memory alignment, so
-//     LoadServingModelMapped can construct every tensor as a view
-//     straight over the mapping (see tensor/storage.h) with O(1) load
-//     time. Written by SaveServingModelV3.
-//   v4 ("GNMRSM04") — the v3 container with two more sections when the
-//     IVF index carries quantized codes (BuildIvfIndex(..., quantize =
-//     true)): 5 = int8 posting-list codes ([num_items, width], posting-
-//     list position order), 6 = per-row float scales (num_items entries,
-//     same order). Same table layout, alignment, checksum and zero-copy
-//     rules as v3; section_count is exactly 6. Written by
-//     SaveServingModelV3 (which picks the magic from has_codes), and by
-//     SaveServingModel when codes are present (quantized state has no
-//     v1/v2 encoding).
-//   v5 ("GNMRSM05") — the v3/v4 container with three more sections when
-//     the model carries an HNSW graph (BuildHnswIndex): 7 = graph metadata
-//     (int64[4]: m, ef_construction, entry_point, num_levels), 8 = the
-//     per-level CSR neighbor offsets (num_levels * (num_items + 1) int64
-//     entries; level l's row for item i sits at l * (num_items + 1) + i,
-//     and offsets are monotone across the whole array), 9 = the
-//     concatenated neighbor item ids those offsets index. The IVF/code
-//     sections 2-6 remain optional and keep their v3/v4 rules, so a v5
-//     file holds sections {1,7,8,9}, {1..4,7,8,9} or {1..6,7,8,9}, always
-//     in ascending id order. Same alignment, checksum and zero-copy rules;
-//     written by SaveServingModelV3 (magic from has_hnsw/has_codes) and by
-//     SaveServingModel when a graph is present (no v1/v2 encoding).
+// The container: the magic "GNMRSM03", an int64 header (num_users,
+// num_items, width, section_count), a section table of (id, offset,
+// length, crc32) entries, then the section payloads, each starting at a
+// 64-byte-aligned file offset. Because mmap bases are page-aligned, that
+// gives 64-byte memory alignment, so LoadServingModelMapped constructs
+// every tensor as a view straight over the mapping (see tensor/storage.h)
+// with O(1) load time. Section ids, always in ascending order:
+//   1    embeddings, [num_users + num_items, width] float32 (required)
+//   2-4  IVF index: [nlist, width] centroids, nlist + 1 int64 posting-list
+//        offsets, num_items int64 item ids (all three or none)
+//   5-6  quantized IVF tier: [num_items, width] int8 codes and num_items
+//        float32 scales, posting-list position order (both or neither,
+//        and only with 2-4)
+//   7-9  HNSW graph: int64[4] meta {m, ef_construction, entry_point,
+//        num_levels}, num_levels * (num_items + 1) int64 per-level CSR
+//        offsets (level l's row for item i at l * (num_items + 1) + i,
+//        monotone across the whole array), the concatenated neighbor ids
+//        (all three or none)
+// Section presence defines the content, not the magic: earlier builds
+// wrote "GNMRSM04" (codes present) and "GNMRSM05" (graph present) for the
+// same layout, and both still load. The streamed "GNMRSM01"/"GNMRSM02"
+// formats are retired; loading one returns a ParseError that asks for a
+// re-save.
 #ifndef GNMR_CORE_MODEL_IO_H_
 #define GNMR_CORE_MODEL_IO_H_
 
@@ -184,72 +170,35 @@ std::unique_ptr<eval::Scorer> MakeSharedScorer(
 /// The model must have a fresh inference cache.
 ServingModel ExportServingModel(const GnmrModel& model);
 
-/// Clusters the item embedding rows into `nlist` posting lists
-/// (deterministic k-means through the active kernel backend) and attaches
-/// the index to `model`. nlist <= 0 picks tensor::kIvfDefaultNlist; the
-/// value is clamped to the catalogue size. The model must be consistent
-/// (embeddings covering num_users + num_items rows). Replaces any index
-/// already attached. Offline cost: O(max_iters * num_items * nlist * width).
-///
-/// quantize = true additionally stores symmetric per-row int8 codes of the
-/// posting-list item rows (tensor/quantize.h) so IvfRetriever can run its
-/// two-phase quantized scan. Always quantizes when asked — the
-/// tensor::kIvfQuantizeMinItems threshold is deployment policy applied by
-/// the serving frontends, not by this builder.
-util::Status BuildIvfIndex(ServingModel* model, int64_t nlist,
-                           bool quantize = false);
-
-/// Builds the HNSW graph over the item embedding rows and attaches it to
-/// `model` (replacing any graph already attached; an IVF index on the same
-/// model is untouched). m <= 0 picks tensor::kHnswDefaultM,
-/// ef_construction <= 0 tensor::kHnswDefaultEfConstruction (both floored
-/// at 1 / m respectively after defaulting). The model must be consistent.
-///
-/// Deterministic by construction: levels come from the fixed-seed per-item
-/// hash, items are inserted in a hash-shuffled order (a second pass over
-/// the same per-item hash, ties by ascending id — a pure function of the
-/// ids, so every insertion prefix is a uniform sample of the catalogue),
-/// every candidate distance is a KernelBackend::QueryDotIndexed score
-/// (bit-identical on all backends) ranked under the serving (score desc,
-/// id asc) total order, and the heuristic prune breaks its ties the same
-/// way — so the same embeddings yield the byte-identical graph on every
-/// backend, run to run. Offline cost: O(num_items * ef_construction * m * width).
-util::Status BuildHnswIndex(ServingModel* model, int64_t m,
-                            int64_t ef_construction);
-
-/// Binary format: see the version notes at the top of this header. Writes
-/// v1 when `model` has no IVF index (bit-compatible with old readers) and
-/// v2 when it has one. Quantized codes have no v1/v2 encoding, so a model
-/// whose index carries codes delegates to the v3/v4 container writer.
+/// Writes the container (see the notes at the top of this header) with a
+/// CRC32 checksum per section; the sections present follow the indexes
+/// `model` carries. An index-less model's file is the embeddings section
+/// alone.
 util::Status SaveServingModel(const ServingModel& model,
                               const std::string& path);
 
-/// Writes the v3 zero-copy container (see the version notes above), with
-/// a CRC32 checksum per section — v4 magic and the two code sections when
-/// the index is quantized. Readers of every version accept it via
-/// LoadServingModel; LoadServingModelMapped serves it without copying.
+/// Same as SaveServingModel. Kept under this name because the repo
+/// benchmark (perfbench/) calls it, and that directory is held fixed so
+/// benchmark runs stay comparable across changes.
 util::Status SaveServingModelV3(const ServingModel& model,
                                 const std::string& path);
 
-/// Loads a model written by SaveServingModel or SaveServingModelV3 into
-/// owned heap storage; validates header, sizes, the structural invariants
-/// of the index, and — for v3 — every section checksum.
+/// Loads an artifact into owned heap storage: maps the file, validates
+/// the header, the section table and sizes, every section checksum and
+/// the structural invariants of the indexes, then copies every section.
 util::Result<ServingModel> LoadServingModel(const std::string& path);
 
-/// Opens a v3 artifact zero-copy: the file is mmap'ed once and every
+/// Opens an artifact zero-copy: the file is mmap'ed once and every
 /// tensor is constructed as a read-only view over the mapping, which is
 /// kept alive by the returned model (and by every copy of its tensors).
 /// Load time is O(1) in the embedding-table size — pages fault in on
 /// first touch and are shared read-only across processes.
 ///
-/// Section checksums are NOT verified by default (verifying would touch
-/// every page and defeat the O(1) load); pass verify_checksums = true to
-/// pay one sequential read for the integrity check, or load through
-/// LoadServingModel which always verifies. Structural validation of the
-/// header, section table and IVF posting lists always runs.
-///
-/// v1/v2 artifacts are accepted and silently fall back to the owned-
-/// storage loader (check is_mapped() on the result).
+/// Runs the same parse as LoadServingModel without the copy. Section
+/// checksums are NOT verified by default (verifying would touch every
+/// page and defeat the O(1) load); pass verify_checksums = true to pay
+/// one sequential read for the integrity check. Structural validation of
+/// the header, section table and indexes always runs.
 util::Result<ServingModel> LoadServingModelMapped(
     const std::string& path, bool verify_checksums = false);
 

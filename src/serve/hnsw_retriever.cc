@@ -1,7 +1,9 @@
 #include "src/serve/hnsw_retriever.h"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
+#include <utility>
 
 #include "src/obs/trace.h"
 #include "src/tensor/backend.h"
@@ -222,5 +224,320 @@ std::unique_ptr<eval::Scorer> HnswRetriever::MakeScorer() const {
   return core::MakeSharedScorer(model_);
 }
 
+namespace {
+
+// The splitmix64 output mix.
+uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+// splitmix64 of (item, kHnswLevelSeed): the level draw must be a pure
+// per-item function — independent of insertion order, backend and every
+// runtime knob — so the layer structure is reproducible by construction.
+uint64_t HnswItemHash(int64_t item) {
+  return Mix64(static_cast<uint64_t>(item) + tensor::kHnswLevelSeed);
+}
+
+// Geometric level assignment: floor(-ln(u) / ln(m)) with u uniform in
+// (0, 1] from the item hash — each level keeps ~1/m of the one below.
+int64_t HnswLevelForItem(int64_t item, double inv_log_m) {
+  const uint64_t bits = HnswItemHash(item) >> 11;  // top 53 bits
+  const double u =
+      (static_cast<double>(bits) + 1.0) * (1.0 / 9007199254740992.0);
+  const double level = -std::log(u) * inv_log_m;
+  return std::min(static_cast<int64_t>(level), tensor::kHnswMaxLevel);
+}
+
+// Offline HNSW construction state. Every distance is an inner-product
+// score through KernelBackend::QueryDotIndexed (single dots via DotScore —
+// the identical accumulation), ranked under BetterThan with the same
+// bounded heap the search uses, so the finished graph is bit-identical on
+// every backend.
+class HnswBuilder {
+ public:
+  HnswBuilder(const float* item_rows, int64_t n, int64_t width, int64_t m,
+              int64_t ef_construction)
+      : rows_(item_rows),
+        n_(n),
+        width_(width),
+        m_(m),
+        ef_(ef_construction),
+        levels_(static_cast<size_t>(n)),
+        visited_(static_cast<size_t>(n), 0) {
+    const double inv_log_m = 1.0 / std::log(static_cast<double>(m_));
+    int64_t max_level = 0;
+    for (int64_t i = 0; i < n_; ++i) {
+      levels_[static_cast<size_t>(i)] = HnswLevelForItem(i, inv_log_m);
+      max_level = std::max(max_level, levels_[static_cast<size_t>(i)]);
+    }
+    adj_.resize(static_cast<size_t>(max_level) + 1);
+    for (auto& level : adj_) level.resize(static_cast<size_t>(n));
+  }
+
+  void InsertAll() {
+    // Hash-shuffled insertion order (a second splitmix64 pass over the
+    // level hash, ties by id): catalogues often lay correlated items out
+    // contiguously — think one category's items in one id range — and
+    // inserting them in id order starts every such region with no graph
+    // structure near it, fragmenting the region into components the
+    // search cannot cross. Shuffling makes every insertion prefix a
+    // uniform sample of the catalogue. Still a pure function of the item
+    // ids, so the graph stays reproducible by construction.
+    std::vector<int64_t> order(static_cast<size_t>(n_));
+    for (int64_t i = 0; i < n_; ++i) order[static_cast<size_t>(i)] = i;
+    std::vector<uint64_t> keys(static_cast<size_t>(n_));
+    for (int64_t i = 0; i < n_; ++i) {
+      keys[static_cast<size_t>(i)] =
+          Mix64(HnswItemHash(i) + 0x9e3779b97f4a7c15ull);
+    }
+    std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+      const uint64_t ka = keys[static_cast<size_t>(a)];
+      const uint64_t kb = keys[static_cast<size_t>(b)];
+      if (ka != kb) return ka < kb;
+      return a < b;
+    });
+    for (int64_t q : order) Insert(q);
+  }
+
+  int64_t entry_point() const { return entry_; }
+  int64_t num_levels() const { return static_cast<int64_t>(adj_.size()); }
+
+  /// Flattens the adjacency into the persisted CSR form: per-level rows of
+  /// ascending neighbor ids, levels tiled back to back.
+  void Flatten(std::vector<int64_t>* offsets,
+               std::vector<int64_t>* neighbors) const {
+    const int64_t stride = n_ + 1;
+    offsets->assign(static_cast<size_t>(num_levels() * stride), 0);
+    size_t total = 0;
+    for (const auto& level : adj_) {
+      for (const auto& list : level) total += list.size();
+    }
+    neighbors->clear();
+    neighbors->reserve(total);
+    int64_t pos = 0;
+    for (int64_t l = 0; l < num_levels(); ++l) {
+      for (int64_t i = 0; i < n_; ++i) {
+        (*offsets)[static_cast<size_t>(l * stride + i)] = pos;
+        std::vector<int64_t> sorted = adj_[static_cast<size_t>(l)]
+                                          [static_cast<size_t>(i)];
+        std::sort(sorted.begin(), sorted.end());
+        neighbors->insert(neighbors->end(), sorted.begin(), sorted.end());
+        pos += static_cast<int64_t>(sorted.size());
+      }
+      (*offsets)[static_cast<size_t>(l * stride + n_)] = pos;
+    }
+  }
+
+ private:
+  const float* Row(int64_t item) const { return rows_ + item * width_; }
+
+  void Insert(int64_t q) {
+    GNMR_TRACE_SPAN("hnsw.insert");
+    const int64_t q_level = levels_[static_cast<size_t>(q)];
+    if (entry_ < 0) {  // the first node seeds every layer it occupies
+      entry_ = q;
+      max_level_ = q_level;
+      return;
+    }
+    const float* qrow = Row(q);
+    std::vector<RecEntry> eps = {
+        {entry_, DotScore(qrow, Row(entry_), width_)}};
+    // Greedy descent through the layers above q: ef = 1 keeps only the
+    // closest node per layer, the classic zoom-in phase.
+    for (int64_t l = max_level_; l > q_level; --l) {
+      eps = SearchLayer(qrow, eps, 1, l);
+    }
+    for (int64_t l = std::min(q_level, max_level_); l >= 0; --l) {
+      std::vector<RecEntry> found = SearchLayer(qrow, eps, ef_, l);
+      const int64_t cap = l == 0 ? 2 * m_ : m_;
+      const std::vector<RecEntry> chosen = SelectNeighbors(found, m_);
+      std::vector<int64_t>& q_list =
+          adj_[static_cast<size_t>(l)][static_cast<size_t>(q)];
+      for (const RecEntry& s : chosen) {
+        q_list.push_back(s.item);
+        LinkBack(l, s.item, q, cap);
+      }
+      eps = std::move(found);
+    }
+    if (q_level > max_level_) {
+      entry_ = q;
+      max_level_ = q_level;
+    }
+  }
+
+  /// Best-first beam search over one layer: expands the closest frontier
+  /// node until the best unexpanded candidate cannot improve the
+  /// ef-bounded result set. Returns the results sorted best first.
+  std::vector<RecEntry> SearchLayer(const float* qrow,
+                                    const std::vector<RecEntry>& entries,
+                                    int64_t ef, int64_t level) {
+    ++epoch_;
+    std::priority_queue<RecEntry, std::vector<RecEntry>, WorseThan> frontier;
+    std::vector<RecEntry> best;  // worst-on-top bounded heap of size ef
+    best.reserve(static_cast<size_t>(ef) + 1);
+    for (const RecEntry& e : entries) {
+      if (visited_[static_cast<size_t>(e.item)] == epoch_) continue;
+      visited_[static_cast<size_t>(e.item)] = epoch_;
+      frontier.push(e);
+      OfferToBoundedHeap(&best, ef, e, nullptr, 0);
+    }
+    const auto& level_adj = adj_[static_cast<size_t>(level)];
+    std::vector<int64_t> fresh;
+    std::vector<float> scores;
+    while (!frontier.empty()) {
+      const RecEntry c = frontier.top();
+      frontier.pop();
+      if (static_cast<int64_t>(best.size()) == ef &&
+          !BetterThan(c, best.front())) {
+        break;
+      }
+      fresh.clear();
+      for (int64_t nb : level_adj[static_cast<size_t>(c.item)]) {
+        if (visited_[static_cast<size_t>(nb)] == epoch_) continue;
+        visited_[static_cast<size_t>(nb)] = epoch_;
+        fresh.push_back(nb);
+      }
+      if (fresh.empty()) continue;
+      scores.resize(fresh.size());
+      tensor::GetBackend().QueryDotIndexed(
+          qrow, rows_, fresh.data(), scores.data(),
+          static_cast<int64_t>(fresh.size()), width_);
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        const RecEntry cand{fresh[i], scores[i]};
+        frontier.push(cand);
+        OfferToBoundedHeap(&best, ef, cand, nullptr, 0);
+      }
+    }
+    std::sort(best.begin(), best.end(), BetterThan);
+    return best;
+  }
+
+  /// The heuristic prune (Malkov & Yashunin, Algorithm 4) in inner-product
+  /// form: walking candidates best first (each scored against the node
+  /// being linked), keep c only when no already-selected s is closer to c
+  /// than that node is (dot(c, s) <= c.score) — selected neighbors spread
+  /// across directions instead of crowding one cluster. Dominated
+  /// candidates backfill remaining slots (keep-pruned-connections),
+  /// preserving degree for connectivity.
+  std::vector<RecEntry> SelectNeighbors(const std::vector<RecEntry>& cands,
+                                        int64_t cap) const {
+    std::vector<RecEntry> selected;
+    selected.reserve(static_cast<size_t>(cap));
+    for (const RecEntry& c : cands) {
+      if (static_cast<int64_t>(selected.size()) == cap) break;
+      const float* crow = Row(c.item);
+      bool keep = true;
+      for (const RecEntry& s : selected) {
+        if (DotScore(crow, Row(s.item), width_) > c.score) {
+          keep = false;
+          break;
+        }
+      }
+      if (keep) selected.push_back(c);
+    }
+    if (static_cast<int64_t>(selected.size()) < cap) {
+      for (const RecEntry& c : cands) {
+        if (static_cast<int64_t>(selected.size()) == cap) break;
+        bool present = false;
+        for (const RecEntry& s : selected) {
+          if (s.item == c.item) {
+            present = true;
+            break;
+          }
+        }
+        if (!present) selected.push_back(c);
+      }
+    }
+    return selected;
+  }
+
+  /// Adds the back edge s -> q, re-pruning s's list when it exceeds the
+  /// level cap (scored against s, same heuristic as the forward edges).
+  void LinkBack(int64_t level, int64_t s, int64_t q, int64_t cap) {
+    std::vector<int64_t>& list =
+        adj_[static_cast<size_t>(level)][static_cast<size_t>(s)];
+    list.push_back(q);
+    if (static_cast<int64_t>(list.size()) <= cap) return;
+    std::vector<float> scores(list.size());
+    tensor::GetBackend().QueryDotIndexed(Row(s), rows_, list.data(),
+                                         scores.data(),
+                                         static_cast<int64_t>(list.size()),
+                                         width_);
+    std::vector<RecEntry> cands(list.size());
+    for (size_t i = 0; i < list.size(); ++i) {
+      cands[i] = {list[i], scores[i]};
+    }
+    std::sort(cands.begin(), cands.end(), BetterThan);
+    const std::vector<RecEntry> kept = SelectNeighbors(cands, cap);
+    list.clear();
+    for (const RecEntry& c : kept) list.push_back(c.item);
+  }
+
+  const float* rows_;
+  const int64_t n_;
+  const int64_t width_;
+  const int64_t m_;
+  const int64_t ef_;
+  std::vector<int64_t> levels_;
+  /// adj_[level][item] = current neighbor ids (unordered during build).
+  std::vector<std::vector<std::vector<int64_t>>> adj_;
+  /// Epoch-stamped visited set: one int64 compare per lookup, no O(n)
+  /// clear between the ~n * levels SearchLayer calls of a build.
+  std::vector<int64_t> visited_;
+  int64_t epoch_ = 0;
+  int64_t entry_ = -1;
+  int64_t max_level_ = 0;
+};
+
+}  // namespace
+
 }  // namespace serve
+
+namespace core {
+
+util::Status BuildHnswIndex(ServingModel* model, int64_t m,
+                            int64_t ef_construction) {
+  GNMR_CHECK(model != nullptr);
+  if (model->embeddings.empty() ||
+      model->embeddings.rows() != model->num_users + model->num_items) {
+    return util::Status::InvalidArgument("inconsistent serving model");
+  }
+  GNMR_TRACE_SPAN("hnsw.build");
+  if (m <= 0) m = tensor::kHnswDefaultM;
+  // m = 1 would make the level draw degenerate (ln 1 = 0) and the graph a
+  // chain; two neighbors is the meaningful floor.
+  m = std::max<int64_t>(m, 2);
+  if (ef_construction <= 0) {
+    ef_construction = tensor::kHnswDefaultEfConstruction;
+  }
+  // The beam must at least cover one full neighbor selection.
+  ef_construction = std::max(ef_construction, m);
+
+  const int64_t width = model->embeddings.cols();
+  // Read through const data(): the model may be view-backed (mmap), in
+  // which case the mutable accessor would abort.
+  const float* item_rows =
+      std::as_const(model->embeddings).data() + model->num_users * width;
+  serve::HnswBuilder builder(item_rows, model->num_items, width, m,
+                             ef_construction);
+  builder.InsertAll();
+
+  auto hnsw = std::make_shared<HnswIndex>();
+  hnsw->m = m;
+  hnsw->ef_construction = ef_construction;
+  hnsw->entry_point = builder.entry_point();
+  hnsw->num_levels = builder.num_levels();
+  std::vector<int64_t> offsets;
+  std::vector<int64_t> neighbors;
+  builder.Flatten(&offsets, &neighbors);
+  hnsw->neighbor_offsets = std::move(offsets);
+  hnsw->neighbors = std::move(neighbors);
+  hnsw->CheckConsistent(model->num_items);
+  model->hnsw = std::move(hnsw);
+  return util::Status::OK();
+}
+
+}  // namespace core
 }  // namespace gnmr

@@ -38,6 +38,28 @@
 #include "src/serve/retriever.h"
 
 namespace gnmr {
+namespace core {
+
+/// Builds the HNSW graph over the item embedding rows and attaches it to
+/// `model` (replacing any graph already attached; an IVF index on the same
+/// model is untouched). m <= 0 picks tensor::kHnswDefaultM,
+/// ef_construction <= 0 tensor::kHnswDefaultEfConstruction (both floored
+/// at 2 / m respectively after defaulting). The model must be consistent.
+///
+/// Deterministic by construction: levels come from the fixed-seed per-item
+/// hash, items are inserted in a hash-shuffled order (a second pass over
+/// the same per-item hash, ties by ascending id — a pure function of the
+/// ids, so every insertion prefix is a uniform sample of the catalogue),
+/// every candidate distance is a KernelBackend::QueryDotIndexed score
+/// (bit-identical on all backends) ranked under serve::BetterThan, and the
+/// heuristic prune breaks its ties the same way — so the same embeddings
+/// yield the byte-identical graph on every backend, run to run. Offline
+/// cost: O(num_items * ef_construction * m * width).
+util::Status BuildHnswIndex(ServingModel* model, int64_t m,
+                            int64_t ef_construction);
+
+}  // namespace core
+
 namespace serve {
 
 /// Read-only approximate top-K retriever over a ServingModel snapshot

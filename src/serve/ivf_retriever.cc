@@ -1,10 +1,12 @@
 #include "src/serve/ivf_retriever.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/obs/trace.h"
 #include "src/tensor/backend.h"
 #include "src/tensor/kernel_tunables.h"
+#include "src/tensor/kmeans.h"
 #include "src/tensor/quantize.h"
 #include "src/tensor/shard_plan.h"
 #include "src/tensor/shard_pool.h"
@@ -346,4 +348,67 @@ std::unique_ptr<eval::Scorer> IvfRetriever::MakeScorer() const {
 }
 
 }  // namespace serve
+
+namespace core {
+
+util::Status BuildIvfIndex(ServingModel* model, int64_t nlist,
+                           bool quantize) {
+  GNMR_CHECK(model != nullptr);
+  if (model->embeddings.empty() ||
+      model->embeddings.rows() != model->num_users + model->num_items) {
+    return util::Status::InvalidArgument("inconsistent serving model");
+  }
+  if (nlist <= 0) nlist = tensor::kIvfDefaultNlist;
+  nlist = std::min(nlist, model->num_items);
+
+  const int64_t width = model->embeddings.cols();
+  // Read through const data(): the model may be view-backed (mmap), in
+  // which case the mutable accessor would abort.
+  const float* item_rows =
+      std::as_const(model->embeddings).data() + model->num_users * width;
+  tensor::KMeansOptions options;
+  options.max_iters = tensor::kIvfKMeansMaxIters;
+  tensor::KMeansResult clusters =
+      tensor::KMeansRows(item_rows, model->num_items, width, nlist, options);
+
+  auto ivf = std::make_shared<IvfIndex>();
+  ivf->centroids = std::move(clusters.centroids);
+  std::vector<int64_t> list_offsets(static_cast<size_t>(nlist) + 1, 0);
+  for (int64_t c = 0; c < nlist; ++c) {
+    list_offsets[static_cast<size_t>(c) + 1] =
+        list_offsets[static_cast<size_t>(c)] +
+        clusters.sizes[static_cast<size_t>(c)];
+  }
+  // Counting sort by cluster: walking items in ascending id order makes
+  // each posting list ascending by construction.
+  std::vector<int64_t> list_items(static_cast<size_t>(model->num_items));
+  std::vector<int64_t> cursor(list_offsets.begin(), list_offsets.end() - 1);
+  for (int64_t item = 0; item < model->num_items; ++item) {
+    const int64_t c = clusters.assignments[static_cast<size_t>(item)];
+    list_items[static_cast<size_t>(cursor[static_cast<size_t>(c)]++)] = item;
+  }
+  ivf->list_offsets = std::move(list_offsets);
+  ivf->list_items = std::move(list_items);
+  if (quantize) {
+    // Codes live in posting-list position order so the serving scan
+    // streams each probed list contiguously: position pos quantizes the
+    // embedding row of item list_items[pos].
+    std::vector<int8_t> codes(
+        static_cast<size_t>(model->num_items * width));
+    std::vector<float> scales(static_cast<size_t>(model->num_items));
+    for (int64_t pos = 0; pos < model->num_items; ++pos) {
+      const int64_t item = ivf->list_items[static_cast<size_t>(pos)];
+      scales[static_cast<size_t>(pos)] = tensor::quant::QuantizeRowI8(
+          item_rows + item * width, width,
+          codes.data() + pos * width);
+    }
+    ivf->codes = std::move(codes);
+    ivf->code_scales = std::move(scales);
+  }
+  ivf->CheckConsistent(model->num_items, width);
+  model->ivf = std::move(ivf);
+  return util::Status::OK();
+}
+
+}  // namespace core
 }  // namespace gnmr

@@ -44,6 +44,25 @@
 #include "src/serve/retriever.h"
 
 namespace gnmr {
+namespace core {
+
+/// Clusters the item embedding rows into `nlist` posting lists
+/// (deterministic k-means through the active kernel backend) and attaches
+/// the index to `model`. nlist <= 0 picks tensor::kIvfDefaultNlist; the
+/// value is clamped to the catalogue size. The model must be consistent
+/// (embeddings covering num_users + num_items rows). Replaces any index
+/// already attached. Offline cost: O(max_iters * num_items * nlist * width).
+///
+/// quantize = true additionally stores symmetric per-row int8 codes of the
+/// posting-list item rows (tensor/quantize.h) so IvfRetriever can run its
+/// two-phase quantized scan. Always quantizes when asked — the
+/// tensor::kIvfQuantizeMinItems threshold is deployment policy applied by
+/// the serving frontends, not by this builder.
+util::Status BuildIvfIndex(ServingModel* model, int64_t nlist,
+                           bool quantize = false);
+
+}  // namespace core
+
 namespace serve {
 
 /// Read-only approximate top-K retriever over a ServingModel snapshot

@@ -449,8 +449,9 @@ util::Status RecService::LoadAndSwap(const std::string& path) {
   if (!loaded.ok()) return loaded.status();
   core::ServingModel next = std::move(loaded).value();
   if (options_.retriever == RetrieverKind::kIvf && !next.has_ivf()) {
-    // v1 artifact on an IVF service: build the index here (offline work,
-    // off the swap lock) so the swap below installs a complete snapshot.
+    // Index-less artifact on an IVF service: build the index here (offline
+    // work, off the swap lock) so the swap below installs a complete
+    // snapshot.
     GNMR_TRACE_SPAN("serve.build_ivf");
     // Quantization policy: only catalogues past the deployment threshold
     // pay for the code tier (the mechanism itself has no minimum).

@@ -124,11 +124,10 @@ class RecService {
     /// kHnsw: neighbor cap used when LoadAndSwap must build a graph for an
     /// artifact that lacks one (<= 0 picks tensor::kHnswDefaultM).
     int64_t hnsw_m = 0;
-    /// LoadAndSwap opens v3 artifacts zero-copy (LoadServingModelMapped):
+    /// LoadAndSwap opens artifacts zero-copy (LoadServingModelMapped):
     /// the snapshot serves straight out of the page cache and load time is
-    /// O(1) in the table size. Pre-v3 artifacts silently fall back to the
-    /// owned-storage loader. Snapshot lifetime is unchanged — the mapping
-    /// lives as long as any in-flight request pins the snapshot.
+    /// O(1) in the table size. Snapshot lifetime is unchanged — the
+    /// mapping lives as long as any in-flight request pins the snapshot.
     bool mmap_artifacts = false;
     /// Registry the per-phase latency histograms live in
     /// ("serve.latency.hit" / ".coalesced" / ".miss" / ".exact" /
@@ -183,9 +182,9 @@ class RecService {
   void SwapModel(std::shared_ptr<const core::ServingModel> next,
                  std::shared_ptr<const SeenItems> seen = nullptr);
 
-  /// Loads a ServingModel artifact (SaveServingModel format, v1 or v2) and
-  /// swaps it in; the current snapshot serves until the load completes.
-  /// Keeps the current seen sets. On a kIvf service an artifact without an
+  /// Loads a ServingModel artifact (SaveServingModel) and swaps it in;
+  /// the current snapshot serves until the load completes. Keeps the
+  /// current seen sets. On a kIvf service an artifact without an
   /// index gets one built (Options::nlist) before the swap; on a kHnsw
   /// service an artifact without a graph gets one built (Options::hnsw_m).
   /// On error the service is untouched.

@@ -136,7 +136,7 @@ class Retriever {
  public:
   virtual ~Retriever() = default;
 
-  /// Strategy name ("exact", "ivf").
+  /// Strategy name ("exact", "ivf", "hnsw").
   virtual const char* name() const = 0;
 
   /// Top-k items for `user`, best first by BetterThan, excluding the

@@ -2,8 +2,8 @@
 // either owns a heap std::vector<T> (the default, value semantics) or is
 // a non-owning read-only view over memory kept alive by a shared keepalive
 // — typically a util::MappedFile, so a whole serving model can be served
-// straight out of the page cache with zero copies (model_io.h, v3
-// artifacts).
+// straight out of the page cache with zero copies (model_io.h,
+// LoadServingModelMapped).
 //
 // Views are immutable: every mutating accessor aborts with a clear
 // message. Copying a view is O(1) and shares the keepalive; copying an

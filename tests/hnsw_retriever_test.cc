@@ -353,13 +353,13 @@ TEST(RecServiceHnswTest, CacheServesHnswResultsAndSwapInvalidates) {
 }
 
 TEST(RecServiceHnswTest, LoadAndSwapBuildsGraphForGraphlessArtifacts) {
-  // Codeless degradation analog: a v1 artifact has no graph section, so
+  // Codeless degradation analog: an artifact saved without a graph, so
   // LoadAndSwap must build one on the fly (same deterministic level
   // hashing and prune => the same graph the offline build would persist)
   // rather than reject the file or silently degrade to a scan.
   core::ServingModel base = ClusteredModel(24, 1500, 8, 8, 71);
-  std::string path = testing::TempDir() + "/gnmr_v1_for_hnsw.bin";
-  ASSERT_TRUE(core::SaveServingModel(base, path).ok());  // v1: no graph
+  std::string path = testing::TempDir() + "/gnmr_plain_for_hnsw.bin";
+  ASSERT_TRUE(core::SaveServingModel(base, path).ok());  // no graph
 
   core::ServingModel with_graph = base;
   ASSERT_TRUE(core::BuildHnswIndex(&with_graph, 8, 0).ok());

@@ -1,6 +1,6 @@
 // Tests for the retrieval-strategy layer: deterministic k-means parity
-// across kernel backends, the v1/v2 ServingModel artifact (IVF index
-// round-trip + v1 backward compatibility), IvfRetriever exactness at
+// across kernel backends, the IVF sections of the ServingModel artifact
+// (index round-trip + corruption), IvfRetriever exactness at
 // nprobe == nlist (including seen-item filtering and cross-cluster score
 // ties), measured recall + scan-fraction at nprobe = nlist/4 on clustered
 // synthetic data, and RecService routing through the Retriever interface
@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "src/tensor/kmeans.h"
 #include "src/tensor/quantize.h"
 #include "src/tensor/shard_pool.h"
+#include "src/util/csv.h"
 #include "src/util/rng.h"
 
 namespace gnmr {
@@ -293,10 +293,10 @@ TEST(IvfArtifactTest, NlistClampedToCatalogue) {
   EXPECT_EQ(m.ivf->nlist(), 16);
 }
 
-TEST(IvfArtifactTest, V2RoundTripPreservesIndex) {
+TEST(IvfArtifactTest, RoundTripPreservesIndex) {
   core::ServingModel original = ClusteredModel(16, 512, 8, 8, 47);
   ASSERT_TRUE(core::BuildIvfIndex(&original, 8).ok());
-  std::string path = testing::TempDir() + "/gnmr_v2.bin";
+  std::string path = testing::TempDir() + "/gnmr_ivf.bin";
   ASSERT_TRUE(core::SaveServingModel(original, path).ok());
   auto loaded = core::LoadServingModel(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -317,103 +317,39 @@ TEST(IvfArtifactTest, V2RoundTripPreservesIndex) {
   std::remove(path.c_str());
 }
 
-TEST(IvfArtifactTest, ModelWithoutIndexStillWritesV1) {
-  core::ServingModel original = ClusteredModel(8, 32, 4, 2, 53);
-  std::string path = testing::TempDir() + "/gnmr_v1_roundtrip.bin";
-  ASSERT_TRUE(core::SaveServingModel(original, path).ok());
-  // The file must carry the v1 magic: readers that predate the index
-  // understand every index-less artifact this build writes.
-  std::ifstream in(path, std::ios::binary);
-  char magic[8];
-  in.read(magic, 8);
-  EXPECT_EQ(std::memcmp(magic, "GNMRSM01", 8), 0);
-  in.close();
-  auto loaded = core::LoadServingModel(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_FALSE(loaded.value().has_ivf());
-  std::remove(path.c_str());
-}
-
-TEST(IvfArtifactTest, LoadsHandWrittenV1File) {
-  // A v1 file written byte-by-byte, as the pre-index format produced it.
-  const int64_t num_users = 2, num_items = 3, width = 2;
-  std::vector<float> emb(static_cast<size_t>((num_users + num_items) * width));
-  for (size_t i = 0; i < emb.size(); ++i) emb[i] = 0.5f * static_cast<float>(i);
-  std::string path = testing::TempDir() + "/gnmr_legacy_v1.bin";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write("GNMRSM01", 8);
-    int64_t header[3] = {num_users, num_items, width};
-    out.write(reinterpret_cast<const char*>(header), sizeof(header));
-    out.write(reinterpret_cast<const char*>(emb.data()),
-              static_cast<std::streamsize>(emb.size() * sizeof(float)));
-  }
-  auto loaded = core::LoadServingModel(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded.value().has_ivf());
-  EXPECT_EQ(loaded.value().num_users, num_users);
-  EXPECT_EQ(loaded.value().num_items, num_items);
-  for (size_t i = 0; i < emb.size(); ++i) {
-    EXPECT_EQ(loaded.value().embeddings.data()[i], emb[i]);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(IvfArtifactTest, RejectsCorruptV2Files) {
+TEST(IvfArtifactTest, RejectsCorruptIvfFiles) {
   core::ServingModel original = ClusteredModel(8, 64, 4, 4, 59);
   ASSERT_TRUE(core::BuildIvfIndex(&original, 4).ok());
-  std::string path = testing::TempDir() + "/gnmr_v2_corrupt.bin";
+  std::string path = testing::TempDir() + "/gnmr_ivf_corrupt.bin";
   ASSERT_TRUE(core::SaveServingModel(original, path).ok());
-
+  const std::string good = util::ReadFileToString(path).value();
+  // The mapped loader runs without checksums, so its structural checks
+  // alone must catch every case.
+  const auto expect_rejected = [&](const std::string& bytes) {
+    ASSERT_TRUE(util::WriteStringToFile(path, bytes).ok());
+    EXPECT_FALSE(core::LoadServingModel(path).ok());
+    EXPECT_FALSE(core::LoadServingModelMapped(path).ok());
+  };
+  const auto with_i64 = [&](size_t pos, int64_t v) {
+    std::string bytes = good;
+    std::memcpy(&bytes[pos], &v, sizeof(v));
+    return bytes;
+  };
   // Truncated index section.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::string blob((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(blob.data(),
-              static_cast<std::streamsize>(blob.size() - 16));
-  }
-  EXPECT_FALSE(core::LoadServingModel(path).ok());
-
-  // Out-of-range posting-list entry.
-  ASSERT_TRUE(core::SaveServingModel(original, path).ok());
-  {
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(-static_cast<std::streamoff>(sizeof(int64_t)), std::ios::end);
-    int64_t bogus = original.num_items + 100;
-    f.write(reinterpret_cast<const char*>(&bogus), sizeof(bogus));
-  }
-  EXPECT_FALSE(core::LoadServingModel(path).ok());
-
+  expect_rejected(good.substr(0, good.size() - 16));
+  // Out-of-range posting-list entry: list items (section 4) end the file.
+  expect_rejected(
+      with_i64(good.size() - sizeof(int64_t), original.num_items + 100));
   // Trailing bytes.
-  ASSERT_TRUE(core::SaveServingModel(original, path).ok());
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out.write("junk", 4);
-  }
-  EXPECT_FALSE(core::LoadServingModel(path).ok());
-
+  expect_rejected(good + "junk");
   // Out-of-range INTERMEDIATE offset: passes the front/back checks but
   // must be rejected before the loader walks list_items (heap over-read
-  // otherwise). Offsets live right after nlist + centroids; patch the
-  // second entry.
-  ASSERT_TRUE(core::SaveServingModel(original, path).ok());
-  {
-    const std::streamoff offsets_pos =
-        8 + 3 * static_cast<std::streamoff>(sizeof(int64_t)) +
-        static_cast<std::streamoff>(original.embeddings.numel() *
-                                    sizeof(float)) +
-        static_cast<std::streamoff>(sizeof(int64_t)) +
-        static_cast<std::streamoff>(original.ivf->centroids.numel() *
-                                    sizeof(float));
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(offsets_pos + static_cast<std::streamoff>(sizeof(int64_t)));
-    int64_t huge = int64_t{1} << 40;
-    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
-  }
-  EXPECT_FALSE(core::LoadServingModel(path).ok());
+  // otherwise). Table entry 2 is the list offsets: {id 3, offset, ...}.
+  int64_t offsets_at = 0;
+  std::memcpy(&offsets_at, good.data() + 8 + 4 * 8 + 2 * 4 * 8 + 8,
+              sizeof(offsets_at));
+  expect_rejected(with_i64(static_cast<size_t>(offsets_at) + 8,
+                           int64_t{1} << 40));
   std::remove(path.c_str());
 }
 
@@ -855,10 +791,10 @@ TEST(RecServiceIvfTest, CacheServesIvfResultsAndSwapInvalidates) {
   EXPECT_EQ(service.stats().cache_hits, 1u);  // miss after invalidation
 }
 
-TEST(RecServiceIvfTest, LoadAndSwapBuildsIndexForV1Artifacts) {
+TEST(RecServiceIvfTest, LoadAndSwapBuildsIndexForIndexlessArtifacts) {
   core::ServingModel base = ClusteredModel(24, 1024, 8, 8, 71);
-  std::string path = testing::TempDir() + "/gnmr_v1_for_ivf.bin";
-  ASSERT_TRUE(core::SaveServingModel(base, path).ok());  // v1: no index
+  std::string path = testing::TempDir() + "/gnmr_plain_for_ivf.bin";
+  ASSERT_TRUE(core::SaveServingModel(base, path).ok());  // no index
 
   core::ServingModel with_index = base;
   ASSERT_TRUE(core::BuildIvfIndex(&with_index, 8).ok());
@@ -870,7 +806,7 @@ TEST(RecServiceIvfTest, LoadAndSwapBuildsIndexForV1Artifacts) {
       std::make_shared<const core::ServingModel>(std::move(with_index)),
       nullptr, options);
   std::vector<RecEntry> before = service.Recommend(3, 10);
-  // The v1 artifact lacks an index; LoadAndSwap must build one (same
+  // The artifact lacks an index; LoadAndSwap must build one (same
   // nlist, same deterministic k-means) rather than reject the file.
   util::Status s = service.LoadAndSwap(path);
   ASSERT_TRUE(s.ok()) << s.ToString();

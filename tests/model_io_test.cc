@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -81,17 +82,50 @@ TEST(ModelIoTest, ScorerAdapterWorks) {
   }
 }
 
+// A file holding only `magic` followed by a pre-container v1 payload: the
+// int64 header {2 users, 3 items, width 2} and ten float32 embeddings.
+std::string RetiredV1Bytes(const char* magic) {
+  std::string bytes(magic, 8);
+  const int64_t header[3] = {2, 3, 2};
+  bytes.append(reinterpret_cast<const char*>(header), sizeof(header));
+  const std::vector<float> emb(10, 0.5f);
+  bytes.append(reinterpret_cast<const char*>(emb.data()),
+               emb.size() * sizeof(float));
+  return bytes;
+}
+
 TEST(ModelIoTest, RejectsCorruptFiles) {
   std::string path = testing::TempDir() + "/gnmr_corrupt.bin";
   // Wrong magic.
   ASSERT_TRUE(util::WriteStringToFile(path, "NOTGNMR0withsomebytes").ok());
   EXPECT_FALSE(LoadServingModel(path).ok());
-  // Truncated file with right magic.
-  ASSERT_TRUE(util::WriteStringToFile(path, "GNMRSM01").ok());
-  EXPECT_FALSE(LoadServingModel(path).ok());
+  EXPECT_FALSE(LoadServingModelMapped(path).ok());
+  // Truncated file with the container magic; an empty file.
+  for (const char* bytes : {"GNMRSM03", "GNMRSM0", ""}) {
+    ASSERT_TRUE(util::WriteStringToFile(path, bytes).ok());
+    EXPECT_FALSE(LoadServingModel(path).ok()) << bytes;
+    EXPECT_FALSE(LoadServingModelMapped(path).ok()) << bytes;
+  }
+  // The retired streamed formats: a well-formed v1 payload and the v2
+  // magic both get a ParseError that names the format, from both loaders.
+  for (const char* magic : {"GNMRSM01", "GNMRSM02"}) {
+    ASSERT_TRUE(util::WriteStringToFile(path, RetiredV1Bytes(magic)).ok());
+    for (const util::Status& s : {LoadServingModel(path).status(),
+                                  LoadServingModelMapped(path).status()}) {
+      EXPECT_EQ(s.code(), util::StatusCode::kParseError) << magic;
+      EXPECT_NE(s.message().find(std::string("retired artifact format ") +
+                                 magic),
+                std::string::npos)
+          << s.ToString();
+      EXPECT_NE(s.message().find("re-save with this build"),
+                std::string::npos)
+          << s.ToString();
+    }
+  }
   std::remove(path.c_str());
   // Missing file.
   EXPECT_FALSE(LoadServingModel("/nonexistent/file.bin").ok());
+  EXPECT_FALSE(LoadServingModelMapped("/nonexistent/file.bin").ok());
 }
 
 TEST(ModelIoTest, RejectsTrailingBytes) {
@@ -115,7 +149,7 @@ TEST(ModelIoTest, SaveRejectsInconsistentModel) {
   EXPECT_FALSE(SaveServingModel(bad, testing::TempDir() + "/x.bin").ok());
 }
 
-// ---- v3 container, zero-copy loading, cross-version matrix ------------------
+// ---- The container, zero-copy loading, every kind x both loaders -----------
 
 ServingModel TinyModel() {
   ServingModel m;
@@ -177,32 +211,10 @@ void ExpectSameModel(const ServingModel& a, const ServingModel& b) {
   }
 }
 
-// The storage refactor must not change a single byte the v1 writer emits:
-// old readers parse these files with fixed offsets.
-TEST(ModelIoV3Test, V1WriterBytesUnchanged) {
-  ServingModel m = TinyModel();
-  std::string path = testing::TempDir() + "/gnmr_v1_golden.bin";
-  ASSERT_TRUE(SaveServingModel(m, path).ok());
-  auto blob = util::ReadFileToString(path);
-  ASSERT_TRUE(blob.ok());
-
-  std::string expected = "GNMRSM01";
-  int64_t header[3] = {m.num_users, m.num_items, m.embeddings.cols()};
-  expected.append(reinterpret_cast<const char*>(header), sizeof(header));
-  expected.append(
-      reinterpret_cast<const char*>(std::as_const(m).embeddings.data()),
-      static_cast<size_t>(m.embeddings.numel()) * sizeof(float));
-  ASSERT_EQ(blob.value().size(), expected.size());
-  EXPECT_EQ(std::memcmp(blob.value().data(), expected.data(),
-                        expected.size()),
-            0);
-  std::remove(path.c_str());
-}
-
 TEST(ModelIoV3Test, V3LayoutIsAligned) {
   ServingModel m = TinyModel();
-  std::string path = testing::TempDir() + "/gnmr_v3_layout.bin";
-  ASSERT_TRUE(SaveServingModelV3(m, path).ok());
+  std::string path = testing::TempDir() + "/gnmr_layout.bin";
+  ASSERT_TRUE(SaveServingModel(m, path).ok());
   auto blob = util::ReadFileToString(path);
   ASSERT_TRUE(blob.ok());
   const std::string& bytes = blob.value();
@@ -223,9 +235,9 @@ TEST(ModelIoV3Test, V3LayoutIsAligned) {
   std::remove(path.c_str());
 }
 
-// The full cross-version matrix: every writer x every loader that accepts
-// the version, all bit-identical to the in-memory original.
-TEST(ModelIoV3Test, CrossVersionRoundTripMatrix) {
+// One writer x every kind of model x both loaders, all bit-identical to
+// the in-memory original; every mapped load is zero-copy.
+TEST(ModelIoV3Test, RoundTripMatrix) {
   GnmrTrainer trainer = TrainedTrainer();
   trainer.model().RefreshInferenceCache();
   ServingModel plain = ExportServingModel(trainer.model());
@@ -239,57 +251,64 @@ TEST(ModelIoV3Test, CrossVersionRoundTripMatrix) {
   ASSERT_TRUE(BuildIvfIndex(&full, 8, /*quantize=*/true).ok());
   ASSERT_TRUE(BuildHnswIndex(&full, 4, 16).ok());
 
-  struct Case {
-    const char* name;
-    const ServingModel* model;
-    bool v3;
-    bool mapped_is_zero_copy;
+  const std::pair<const char*, const ServingModel*> cases[] = {
+      {"plain", &plain},   {"ivf", &indexed}, {"quantized", &quantized},
+      {"hnsw", &graphed},  {"all-tiers", &full},
   };
-  const Case cases[] = {
-      {"v1-heap", &plain, false, false},
-      {"v2-heap", &indexed, false, false},
-      {"v3-heap", &plain, true, true},
-      {"v3-ivf", &indexed, true, true},
-      // A model carrying codes always lands in the v4 container: the
-      // explicit v3 writer picks the magic from has_codes, and the
-      // classic SaveServingModel delegates to it.
-      {"v4-quant", &quantized, true, true},
-      {"v4-quant-delegated", &quantized, false, true},
-      // A model carrying an HNSW graph lands in the v5 container the same
-      // way — with or without the IVF/code tiers alongside.
-      {"v5-hnsw", &graphed, true, true},
-      {"v5-hnsw-delegated", &graphed, false, true},
-      {"v5-all-tiers", &full, true, true},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
+  for (const auto& [name, model] : cases) {
+    SCOPED_TRACE(name);
     std::string path = testing::TempDir() + "/gnmr_matrix.bin";
-    ASSERT_TRUE((c.v3 ? SaveServingModelV3(*c.model, path)
-                      : SaveServingModel(*c.model, path))
-                    .ok());
+    ASSERT_TRUE(SaveServingModel(*model, path).ok());
+    auto blob = util::ReadFileToString(path);
+    ASSERT_TRUE(blob.ok());
+    EXPECT_EQ(blob.value().substr(0, 8), "GNMRSM03");
 
     auto heap = LoadServingModel(path);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     EXPECT_FALSE(heap.value().is_mapped());
     EXPECT_TRUE(heap.value().embeddings.owns_storage());
-    ExpectSameModel(*c.model, heap.value());
+    ExpectSameModel(*model, heap.value());
 
-    // The mapped loader accepts every version; v1/v2 fall back to owned
-    // storage, v3 serves views straight over the mapping.
     auto mapped = LoadServingModelMapped(path, /*verify_checksums=*/true);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    EXPECT_EQ(mapped.value().is_mapped(), c.mapped_is_zero_copy);
-    EXPECT_EQ(mapped.value().embeddings.owns_storage(),
-              !c.mapped_is_zero_copy);
-    ExpectSameModel(*c.model, mapped.value());
+    EXPECT_TRUE(mapped.value().is_mapped());
+    EXPECT_FALSE(mapped.value().embeddings.owns_storage());
+    ExpectSameModel(*model, mapped.value());
     std::remove(path.c_str());
   }
 }
 
+// Earlier builds wrote the same container under "GNMRSM04" (codes present)
+// and "GNMRSM05" (graph present). Section presence defines the content, so
+// every container magic loads every section set.
+TEST(ModelIoV3Test, EarlierContainerMagicsStillLoad) {
+  ServingModel m = TinyModel();
+  GNMR_CHECK(BuildIvfIndex(&m, 2, /*quantize=*/true).ok());
+  ServingModel plain = TinyModel();
+  std::string path = testing::TempDir() + "/gnmr_relabeled.bin";
+  for (const ServingModel* model : {&plain, &m}) {
+    ASSERT_TRUE(SaveServingModel(*model, path).ok());
+    auto blob = util::ReadFileToString(path);
+    ASSERT_TRUE(blob.ok());
+    for (char version : {'4', '5'}) {
+      std::string relabeled = blob.value();
+      relabeled[7] = version;
+      ASSERT_TRUE(util::WriteStringToFile(path, relabeled).ok());
+      auto heap = LoadServingModel(path);
+      ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+      ExpectSameModel(*model, heap.value());
+      auto mapped = LoadServingModelMapped(path);
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+      ExpectSameModel(*model, mapped.value());
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ModelIoV3Test, ChecksumCatchesPayloadCorruption) {
   ServingModel m = TinyModel();
-  std::string path = testing::TempDir() + "/gnmr_v3_corrupt.bin";
-  ASSERT_TRUE(SaveServingModelV3(m, path).ok());
+  std::string path = testing::TempDir() + "/gnmr_crc_corrupt.bin";
+  ASSERT_TRUE(SaveServingModel(m, path).ok());
   auto blob = util::ReadFileToString(path);
   ASSERT_TRUE(blob.ok());
   std::string bytes = blob.value();
@@ -307,8 +326,8 @@ TEST(ModelIoV3Test, ChecksumCatchesPayloadCorruption) {
 
 TEST(ModelIoV3Test, RejectsStructuralDamage) {
   ServingModel m = TinyModel();
-  std::string path = testing::TempDir() + "/gnmr_v3_broken.bin";
-  ASSERT_TRUE(SaveServingModelV3(m, path).ok());
+  std::string path = testing::TempDir() + "/gnmr_broken.bin";
+  ASSERT_TRUE(SaveServingModel(m, path).ok());
   auto blob = util::ReadFileToString(path);
   ASSERT_TRUE(blob.ok());
   const std::string& good = blob.value();
@@ -334,7 +353,7 @@ TEST(ModelIoV3Test, RejectsStructuralDamage) {
   std::remove(path.c_str());
 }
 
-// ---- v4 container: int8 posting-list codes --------------------------------
+// ---- Code sections: int8 posting-list codes ---------------------------------
 
 ServingModel TinyQuantModel() {
   ServingModel m = TinyModel();
@@ -343,14 +362,14 @@ ServingModel TinyQuantModel() {
   return m;
 }
 
-TEST(ModelIoV4Test, V4LayoutMagicAndSections) {
+TEST(ModelIoV4Test, CodeSectionLayout) {
   ServingModel m = TinyQuantModel();
-  std::string path = testing::TempDir() + "/gnmr_v4_layout.bin";
-  ASSERT_TRUE(SaveServingModelV3(m, path).ok());
+  std::string path = testing::TempDir() + "/gnmr_codes_layout.bin";
+  ASSERT_TRUE(SaveServingModel(m, path).ok());
   auto blob = util::ReadFileToString(path);
   ASSERT_TRUE(blob.ok());
   const std::string& bytes = blob.value();
-  ASSERT_EQ(bytes.substr(0, 8), "GNMRSM04");
+  ASSERT_EQ(bytes.substr(0, 8), "GNMRSM03");
   int64_t header[4];
   std::memcpy(header, bytes.data() + 8, sizeof(header));
   EXPECT_EQ(header[0], m.num_users);
@@ -376,8 +395,8 @@ TEST(ModelIoV4Test, V4LayoutMagicAndSections) {
 
 TEST(ModelIoV4Test, RejectsCorruptOrTruncatedCodeSection) {
   ServingModel m = TinyQuantModel();
-  std::string path = testing::TempDir() + "/gnmr_v4_corrupt.bin";
-  ASSERT_TRUE(SaveServingModelV3(m, path).ok());
+  std::string path = testing::TempDir() + "/gnmr_codes_corrupt.bin";
+  ASSERT_TRUE(SaveServingModel(m, path).ok());
   auto blob = util::ReadFileToString(path);
   ASSERT_TRUE(blob.ok());
   const std::string& good = blob.value();
@@ -405,30 +424,17 @@ TEST(ModelIoV4Test, RejectsCorruptOrTruncatedCodeSection) {
     EXPECT_FALSE(LoadServingModel(path).ok()) << "keep=" << keep;
     EXPECT_FALSE(LoadServingModelMapped(path).ok()) << "keep=" << keep;
   }
-
-  // A v4 magic on a codeless container is structurally invalid: the v4
-  // section count is pinned to exactly 6.
-  ServingModel codeless = TinyModel();
-  ASSERT_TRUE(SaveServingModelV3(codeless, path).ok());
-  auto v3_blob = util::ReadFileToString(path);
-  ASSERT_TRUE(v3_blob.ok());
-  std::string relabeled = v3_blob.value();
-  relabeled[7] = '4';  // GNMRSM03 -> GNMRSM04
-  ASSERT_TRUE(util::WriteStringToFile(path, relabeled).ok());
-  EXPECT_FALSE(LoadServingModel(path).ok());
-  EXPECT_FALSE(LoadServingModelMapped(path).ok());
   std::remove(path.c_str());
 }
 
 TEST(ModelIoV4Test, QuantizedRoundTripServesIdentically) {
-  // End to end: build quantized, save (the classic entry point delegates
-  // to the v4 writer), reload both ways, and serve — the two-phase scan
+  // End to end: build quantized, save, reload both ways, and serve — the two-phase scan
   // must produce bitwise-identical output from heap and mapped copies.
   GnmrTrainer trainer = TrainedTrainer();
   trainer.model().RefreshInferenceCache();
   ServingModel original = ExportServingModel(trainer.model());
   ASSERT_TRUE(BuildIvfIndex(&original, 8, /*quantize=*/true).ok());
-  std::string path = testing::TempDir() + "/gnmr_v4_serve.bin";
+  std::string path = testing::TempDir() + "/gnmr_codes_serve.bin";
   ASSERT_TRUE(SaveServingModel(original, path).ok());
 
   auto heap_loaded = LoadServingModel(path);
@@ -456,7 +462,7 @@ TEST(ModelIoV4Test, QuantizedRoundTripServesIdentically) {
   std::remove(path.c_str());
 }
 
-// ---- v5 container: HNSW graph sections --------------------------------------
+// ---- Graph sections: HNSW --------------------------------------------------
 
 ServingModel TinyHnswModel() {
   ServingModel m = TinyModel();
@@ -465,14 +471,14 @@ ServingModel TinyHnswModel() {
   return m;
 }
 
-TEST(ModelIoV5Test, V5LayoutMagicAndSections) {
+TEST(ModelIoV5Test, GraphSectionLayout) {
   ServingModel m = TinyHnswModel();
-  std::string path = testing::TempDir() + "/gnmr_v5_layout.bin";
-  ASSERT_TRUE(SaveServingModelV3(m, path).ok());
+  std::string path = testing::TempDir() + "/gnmr_graph_layout.bin";
+  ASSERT_TRUE(SaveServingModel(m, path).ok());
   auto blob = util::ReadFileToString(path);
   ASSERT_TRUE(blob.ok());
   const std::string& bytes = blob.value();
-  ASSERT_EQ(bytes.substr(0, 8), "GNMRSM05");
+  ASSERT_EQ(bytes.substr(0, 8), "GNMRSM03");
   int64_t header[4];
   std::memcpy(header, bytes.data() + 8, sizeof(header));
   EXPECT_EQ(header[0], m.num_users);
@@ -503,8 +509,8 @@ TEST(ModelIoV5Test, V5LayoutMagicAndSections) {
 
 TEST(ModelIoV5Test, RejectsCorruptOrTruncatedNeighborSection) {
   ServingModel m = TinyHnswModel();
-  std::string path = testing::TempDir() + "/gnmr_v5_corrupt.bin";
-  ASSERT_TRUE(SaveServingModelV3(m, path).ok());
+  std::string path = testing::TempDir() + "/gnmr_graph_corrupt.bin";
+  ASSERT_TRUE(SaveServingModel(m, path).ok());
   auto blob = util::ReadFileToString(path);
   ASSERT_TRUE(blob.ok());
   const std::string& good = blob.value();
@@ -541,23 +547,6 @@ TEST(ModelIoV5Test, RejectsCorruptOrTruncatedNeighborSection) {
     EXPECT_FALSE(LoadServingModel(path).ok()) << "keep=" << keep;
     EXPECT_FALSE(LoadServingModelMapped(path).ok()) << "keep=" << keep;
   }
-
-  // Magic/content mismatches both ways: a v5 magic on a graphless
-  // container, and a v3 magic on a container carrying graph sections.
-  ServingModel graphless = TinyModel();
-  ASSERT_TRUE(SaveServingModelV3(graphless, path).ok());
-  auto v3_blob = util::ReadFileToString(path);
-  ASSERT_TRUE(v3_blob.ok());
-  std::string relabeled = v3_blob.value();
-  relabeled[7] = '5';  // GNMRSM03 -> GNMRSM05
-  ASSERT_TRUE(util::WriteStringToFile(path, relabeled).ok());
-  EXPECT_FALSE(LoadServingModel(path).ok());
-  EXPECT_FALSE(LoadServingModelMapped(path).ok());
-  std::string downlabeled = good;
-  downlabeled[7] = '3';  // GNMRSM05 -> GNMRSM03
-  ASSERT_TRUE(util::WriteStringToFile(path, downlabeled).ok());
-  EXPECT_FALSE(LoadServingModel(path).ok());
-  EXPECT_FALSE(LoadServingModelMapped(path).ok());
   std::remove(path.c_str());
 }
 
@@ -570,8 +559,8 @@ TEST(ModelIoV3Test, MmapVsHeapRetrievalBitIdenticalAllBackends) {
   ServingModel original = ExportServingModel(trainer.model());
   ASSERT_TRUE(BuildIvfIndex(&original, 8).ok());
   ASSERT_TRUE(BuildHnswIndex(&original, 8, 32).ok());
-  std::string path = testing::TempDir() + "/gnmr_v3_parity.bin";
-  ASSERT_TRUE(SaveServingModelV3(original, path).ok());
+  std::string path = testing::TempDir() + "/gnmr_parity.bin";
+  ASSERT_TRUE(SaveServingModel(original, path).ok());
 
   auto heap_loaded = LoadServingModel(path);
   auto mapped_loaded = LoadServingModelMapped(path);
@@ -609,6 +598,164 @@ TEST(ModelIoV3Test, MmapVsHeapRetrievalBitIdenticalAllBackends) {
               ivf_mapped.RetrieveBatch(users, kTopK));
     EXPECT_EQ(hnsw_heap.RetrieveBatch(users, kTopK),
               hnsw_mapped.RetrieveBatch(users, kTopK));
+  }
+  std::remove(path.c_str());
+}
+
+// ---- Hostile headers and the mutation sweep ---------------------------------
+
+constexpr size_t kHeaderBytes = 8 + 4 * 8;  // magic + 4 int64 fields
+constexpr size_t kEntryBytes = 4 * 8;       // {id, offset, length, crc}
+
+int64_t ReadI64(const std::string& bytes, size_t pos) {
+  int64_t v = 0;
+  std::memcpy(&v, bytes.data() + pos, sizeof(v));
+  return v;
+}
+
+std::string WithI64(std::string bytes, size_t pos, int64_t v) {
+  std::memcpy(&bytes[pos], &v, sizeof(v));
+  return bytes;
+}
+
+// Header dimensions whose byte products overflow int64 must be rejected
+// before any size arithmetic runs: 2 + 2^60 users times width 4 times 4
+// bytes wraps, and a wrapped product must not match the 80-byte
+// embeddings section (heap loader: no giant allocation; mapped loader: no
+// 2^60-row view over 80 bytes). The same holds for the graph's m, whose
+// level-0 degree cap is 2 * m.
+TEST(ModelIoV3Test, RejectsOverflowingHeaderDimensions) {
+  const std::string path = testing::TempDir() + "/gnmr_overflow.bin";
+  ASSERT_TRUE(SaveServingModel(TinyModel(), path).ok());
+  const std::string plain = util::ReadFileToString(path).value();
+  ASSERT_EQ(ReadI64(plain, 8), 2);
+  ASSERT_TRUE(SaveServingModel(TinyHnswModel(), path).ok());
+  const std::string graph = util::ReadFileToString(path).value();
+  const size_t entry = kHeaderBytes + kEntryBytes;  // table entry 1
+  ASSERT_EQ(ReadI64(graph, entry), 7);              // HNSW meta, m first
+  const size_t m_at = static_cast<size_t>(ReadI64(graph, entry + 8));
+  const int64_t huge = int64_t{1} << 60;
+  const std::string mutants[] = {
+      WithI64(plain, 8, 2 + huge),   // num_users
+      WithI64(plain, 16, 3 + huge),  // num_items
+      WithI64(plain, 24, 4 + huge),  // width
+      WithI64(plain, 24, int64_t{1} << 62),
+      WithI64(plain, 8, std::numeric_limits<int64_t>::max()),
+      WithI64(graph, m_at, (int64_t{1} << 62) + 2),
+  };
+  for (const std::string& bytes : mutants) {
+    ASSERT_TRUE(util::WriteStringToFile(path, bytes).ok());
+    for (const util::Status& s :
+         {LoadServingModel(path).status(),
+          LoadServingModelMapped(path).status(),
+          LoadServingModelMapped(path, /*verify_checksums=*/true).status()}) {
+      EXPECT_EQ(s.code(), util::StatusCode::kParseError) << s.ToString();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A model the lazy mapped loader accepted must be sound, and every view
+// must lie inside the mapping.
+void ExpectSoundAndInside(const ServingModel& m) {
+  ASSERT_TRUE(m.is_mapped());
+  const uint8_t* begin = m.storage_file->data();
+  const uint8_t* end = begin + m.storage_file->size();
+  const auto expect_inside = [&](const void* data, int64_t bytes) {
+    const uint8_t* p = static_cast<const uint8_t*>(data);
+    EXPECT_TRUE(bytes == 0 || (p >= begin && p + bytes <= end));
+  };
+  ASSERT_EQ(m.embeddings.rows(), m.num_users + m.num_items);
+  expect_inside(std::as_const(m.embeddings).data(), m.embeddings.numel() * 4);
+  if (m.has_ivf()) {
+    const IvfIndex& ivf = *m.ivf;
+    ivf.CheckConsistent(m.num_items, m.embeddings.cols());
+    expect_inside(std::as_const(ivf.centroids).data(),
+                  ivf.centroids.numel() * 4);
+    expect_inside(ivf.list_offsets.data(), ivf.list_offsets.size() * 8);
+    expect_inside(ivf.list_items.data(), ivf.list_items.size() * 8);
+    expect_inside(ivf.codes.data(), ivf.codes.size());
+    expect_inside(ivf.code_scales.data(), ivf.code_scales.size() * 4);
+  }
+  if (m.has_hnsw()) {
+    m.hnsw->CheckConsistent(m.num_items);
+    expect_inside(m.hnsw->neighbor_offsets.data(),
+                  m.hnsw->neighbor_offsets.size() * 8);
+    expect_inside(m.hnsw->neighbors.data(), m.hnsw->neighbors.size() * 8);
+  }
+}
+
+// Loads one mutant three ways; each load must return a Status (crashes
+// and sanitizer reports fail the test by themselves). Every mutant
+// changes a checked byte, so the checksumming loaders reject it; the lazy
+// mapped loader may accept only what it does not check by design (payload
+// bytes and CRC fields), and what it accepts must be sound. Returns
+// whether the lazy load succeeded.
+bool LoadMutant(const std::string& path, const std::string& bytes) {
+  EXPECT_TRUE(util::WriteStringToFile(path, bytes).ok());
+  EXPECT_FALSE(LoadServingModel(path).ok());
+  EXPECT_FALSE(LoadServingModelMapped(path, /*verify_checksums=*/true).ok());
+  auto lazy = LoadServingModelMapped(path);
+  if (lazy.ok()) ExpectSoundAndInside(lazy.value());
+  return lazy.ok();
+}
+
+// Deterministic mutation sweep over one container of each kind: every
+// single-bit flip in the header and section table, one bit flip in every
+// payload byte, a truncation at every section boundary +-1, and rewrites
+// of every header field and of each entry's id, offset and length to
+// neighbouring values, 0, -1 and INT64_MAX.
+TEST(ModelIoV3Test, MutationSweepReturnsStatus) {
+  ServingModel plain = TinyModel();
+  ServingModel ivf = TinyModel();
+  ASSERT_TRUE(BuildIvfIndex(&ivf, 2).ok());
+  ServingModel quantized = TinyModel();
+  ASSERT_TRUE(BuildIvfIndex(&quantized, 2, /*quantize=*/true).ok());
+  ServingModel full = TinyModel();
+  ASSERT_TRUE(BuildIvfIndex(&full, 2, /*quantize=*/true).ok());
+  ASSERT_TRUE(BuildHnswIndex(&full, 2, 8).ok());
+  const std::string path = testing::TempDir() + "/gnmr_mutant.bin";
+  for (const ServingModel& model :
+       {plain, ivf, quantized, TinyHnswModel(), full}) {
+    ASSERT_TRUE(SaveServingModel(model, path).ok());
+    const std::string good = util::ReadFileToString(path).value();
+    const size_t count = static_cast<size_t>(ReadI64(good, 32));
+    const size_t table_end = kHeaderBytes + count * kEntryBytes;
+    SCOPED_TRACE(testing::Message() << count << " sections");
+    const auto flip = [&](size_t byte, size_t bit) {
+      std::string bytes = good;
+      bytes[byte] = static_cast<char>(bytes[byte] ^ (1 << bit));
+      return bytes;
+    };
+
+    for (size_t bit = 0; bit < table_end * 8; ++bit) {
+      LoadMutant(path, flip(bit / 8, bit % 8));
+    }
+    std::vector<size_t> boundaries = {8, kHeaderBytes, table_end};
+    std::vector<size_t> fields = {8, 16, 24, 32};  // the header
+    for (size_t e = 0; e < count; ++e) {
+      const size_t entry = kHeaderBytes + e * kEntryBytes;
+      fields.insert(fields.end(), {entry, entry + 8, entry + 16});
+      const size_t offset = static_cast<size_t>(ReadI64(good, entry + 8));
+      const size_t length = static_cast<size_t>(ReadI64(good, entry + 16));
+      boundaries.insert(boundaries.end(), {offset, offset + length});
+      for (size_t i = 0; i < length; ++i) {
+        LoadMutant(path, flip(offset + i, i % 8));
+      }
+    }
+    for (size_t b : boundaries) {
+      for (size_t keep : {b - 1, b, b + 1}) {
+        if (keep >= good.size()) continue;
+        EXPECT_FALSE(LoadMutant(path, good.substr(0, keep))) << keep;
+      }
+    }
+    for (size_t field : fields) {
+      const int64_t v = ReadI64(good, field);
+      for (int64_t to : {v - 1, v + 1, int64_t{0}, int64_t{-1},
+                         std::numeric_limits<int64_t>::max()}) {
+        if (to != v) LoadMutant(path, WithI64(good, field, to));
+      }
+    }
   }
   std::remove(path.c_str());
 }

@@ -571,13 +571,13 @@ TEST(RecServiceQuantizedTest, HotSwapKeepsQuantizedTier) {
 }
 
 TEST(RecServiceQuantizedTest, LoadAndSwapAutoQuantizesAtThreshold) {
-  // A v1 artifact at the deployment threshold: LoadAndSwap builds the
-  // index AND the codes, so the swapped-in snapshot keeps serving the
-  // quantized tier.
+  // An index-less artifact at the deployment threshold: LoadAndSwap
+  // builds the index AND the codes, so the swapped-in snapshot keeps
+  // serving the quantized tier.
   const int64_t big_items = tensor::kIvfQuantizeMinItems;
   auto big = RandomModel(4, big_items, 8, 701);
-  std::string path = testing::TempDir() + "/serve_quant_v1.bin";
-  ASSERT_TRUE(core::SaveServingModel(*big, path).ok());  // v1: no index
+  std::string path = testing::TempDir() + "/serve_quant_plain.bin";
+  ASSERT_TRUE(core::SaveServingModel(*big, path).ok());  // no index
   core::ServingModel first = *big;
   ASSERT_TRUE(core::BuildIvfIndex(&first, 8, /*quantize=*/true).ok());
   RecService::Options options;
@@ -600,7 +600,7 @@ TEST(RecServiceQuantizedTest, LoadAndSwapAutoQuantizesAtThreshold) {
   // Below the threshold the rebuilt index carries no codes: the quantized
   // option is deployment policy, not a hard requirement.
   auto small = RandomModel(4, 256, 8, 703);
-  std::string small_path = testing::TempDir() + "/serve_quant_small_v1.bin";
+  std::string small_path = testing::TempDir() + "/serve_quant_small.bin";
   ASSERT_TRUE(core::SaveServingModel(*small, small_path).ok());
   core::ServingModel sfirst = *small;
   ASSERT_TRUE(core::BuildIvfIndex(&sfirst, 8, /*quantize=*/true).ok());
@@ -660,11 +660,12 @@ TEST(RecServiceTest, ConcurrentRecommendUnderSwaps) {
 }
 
 TEST(RecServiceTest, ConcurrentRecommendUnderHeapMmapSwaps) {
-  // Alternating LoadAndSwap between a v1 artifact (owned heap storage)
-  // and a v3 artifact served zero-copy out of an mmap must stay race-free
-  // under concurrent readers: a reader pinning a mapped snapshot keeps the
-  // mapping alive through its tensors' keepalives even after the service
-  // swaps back to heap storage and drops every other reference.
+  // Alternating swaps between an artifact loaded into owned heap storage
+  // (LoadServingModel + SwapModel) and one served zero-copy out of an mmap
+  // (LoadAndSwap on an mmap service) must stay race-free under concurrent
+  // readers: a reader pinning a mapped snapshot keeps the mapping alive
+  // through its tensors' keepalives even after the service swaps back to
+  // heap storage and drops every other reference.
   const int64_t num_users = 16, num_items = 48, width = 8;
   auto model_a = RandomModel(num_users, num_items, width, 73);
   auto model_b = RandomModel(num_users, num_items, width, 79);
@@ -675,10 +676,15 @@ TEST(RecServiceTest, ConcurrentRecommendUnderHeapMmapSwaps) {
     want_b.push_back(BruteForceTopN(*model_b, u, k));
   }
 
-  std::string heap_path = testing::TempDir() + "/serve_swap_v1.bin";
-  std::string mmap_path = testing::TempDir() + "/serve_swap_v3.bin";
+  std::string heap_path = testing::TempDir() + "/serve_swap_heap.bin";
+  std::string mmap_path = testing::TempDir() + "/serve_swap_mmap.bin";
   ASSERT_TRUE(core::SaveServingModel(*model_a, heap_path).ok());
-  ASSERT_TRUE(core::SaveServingModelV3(*model_b, mmap_path).ok());
+  ASSERT_TRUE(core::SaveServingModel(*model_b, mmap_path).ok());
+  auto heap_loaded = core::LoadServingModel(heap_path);
+  ASSERT_TRUE(heap_loaded.ok()) << heap_loaded.status().ToString();
+  auto heap_snapshot = std::make_shared<const core::ServingModel>(
+      std::move(heap_loaded).value());
+  ASSERT_FALSE(heap_snapshot->is_mapped());
 
   RecService::Options options;
   options.mmap_artifacts = true;
@@ -700,8 +706,12 @@ TEST(RecServiceTest, ConcurrentRecommendUnderHeapMmapSwaps) {
   }
   std::thread swapper([&] {
     for (int s = 0; s < 16; ++s) {
-      ASSERT_TRUE(
-          service.LoadAndSwap(s % 2 == 0 ? mmap_path : heap_path).ok());
+      if (s % 2 == 0) {
+        ASSERT_TRUE(service.LoadAndSwap(mmap_path).ok());
+        EXPECT_TRUE(service.retriever()->model().is_mapped());
+      } else {
+        service.SwapModel(heap_snapshot);
+      }
       std::this_thread::yield();
     }
   });
@@ -709,8 +719,8 @@ TEST(RecServiceTest, ConcurrentRecommendUnderHeapMmapSwaps) {
   swapper.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(service.stats().swaps, 16u);
-  // The last swap loaded the v3 artifact's predecessor (heap v1), so the
-  // final snapshot is heap-backed; a fresh mmap swap flips it back.
+  // The last swap installed the heap snapshot; a fresh mmap swap flips it
+  // back.
   ASSERT_TRUE(service.LoadAndSwap(mmap_path).ok());
   ExpectExactlyEqual(service.Recommend(3, k),
                      want_b[3]);
