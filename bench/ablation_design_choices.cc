@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   using namespace gnmr;
   util::Flags flags(argc, argv);
   bench::RunSettings settings = bench::SettingsFromFlags(flags);
+  flags.CheckOrExit();
 
   std::printf("=== Design-choice ablations (GNMR, scale=%.2f) ===\n\n",
               settings.scale);

@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   using namespace gnmr;
   util::Flags flags(argc, argv);
   bench::RunSettings settings = bench::SettingsFromFlags(flags);
+  flags.CheckOrExit();
 
   std::printf("=== Figure 2: component ablation, scale=%.2f ===\n\n",
               settings.scale);

@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   using namespace gnmr;
   util::Flags flags(argc, argv);
   bench::RunSettings settings = bench::SettingsFromFlags(flags);
+  flags.CheckOrExit();
   const std::vector<int64_t> depths = {0, 1, 2, 3};
 
   std::printf("=== Figure 3: impact of propagation depth, scale=%.2f ===\n\n",

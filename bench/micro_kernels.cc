@@ -136,29 +136,6 @@ void BM_RowDotBackend(benchmark::State& state, const std::string& backend) {
 BENCHMARK_CAPTURE(BM_RowDotBackend, serial, "serial");
 BENCHMARK_CAPTURE(BM_RowDotBackend, sharded, "sharded");
 
-// The quantized posting-list scan kernel: one int8 query row against n
-// int8 code rows (KernelBackend::I8QueryDot). Serial runs the reference
-// loop; sharded runs the AVX2 maddubs kernel on the calling thread (the
-// serving scans never dispatch to the pool). Same n/m as BM_RowDotBackend
-// so the int8 and float scan costs compare directly.
-void BM_I8DotBackend(benchmark::State& state, const std::string& backend) {
-  const tensor::KernelBackend* b = tensor::FindBackend(backend);
-  int64_t n = 4096, m = 64;
-  util::Rng rng(7);
-  std::vector<int8_t> q(static_cast<size_t>(m));
-  std::vector<int8_t> codes(static_cast<size_t>(n * m));
-  for (auto& v : q) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
-  for (auto& v : codes) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
-  std::vector<int32_t> out(static_cast<size_t>(n));
-  for (auto _ : state) {
-    b->I8QueryDot(q.data(), codes.data(), out.data(), n, m);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * m);
-}
-BENCHMARK_CAPTURE(BM_I8DotBackend, serial, "serial");
-BENCHMARK_CAPTURE(BM_I8DotBackend, sharded, "sharded");
-
 // The sigmoid-backward zip is the hottest EltwiseZip in training; routing
 // it through each backend exercises the sharded backend's pointer-keyed
 // twin substitution (backend_simd.h) on a body the portable TUs

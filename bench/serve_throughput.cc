@@ -1,8 +1,8 @@
 // google-benchmark suite for the serving read path: blocked top-K
 // retrieval vs the per-item eval::Scorer loop it replaces, batched
 // retrieval (user blocks sharing item tiles), item-sharded retrieval
-// over the shard pool (single-user and batched), IVF approximate retrieval
-// (with its measured recall@k and scanned fraction logged as counters so
+// over the shard pool (single-user and batched), HNSW approximate retrieval
+// (with its measured recall@k and evaluated fraction logged as counters so
 // the quality/cost trade-off is recorded, not assumed), and the RecService
 // cache cold vs warm under a Zipf-distributed request stream. Runs on a
 // 10k-user x 20k-item synthetic ServingModel; CI uploads the JSON next to
@@ -20,12 +20,14 @@
 //
 //   ./build/bench/serve_throughput --closed_loop [--threads=2] [--k=10]
 //       [--zipf=1.1] [--steady=30000] [--swap=20000] [--cold=1500]
-//       [--warmup=16384] [--target_qps=0] [--retriever=exact|ivf]
-//       [--out=path] [--trace_json=path] [--metrics_json=path]
+//       [--warmup=16384] [--target_qps=0] [--out=path]
+//       [--trace_json=path] [--metrics_json=path]
 //
 // --target_qps=0 paces steady/swap at 60% of the measured warmup
 // throughput (a sustainable rate, so the quantiles describe service time,
 // not unbounded queue growth); warmup and cold run unpaced closed-loop.
+// The service serves the exact scan. An unknown flag or an unparsable
+// number exits with status 2.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -39,7 +41,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "src/core/model_io.h"
@@ -48,7 +49,6 @@
 #include "src/obs/trace.h"
 #include "src/serve/exact_retriever.h"
 #include "src/serve/hnsw_retriever.h"
-#include "src/serve/ivf_retriever.h"
 #include "src/serve/rec_service.h"
 #include "src/serve/zipf_stream.h"
 #include "src/tensor/shard_pool.h"
@@ -64,7 +64,7 @@ using namespace gnmr;
 constexpr int64_t kUsers = 10000;
 constexpr int64_t kItems = 20000;
 constexpr int64_t kWidth = 32;
-constexpr int64_t kIvfNlist = 64;
+constexpr int64_t kCenters = 64;
 
 std::shared_ptr<const core::ServingModel> GlobalModel() {
   static std::shared_ptr<const core::ServingModel> model = [] {
@@ -80,17 +80,15 @@ std::shared_ptr<const core::ServingModel> GlobalModel() {
 }
 
 // Clustered embedding geometry (what trained multi-order embeddings look
-// like, and the regime an IVF index is built for) with the index attached;
-// dimensions match GlobalModel so IVF timings compare directly against
-// the exact-scan cases. Twin of ClusteredModel in
-// tests/ivf_retriever_test.cc (wider noise, bench-scale shapes) — keep
-// the user/item-to-cluster formulas in sync so the logged recall measures
-// the same regime the tests pin.
-std::shared_ptr<const core::ServingModel> GlobalIvfModel() {
+// like, and the regime a graph index is built for): kCenters Gaussian
+// centers, users assigned round-robin, items in contiguous blocks.
+// Dimensions match GlobalModel so graph timings compare directly against
+// the exact-scan cases.
+std::shared_ptr<const core::ServingModel> GlobalClusteredModel() {
   static std::shared_ptr<const core::ServingModel> model = [] {
     util::Rng rng(211);
     tensor::Tensor centers =
-        tensor::Tensor::RandomNormal({kIvfNlist, kWidth}, &rng, 0.0f, 4.0f);
+        tensor::Tensor::RandomNormal({kCenters, kWidth}, &rng, 0.0f, 4.0f);
     core::ServingModel m;
     m.num_users = kUsers;
     m.num_items = kItems;
@@ -98,38 +96,16 @@ std::shared_ptr<const core::ServingModel> GlobalIvfModel() {
     float* data = m.embeddings.data();
     for (int64_t r = 0; r < kUsers + kItems; ++r) {
       const int64_t c = r < kUsers
-                            ? r % kIvfNlist
-                            : ((r - kUsers) * kIvfNlist) / kItems;
+                            ? r % kCenters
+                            : ((r - kUsers) * kCenters) / kItems;
       const float* center = centers.data() + c * kWidth;
       for (int64_t j = 0; j < kWidth; ++j) {
         data[r * kWidth + j] = center[j] + rng.Normal(0.0f, 0.5f);
       }
     }
-    GNMR_CHECK(core::BuildIvfIndex(&m, kIvfNlist).ok());
     return std::make_shared<const core::ServingModel>(std::move(m));
   }();
   return model;
-}
-
-// Recall@k of the IVF strategy vs the exact scan on a user sample,
-// logged as a benchmark counter. The value is deterministic, and
-// google-benchmark invokes each BM_ function several times (calibration
-// + measurement), so it is computed once per (nprobe, k) and cached —
-// each measurement costs a full 256-user exact scan otherwise.
-double MeasuredIvfRecall(int64_t nprobe, int64_t k) {
-  static std::map<std::pair<int64_t, int64_t>, double> cache;
-  const auto key = std::make_pair(nprobe, k);
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  serve::ExactRetriever exact(GlobalIvfModel(), nullptr,
-                              serve::ItemShardMode::kOff);
-  serve::IvfRetriever ivf(GlobalIvfModel(), nullptr, nprobe,
-                          serve::ItemShardMode::kOff);
-  std::vector<int64_t> users;
-  for (int64_t u = 0; u < 256; ++u) users.push_back((u * 131) % kUsers);
-  const double recall = eval::RetrievalRecallAtK(exact, ivf, users, k);
-  cache[key] = recall;
-  return recall;
 }
 
 // The serving path this subsystem replaces: score every catalogue item
@@ -208,114 +184,10 @@ void BM_ShardedBatchRetrieval(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedBatchRetrieval)->Arg(64)->Arg(256);
 
-// IVF single-user retrieval at k = 10: probe nprobe of the 64 clusters,
-// scan only their posting lists. Compare against BM_BlockedRetrievalTopN
-// (the exhaustive scan) — the speedup is ~nlist/nprobe minus probe + merge
-// overhead, and the recall it buys is logged right next to it.
-void BM_IvfRetrievalTopN(benchmark::State& state) {
-  const int64_t k = 10;
-  const int64_t nprobe = state.range(0);
-  serve::IvfRetriever retriever(GlobalIvfModel(), nullptr, nprobe,
-                                serve::ItemShardMode::kOff);
-  int64_t user = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(retriever.RetrieveTopN(user, k));
-    user = (user + 1) % kUsers;
-  }
-  state.SetItemsProcessed(state.iterations() * kItems);
-  serve::RetrieverStats stats = retriever.Stats();
-  state.counters["nprobe"] = static_cast<double>(nprobe);
-  state.counters["recall_at_10"] = MeasuredIvfRecall(nprobe, k);
-  state.counters["scanned_frac"] =
-      stats.requests == 0
-          ? 0.0
-          : static_cast<double>(stats.scanned_items) /
-                (static_cast<double>(stats.requests) *
-                 static_cast<double>(kItems));
-}
-BENCHMARK(BM_IvfRetrievalTopN)->Arg(8)->Arg(16);
-
-// GlobalIvfModel's embeddings with int8 codes attached: deterministic
-// k-means reproduces the identical clustering, so the probe sets — and
-// therefore the candidate coverage — match the float IVF benches exactly;
-// only the bytes-per-scanned-item change.
-std::shared_ptr<const core::ServingModel> GlobalQuantIvfModel() {
-  static std::shared_ptr<const core::ServingModel> model = [] {
-    core::ServingModel m = *GlobalIvfModel();
-    GNMR_CHECK(core::BuildIvfIndex(&m, kIvfNlist, /*quantize=*/true).ok());
-    return std::make_shared<const core::ServingModel>(std::move(m));
-  }();
-  return model;
-}
-
-// Recall@k of the quantized two-phase scan vs the exact scan, cached like
-// MeasuredIvfRecall (the delta against the float IVF recall at the same
-// nprobe is the cost of int8 pool selection).
-double MeasuredQuantIvfRecall(int64_t nprobe, int64_t rerank_k, int64_t k) {
-  static std::map<std::tuple<int64_t, int64_t, int64_t>, double> cache;
-  const auto key = std::make_tuple(nprobe, rerank_k, k);
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  serve::ExactRetriever exact(GlobalQuantIvfModel(), nullptr,
-                              serve::ItemShardMode::kOff);
-  serve::IvfRetriever quant(GlobalQuantIvfModel(), nullptr, nprobe,
-                            serve::ItemShardMode::kOff, /*quantized=*/true,
-                            rerank_k);
-  std::vector<int64_t> users;
-  for (int64_t u = 0; u < 256; ++u) users.push_back((u * 131) % kUsers);
-  const double recall = eval::RetrievalRecallAtK(exact, quant, users, k);
-  cache[key] = recall;
-  return recall;
-}
-
-// The quantized tier at k = 10: same probe sets as BM_IvfRetrievalTopN
-// (deterministic clustering), but phase 1 streams int8 codes + scales
-// instead of float rows and phase 2 reranks only rerank_k candidates
-// exactly. code_frac is the quantized scan's share of its own streamed
-// bytes; compare scanned_frac * bytes-per-item against the float case for
-// the ~4x bandwidth cut, and the adjacent recall counters for its price.
-void BM_IvfQuantizedTopN(benchmark::State& state) {
-  const int64_t k = 10;
-  const int64_t nprobe = state.range(0);
-  const int64_t rerank_k = state.range(1);
-  serve::IvfRetriever retriever(GlobalQuantIvfModel(), nullptr, nprobe,
-                                serve::ItemShardMode::kOff,
-                                /*quantized=*/true, rerank_k);
-  GNMR_CHECK(retriever.quantized());
-  int64_t user = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(retriever.RetrieveTopN(user, k));
-    user = (user + 1) % kUsers;
-  }
-  state.SetItemsProcessed(state.iterations() * kItems);
-  serve::RetrieverStats stats = retriever.Stats();
-  state.counters["nprobe"] = static_cast<double>(nprobe);
-  state.counters["rerank_k"] = static_cast<double>(rerank_k);
-  state.counters["recall_at_10"] = MeasuredQuantIvfRecall(nprobe, rerank_k, k);
-  state.counters["scanned_frac"] =
-      stats.requests == 0
-          ? 0.0
-          : static_cast<double>(stats.scanned_items) /
-                (static_cast<double>(stats.requests) *
-                 static_cast<double>(kItems));
-  state.counters["code_frac"] =
-      stats.scanned_bytes == 0
-          ? 0.0
-          : static_cast<double>(stats.scanned_code_bytes) /
-                static_cast<double>(stats.scanned_bytes);
-}
-BENCHMARK(BM_IvfQuantizedTopN)
-    ->Args({8, 128})
-    ->Args({16, 64})
-    ->Args({16, 128});
-
-// GlobalIvfModel's embeddings with the HNSW graph attached alongside the
-// IVF index (each strategy reads its own): identical geometry, so the
-// graph-walk timings compare directly against the float and quantized
-// IVF scans above.
+// GlobalClusteredModel's embeddings with the HNSW graph attached.
 std::shared_ptr<const core::ServingModel> GlobalHnswModel() {
   static std::shared_ptr<const core::ServingModel> model = [] {
-    core::ServingModel m = *GlobalIvfModel();
+    core::ServingModel m = *GlobalClusteredModel();
     GNMR_CHECK(core::BuildHnswIndex(&m, /*m=*/16, /*ef_construction=*/128)
                    .ok());
     return std::make_shared<const core::ServingModel>(std::move(m));
@@ -323,9 +195,11 @@ std::shared_ptr<const core::ServingModel> GlobalHnswModel() {
   return model;
 }
 
-// Recall@k of the graph walk vs the exact scan at one ef_search, cached
-// like the IVF recalls (same 256-user sample, so the counters line up
-// across strategies).
+// Recall@k of the graph walk vs the exact scan at one ef_search, logged as
+// a benchmark counter. The value is deterministic, and google-benchmark
+// invokes each BM_ function several times (calibration + measurement), so
+// it is computed once per (ef_search, k) and cached — each measurement
+// costs a full 256-user exact scan otherwise.
 double MeasuredHnswRecall(int64_t ef_search, int64_t k) {
   static std::map<std::pair<int64_t, int64_t>, double> cache;
   const auto key = std::make_pair(ef_search, k);
@@ -342,9 +216,8 @@ double MeasuredHnswRecall(int64_t ef_search, int64_t k) {
 }
 
 // The graph tier at k = 10: greedy descent + level-0 beam instead of a
-// posting-list scan. eval_frac is the per-query distance-evaluation share
-// of the catalogue (the sub-linearity ratio — compare against the IVF
-// scanned_frac at matched recall_at_10), hops_per_q the nodes expanded.
+// full scan. eval_frac is the per-query distance-evaluation share of the
+// catalogue (the sub-linearity ratio), hops_per_q the nodes expanded.
 void BM_HnswTopN(benchmark::State& state) {
   const int64_t k = 10;
   const int64_t ef_search = state.range(0);
@@ -372,7 +245,7 @@ void BM_HnswTopN(benchmark::State& state) {
 BENCHMARK(BM_HnswTopN)->Arg(32)->Arg(64)->Arg(128);
 
 // Batched HNSW retrieval: sequential per-user walks fanned across user
-// blocks, the graph analogue of BM_IvfBatchRetrieval.
+// blocks (the approximate analogue of BM_BatchRetrieval).
 void BM_HnswBatchRetrieval(benchmark::State& state) {
   const int64_t batch = state.range(0);
   const int64_t ef_search = 64;
@@ -389,26 +262,6 @@ void BM_HnswBatchRetrieval(benchmark::State& state) {
   state.counters["recall_at_10"] = MeasuredHnswRecall(ef_search, 10);
 }
 BENCHMARK(BM_HnswBatchRetrieval)->Arg(64)->Arg(256);
-
-// Batched IVF retrieval: per-user probe + scan fanned across user blocks
-// (the approximate analogue of BM_BatchRetrieval).
-void BM_IvfBatchRetrieval(benchmark::State& state) {
-  const int64_t batch = state.range(0);
-  const int64_t nprobe = 8;
-  serve::IvfRetriever retriever(GlobalIvfModel(), nullptr, nprobe,
-                                serve::ItemShardMode::kOff);
-  std::vector<int64_t> users(static_cast<size_t>(batch));
-  for (int64_t i = 0; i < batch; ++i) {
-    users[static_cast<size_t>(i)] = (i * 131) % kUsers;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(retriever.RetrieveBatch(users, 10));
-  }
-  state.SetItemsProcessed(state.iterations() * batch);  // users/sec
-  state.counters["nprobe"] = static_cast<double>(nprobe);
-  state.counters["recall_at_10"] = MeasuredIvfRecall(nprobe, 10);
-}
-BENCHMARK(BM_IvfBatchRetrieval)->Arg(64)->Arg(256);
 
 // Batched retrieval amortises the item tiles across a user block; under
 // the default sharded backend (ItemShardMode::kAuto) the blocks fan out
@@ -553,23 +406,15 @@ int RunClosedLoop(int argc, char** argv) {
   const int64_t swap_n = flags.GetInt("swap", 20000);
   const int64_t cold_n = flags.GetInt("cold", 1500);
   const double target_qps = flags.GetDouble("target_qps", 0.0);
-  const std::string retriever_name = flags.GetString("retriever", "exact");
   const std::string out_path = flags.GetString("out", "");
   const std::string trace_json = flags.GetString("trace_json", "");
   const std::string metrics_json = flags.GetString("metrics_json", "");
-  GNMR_CHECK(retriever_name == "exact" || retriever_name == "ivf")
-      << "--retriever must be exact or ivf";
+  flags.GetBool("closed_loop", true);  // the mode switch main() matched
+  flags.CheckOrExit();
 
   serve::RecService::Options options;
   options.metrics = &obs::MetricsRegistry::Global();
-  std::shared_ptr<const core::ServingModel> model;
-  if (retriever_name == "ivf") {
-    model = GlobalIvfModel();
-    options.retriever = serve::RetrieverKind::kIvf;
-  } else {
-    model = GlobalModel();
-  }
-  serve::RecService service(model, nullptr, options);
+  serve::RecService service(GlobalModel(), nullptr, options);
 
   // Phase 1: warm up unpaced; its throughput sizes the paced phases.
   std::vector<int64_t> warm_stream =
@@ -602,7 +447,7 @@ int RunClosedLoop(int argc, char** argv) {
         while (started.load(std::memory_order_relaxed) < swap_at) {
           std::this_thread::yield();
         }
-        service.SwapModel(model);
+        service.SwapModel(GlobalModel());
       });
 
   // Phase 4: cache-cold — distinct users round-robin, so ~every request
@@ -622,7 +467,7 @@ int RunClosedLoop(int argc, char** argv) {
 
   // Phase 5: tracing overhead on the warm hit path — the same unpaced
   // stream with spans off, then on (at the service's sampling period).
-  // Means are exact; the histogram p50s are bucket-quantized (<= 12.5%
+  // Means are exact; the histogram p50s are bucket-rounded (<= 12.5%
   // wide), so both are recorded. Two controls: the cold phase just
   // invalidated the cache, so re-warm first (unmeasured) — both runs must
   // see the same ~100% hit rate; and the comparison runs single-threaded —
@@ -676,7 +521,7 @@ int RunClosedLoop(int argc, char** argv) {
   json << "{\"config\":{\"users\":" << kUsers << ",\"items\":" << kItems
        << ",\"width\":" << kWidth << ",\"k\":" << k
        << ",\"threads\":" << threads << ",\"zipf\":" << zipf
-       << ",\"retriever\":\"" << retriever_name
+       << ",\"retriever\":\"" << service.retriever()->name()
        << "\",\"paced_qps\":" << static_cast<int64_t>(paced_qps)
        << ",\"trace_sample_period\":" << options.trace_sample_period
        << "},\"phases\":{";

@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   using namespace gnmr;
   util::Flags flags(argc, argv);
   bench::RunSettings settings = bench::SettingsFromFlags(flags);
+  flags.CheckOrExit();
 
   std::printf("=== Table I: dataset statistics (synthetic substitutes, "
               "scale=%.2f) ===\n\n", settings.scale);

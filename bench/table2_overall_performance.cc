@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
     models = baselines::AllBaselineNames();
     models.push_back("GNMR");
   }
+  flags.CheckOrExit();
 
   std::printf("=== Table II: overall performance (HR@10 / NDCG@10), "
               "scale=%.2f ===\n\n", settings.scale);

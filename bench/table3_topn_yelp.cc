@@ -11,6 +11,7 @@ int main(int argc, char** argv) {
   using namespace gnmr;
   util::Flags flags(argc, argv);
   bench::RunSettings settings = bench::SettingsFromFlags(flags);
+  flags.CheckOrExit();
   const std::vector<int64_t> cutoffs = {1, 3, 5, 7, 9};
   const std::vector<std::string> models = {"BiasMF", "NCF-N",   "AutoRec",
                                            "NADE",   "CF-UIcA", "NMTR",

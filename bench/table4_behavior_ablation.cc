@@ -80,6 +80,7 @@ void RunDataset(const data::SyntheticConfig& dataset_cfg,
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   bench::RunSettings settings = bench::SettingsFromFlags(flags);
+  flags.CheckOrExit();
   std::printf("=== Table IV: behavior-type ablation, scale=%.2f ===\n",
               settings.scale);
   RunDataset(data::MovieLensLike(settings.scale), settings);

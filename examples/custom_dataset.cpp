@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   int64_t epochs = flags.GetInt("epochs", 15);
   std::string dir = flags.GetString("dir", "/tmp");
+  flags.CheckOrExit();
 
   // 1. Produce a raw log (stand-in for your exported production data).
   //    Columns: user_id item_id behavior_id [timestamp]; dense 0-based ids.

@@ -9,14 +9,13 @@
 //                               [--save=path]
 //                               [--backend=sharded|serial]
 //                               [--shard_workers=N]
-//                               [--retriever=exact|ivf|hnsw] [--nlist=N]
-//                               [--nprobe=N] [--quantized] [--rerank_k=N]
-//                               [--hnsw_m=N] [--ef_search=N]
+//                               [--retriever=exact|hnsw] [--hnsw_m=N]
+//                               [--ef_search=N]
 //                               [--metrics_json=path] [--trace]
 //                               [--trace_json=path] [--trace_sample=N]
 //
 // --model=path skips training and loads a SaveServingModel artifact;
-// --save=path writes the artifact (with whatever index it carries) for
+// --save=path writes the artifact (with the graph, if it carries one) for
 // later runs. --mmap opens the artifact zero-copy
 // (core::LoadServingModelMapped): the embeddings serve straight out of
 // the page cache, shared read-only across every process mapping the same
@@ -26,22 +25,6 @@
 // pool used by the sharded backend and the item-sharded retriever (same as
 // the GNMR_SHARD_WORKERS env var); 0 auto-sizes to one worker per hardware
 // thread.
-//
-// --retriever=ivf serves through the clustered IVF index (approximate;
-// see src/serve/ivf_retriever.h): --nlist= sets the cluster count used
-// when the index must be built here (0 = tensor::kIvfDefaultNlist),
-// --nprobe= the clusters probed per request (0 = default). An artifact
-// loaded with --model= reuses its embedded index when it has one; --save=
-// writes an artifact carrying the index. Catalogues smaller than
-// tensor::kIvfMinItemsForIndex fall back to the exact scan.
-//
-// --quantized serves the probed posting lists through the two-phase int8
-// code scan (approximate code scan + exact float rerank of the rerank_k
-// best candidates; see src/serve/ivf_retriever.h). Indexes built here get
-// int8 codes attached, and --save= then writes the code sections too; an
-// artifact loaded without codes serves float silently.
-// --rerank_k= bounds the exact-rerank pool (0 =
-// tensor::kIvfDefaultRerankK).
 //
 // --retriever=hnsw serves through the layered small-world graph walk
 // (approximate, sub-linear per query; see src/serve/hnsw_retriever.h):
@@ -60,6 +43,9 @@
 // it) records trace spans across the run; --trace_json= writes them as
 // chrome://tracing / Perfetto JSON. --trace_sample=N spans 1 request in N
 // on the serving fast path (default 16; 1 = every request).
+//
+// An unknown flag, or a numeric flag whose value does not parse, ends the
+// run with exit status 2 and a message naming the flag.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -75,7 +61,6 @@
 #include "src/data/split.h"
 #include "src/data/synthetic.h"
 #include "src/serve/hnsw_retriever.h"
-#include "src/serve/ivf_retriever.h"
 #include "src/serve/rec_service.h"
 #include "src/serve/zipf_stream.h"
 #include "src/tensor/backend.h"
@@ -172,10 +157,6 @@ int main(int argc, char** argv) {
   bool use_mmap = flags.GetBool("mmap", false);
   std::string save_path = flags.GetString("save", "");
   std::string retriever_name = flags.GetString("retriever", "exact");
-  int64_t nlist = flags.GetInt("nlist", 0);
-  int64_t nprobe = flags.GetInt("nprobe", 0);
-  bool quantized = flags.GetBool("quantized", false);
-  int64_t rerank_k = flags.GetInt("rerank_k", 0);
   int64_t hnsw_m = flags.GetInt("hnsw_m", 0);
   int64_t ef_search = flags.GetInt("ef_search", 0);
   std::string metrics_json = flags.GetString("metrics_json", "");
@@ -189,9 +170,9 @@ int main(int argc, char** argv) {
   if (flags.Has("backend")) {
     tensor::SetBackend(flags.GetString("backend", ""));
   }
-  if (retriever_name != "exact" && retriever_name != "ivf" &&
-      retriever_name != "hnsw") {
-    std::fprintf(stderr, "unknown --retriever=%s (exact|ivf|hnsw)\n",
+  flags.CheckOrExit();
+  if (retriever_name != "exact" && retriever_name != "hnsw") {
+    std::fprintf(stderr, "unknown --retriever=%s (exact|hnsw)\n",
                  retriever_name.c_str());
     return 1;
   }
@@ -215,11 +196,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     artifact = std::move(loaded).value();
-    std::printf("loaded snapshot %s (%lld users x %lld items%s%s%s)\n",
+    std::printf("loaded snapshot %s (%lld users x %lld items%s%s)\n",
                 model_path.c_str(),
                 static_cast<long long>(artifact.num_users),
                 static_cast<long long>(artifact.num_items),
-                artifact.has_ivf() ? ", with IVF index" : "",
                 artifact.has_hnsw() ? ", with HNSW graph" : "",
                 artifact.is_mapped() ? ", mmap zero-copy" : "");
   } else {
@@ -233,9 +213,9 @@ int main(int argc, char** argv) {
     artifact = core::ExportServingModel(trainer->model());
   }
 
-  // 1b. Retrieval strategy: attach the IVF index before the snapshot is
-  //     frozen. A loaded artifact may bring its own index; --nlist forces
-  //     a rebuild at a different cluster count.
+  // 1b. Retrieval strategy: attach the HNSW graph before the snapshot is
+  //     frozen. A loaded artifact may bring its own graph; --hnsw_m forces
+  //     a rebuild at a different neighbor cap.
   serve::RecService::Options service_options;
   // Hot swaps reload the artifact the same way it was first opened.
   service_options.mmap_artifacts = use_mmap;
@@ -243,39 +223,6 @@ int main(int argc, char** argv) {
   // run recorded in a single document.
   service_options.metrics = &obs::MetricsRegistry::Global();
   service_options.trace_sample_period = trace_sample;
-  if (retriever_name == "ivf") {
-    if (artifact.num_items < tensor::kIvfMinItemsForIndex) {
-      std::printf("catalogue of %lld items is below "
-                  "kIvfMinItemsForIndex=%lld; serving exact instead\n",
-                  static_cast<long long>(artifact.num_items),
-                  static_cast<long long>(tensor::kIvfMinItemsForIndex));
-    } else {
-      // Rebuild when the artifact has no index, when --nlist overrides the
-      // cluster count, or when --quantized needs codes the embedded index
-      // doesn't carry.
-      if (!artifact.has_ivf() || flags.Has("nlist") ||
-          (quantized && !artifact.ivf->has_codes())) {
-        util::Status s = core::BuildIvfIndex(&artifact, nlist, quantized);
-        if (!s.ok()) {
-          std::fprintf(stderr, "BuildIvfIndex: %s\n", s.ToString().c_str());
-          return 1;
-        }
-      }
-      service_options.retriever = serve::RetrieverKind::kIvf;
-      service_options.nlist = nlist;
-      if (nprobe > 0) service_options.nprobe = nprobe;
-      service_options.quantized = quantized;
-      service_options.rerank_k = rerank_k;
-      std::printf("IVF index: %lld lists, probing %lld per request%s\n",
-                  static_cast<long long>(artifact.ivf->nlist()),
-                  static_cast<long long>(std::min(
-                      nprobe > 0 ? nprobe : tensor::kIvfDefaultNprobe,
-                      artifact.ivf->nlist())),
-                  quantized && artifact.ivf->has_codes()
-                      ? ", int8 code scan + exact rerank"
-                      : "");
-    }
-  }
   if (retriever_name == "hnsw") {
     if (artifact.num_items < tensor::kHnswMinItemsForIndex) {
       std::printf("catalogue of %lld items is below "
@@ -307,8 +254,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!save_path.empty()) {
-    // The artifact carries whatever index was attached above, so
-    // --retriever=ivf (or =hnsw) --save= upgrades an artifact in place.
+    // The artifact carries whatever graph was attached above, so
+    // --retriever=hnsw --save= upgrades an artifact in place.
     util::Status s = core::SaveServingModel(artifact, save_path);
     std::printf("saved artifact to %s: %s\n", save_path.c_str(),
                 s.ToString().c_str());
@@ -356,18 +303,10 @@ int main(int argc, char** argv) {
     trainer->TrainEpoch();
     trainer->model().RefreshInferenceCache();
     core::ServingModel next = core::ExportServingModel(trainer->model());
-    if (service_options.retriever == serve::RetrieverKind::kIvf) {
-      // A kIvf service only accepts snapshots that carry an index; the
-      // fresh export doesn't, so re-cluster the refreshed embeddings
-      // (re-quantizing when the quantized tier is live).
-      util::Status s = core::BuildIvfIndex(&next, nlist, quantized);
-      if (!s.ok()) {
-        std::fprintf(stderr, "BuildIvfIndex: %s\n", s.ToString().c_str());
-        return 1;
-      }
-    }
     if (service_options.retriever == serve::RetrieverKind::kHnsw) {
-      // Same for kHnsw: re-walk the refreshed embeddings into a new graph.
+      // A kHnsw service only accepts snapshots that carry a graph; the
+      // fresh export doesn't, so re-walk the refreshed embeddings into a
+      // new one.
       util::Status s =
           core::BuildHnswIndex(&next, hnsw_m, /*ef_construction=*/0);
       if (!s.ok()) {
@@ -377,14 +316,12 @@ int main(int argc, char** argv) {
     }
     service.SwapModel(
         std::make_shared<const core::ServingModel>(std::move(next)));
-  } else if ((service_options.retriever == serve::RetrieverKind::kIvf &&
-              flags.Has("nlist")) ||
-             (service_options.retriever == serve::RetrieverKind::kHnsw &&
-              flags.Has("hnsw_m"))) {
-    // --nlist (or --hnsw_m) forced a rebuild of the loaded artifact's
-    // index at startup; LoadAndSwap would re-read the disk artifact and
-    // quietly revert to its embedded parameters, so swap the in-memory
-    // snapshot (which carries the rebuilt index) instead.
+  } else if (service_options.retriever == serve::RetrieverKind::kHnsw &&
+             flags.Has("hnsw_m")) {
+    // --hnsw_m forced a rebuild of the loaded artifact's graph at startup;
+    // LoadAndSwap would re-read the disk artifact and quietly revert to its
+    // embedded parameters, so swap the in-memory snapshot (which carries
+    // the rebuilt graph) instead.
     service.SwapModel(snapshot);
   } else {
     util::Status s = service.LoadAndSwap(model_path);
@@ -411,16 +348,14 @@ int main(int argc, char** argv) {
   PrintLatencyTable(&service);
   if (stats.retrieval.requests > 0) {
     std::printf("retrieval: %llu scans, %llu items scored (%.1f%% of "
-                "exhaustive), %.1f MB streamed, %llu clusters probed\n",
+                "exhaustive), %.1f MB streamed\n",
                 static_cast<unsigned long long>(stats.retrieval.requests),
                 static_cast<unsigned long long>(
                     stats.retrieval.scanned_items),
                 100.0 * static_cast<double>(stats.retrieval.scanned_items) /
                     (static_cast<double>(stats.retrieval.requests) *
                      static_cast<double>(snapshot->num_items)),
-                static_cast<double>(stats.retrieval.scanned_bytes) / 1e6,
-                static_cast<unsigned long long>(
-                    stats.retrieval.probed_clusters));
+                static_cast<double>(stats.retrieval.scanned_bytes) / 1e6);
     if (stats.retrieval.hops > 0) {
       std::printf("hnsw: %.1f hops/query, %.1f distance evals/query "
                   "(%.2f%% of catalogue per query)\n",
@@ -431,17 +366,6 @@ int main(int argc, char** argv) {
                   100.0 * static_cast<double>(stats.retrieval.scanned_items) /
                       (static_cast<double>(stats.retrieval.requests) *
                        static_cast<double>(snapshot->num_items)));
-    }
-    if (stats.retrieval.scanned_code_bytes > 0) {
-      std::printf("quantized: %.1f MB of int8 codes streamed (%.1f%% of "
-                  "scan traffic), %llu items reranked exactly\n",
-                  static_cast<double>(stats.retrieval.scanned_code_bytes) /
-                      1e6,
-                  100.0 *
-                      static_cast<double>(stats.retrieval.scanned_code_bytes) /
-                      static_cast<double>(stats.retrieval.scanned_bytes),
-                  static_cast<unsigned long long>(
-                      stats.retrieval.reranked_items));
     }
   }
   std::printf("\n");

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   double scale = flags.GetDouble("scale", 0.3);
   int64_t epochs = flags.GetInt("epochs", 20);
+  flags.CheckOrExit();
 
   // 1. Data: a Taobao-shaped page-view/favorite/cart/purchase funnel.
   data::Dataset full = data::GenerateSynthetic(data::TaobaoLike(scale));

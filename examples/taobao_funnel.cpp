@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   double scale = flags.GetDouble("scale", 0.4);
   int64_t epochs = flags.GetInt("epochs", 25);
+  flags.CheckOrExit();
 
   data::Dataset full = data::GenerateSynthetic(data::TaobaoLike(scale));
   std::printf("%s\n\n", data::StatsToString(data::ComputeStats(full)).c_str());

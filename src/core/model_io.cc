@@ -31,12 +31,10 @@ constexpr int64_t kEntryBytes = 4 * 8;       // id, offset, length, crc
 
 // Section ids, in their mandatory file order.
 constexpr int64_t kSecEmbeddings = 1;
-constexpr int64_t kSecIvfCentroids = 2;
-constexpr int64_t kSecIvfOffsets = 3;
-constexpr int64_t kSecIvfItems = 4;
-// The quantized scan tier (posting-list position order).
-constexpr int64_t kSecIvfCodes = 5;
-constexpr int64_t kSecIvfScales = 6;
+// Ids 2-6 held the retired inverted-file index and its int8 code tier; a
+// file carrying any of them is rejected with a re-save message.
+constexpr int64_t kSecRetiredFirst = 2;
+constexpr int64_t kSecRetiredLast = 6;
 // The HNSW graph tier (meta, per-level CSR offsets, neighbors).
 constexpr int64_t kSecHnswMeta = 7;
 constexpr int64_t kSecHnswOffsets = 8;
@@ -106,59 +104,10 @@ void WritePod(std::ofstream& out, const T* data, size_t count) {
             static_cast<std::streamsize>(count * sizeof(T)));
 }
 
-// Structural validation shared by LoadServingModel and CheckConsistent;
-// returns a message ("" = sound) instead of aborting so the loader can
-// surface a ParseError for a corrupt file.
-std::string IvfProblem(const IvfIndex& ivf, int64_t num_items,
-                       int64_t width) {
-  const int64_t nlist = ivf.nlist();
-  if (nlist < 1) return "ivf index has no lists";
-  if (ivf.centroids.rank() != 2 || ivf.centroids.rows() != nlist ||
-      ivf.centroids.cols() != width) {
-    return "ivf centroid shape mismatch";
-  }
-  if (static_cast<int64_t>(ivf.list_items.size()) != num_items) {
-    return "ivf posting lists do not cover the catalogue";
-  }
-  if (ivf.list_offsets.front() != 0 || ivf.list_offsets.back() != num_items) {
-    return "ivf offsets do not span [0, num_items]";
-  }
-  std::vector<bool> seen(static_cast<size_t>(num_items), false);
-  for (int64_t c = 0; c < nlist; ++c) {
-    const int64_t begin = ivf.list_offsets[static_cast<size_t>(c)];
-    const int64_t end = ivf.list_offsets[static_cast<size_t>(c) + 1];
-    if (begin > end) return "ivf offsets not monotone";
-    // Bound every offset BEFORE walking the list: front()/back() checks
-    // alone would let a corrupt intermediate offset index list_items far
-    // out of bounds (heap over-read) instead of surfacing a ParseError.
-    if (begin < 0 || end > num_items) return "ivf offset out of range";
-    for (int64_t p = begin; p < end; ++p) {
-      const int64_t item = ivf.list_items[static_cast<size_t>(p)];
-      if (item < 0 || item >= num_items) return "ivf item out of range";
-      if (seen[static_cast<size_t>(item)]) return "ivf item duplicated";
-      seen[static_cast<size_t>(item)] = true;
-      if (p > begin && ivf.list_items[static_cast<size_t>(p) - 1] >= item) {
-        return "ivf posting list not ascending";
-      }
-    }
-  }
-  // Quantized tier: codes and scales travel together, sized for one
-  // width-wide code row (plus one scale) per posting-list position.
-  const int64_t num_codes = static_cast<int64_t>(ivf.codes.size());
-  const int64_t num_scales = static_cast<int64_t>(ivf.code_scales.size());
-  if ((num_codes == 0) != (num_scales == 0)) {
-    return "ivf codes and scales must be present together";
-  }
-  if (num_codes != 0) {
-    if (num_codes != num_items * width) return "ivf code size mismatch";
-    if (num_scales != num_items) return "ivf scale count mismatch";
-  }
-  return "";
-}
-
-// Structural validation of the HNSW graph, mirroring IvfProblem: returns
-// a message ("" = sound) so the loader can surface a ParseError for a
-// corrupt neighbor section instead of aborting.
+// Structural validation of the HNSW graph, shared by the loaders and
+// HnswIndex::CheckConsistent: returns a message ("" = sound) so a loader
+// can surface a ParseError for a corrupt neighbor section instead of
+// aborting.
 std::string HnswProblem(const HnswIndex& hnsw, int64_t num_items) {
   // The level-0 cap is 2 * m, so m must leave room to double.
   if (hnsw.m < 1 || hnsw.m > std::numeric_limits<int64_t>::max() / 2) {
@@ -200,8 +149,9 @@ std::string HnswProblem(const HnswIndex& hnsw, int64_t num_items) {
       const int64_t end =
           hnsw.neighbor_offsets[static_cast<size_t>(base + i) + 1];
       if (begin > end) return "hnsw offsets not monotone";
-      // Bound every offset BEFORE walking the slice (same over-read guard
-      // as the IVF lists).
+      // Bound every offset BEFORE walking the slice: front()/back() checks
+      // alone would let a corrupt intermediate offset index `neighbors`
+      // out of bounds (heap over-read) instead of surfacing a ParseError.
       if (begin < 0 || end > num_edges) return "hnsw offset out of range";
       if (end - begin > cap) return "hnsw degree over cap";
       for (int64_t p = begin; p < end; ++p) {
@@ -271,44 +221,49 @@ util::Result<ServingModel> ParseContainer(
               static_cast<size_t>(section_count * kEntryBytes));
 
   // The writer lays sections out back-to-back at the next 64-byte-aligned
-  // offset, in ascending id order, with nothing after the last one;
-  // enforce exactly that, which also rejects trailing bytes. `sec` maps
-  // each known id to its entry (null = absent) for the checks below.
+  // offset, in ascending id order, zero-filling the alignment gaps, with
+  // nothing after the last one; enforce exactly that, which also rejects
+  // trailing bytes. No checksum covers the gaps, so they are compared
+  // against zero here (at most 63 bytes per section). `sec` maps each
+  // known id to its entry (null = absent) for the checks below.
   const SectionEntry* sec[kSecMaxId + 1] = {nullptr};
-  int64_t expected_offset = AlignUp64(table_end);
+  int64_t prev_end = table_end;
   int64_t prev_id = 0;
   for (int64_t i = 0; i < section_count; ++i) {
     const SectionEntry& e = entries[static_cast<size_t>(i)];
     if (e.id <= prev_id || e.id > kSecMaxId) {
       return util::Status::ParseError("unexpected section id");
     }
+    if (e.id >= kSecRetiredFirst && e.id <= kSecRetiredLast) {
+      return util::Status::ParseError(
+          "retired IVF index sections (ids 2-6) in " + path +
+          "; the IVF tiers were removed, re-save with this build");
+    }
     prev_id = e.id;
     sec[e.id] = &e;
-    if (e.length < 0 || e.offset != expected_offset ||
+    if (e.length < 0 || e.offset != AlignUp64(prev_end) ||
         e.offset > file_size - e.length) {
       return util::Status::ParseError("section out of bounds");
+    }
+    for (int64_t b = prev_end; b < e.offset; ++b) {
+      if (base[b] != 0) {
+        return util::Status::ParseError("nonzero padding in " + path);
+      }
     }
     if (e.crc < 0 || e.crc > 0xFFFFFFFFll) {
       return util::Status::ParseError("invalid section crc");
     }
-    expected_offset = AlignUp64(e.offset + e.length);
+    prev_end = e.offset + e.length;
   }
   const SectionEntry& last = entries.back();
   if (last.offset + last.length != file_size) {
     return util::Status::ParseError("trailing bytes in " + path);
   }
 
-  // Section presence defines the content: embeddings always, IVF as all
-  // three sections or none, codes as both or neither (and only on top of
-  // IVF), HNSW as all three or none.
-  const bool has_ivf_secs = sec[kSecIvfCentroids] != nullptr;
-  const bool has_code_secs = sec[kSecIvfCodes] != nullptr;
+  // Section presence defines the content: embeddings always, HNSW as all
+  // three sections or none.
   const bool has_hnsw_secs = sec[kSecHnswMeta] != nullptr;
   if (sec[kSecEmbeddings] == nullptr ||
-      has_ivf_secs != (sec[kSecIvfOffsets] != nullptr) ||
-      has_ivf_secs != (sec[kSecIvfItems] != nullptr) ||
-      has_code_secs != (sec[kSecIvfScales] != nullptr) ||
-      (has_code_secs && !has_ivf_secs) ||
       has_hnsw_secs != (sec[kSecHnswOffsets] != nullptr) ||
       has_hnsw_secs != (sec[kSecHnswNeighbors] != nullptr)) {
     return util::Status::ParseError("incomplete section set");
@@ -320,35 +275,6 @@ util::Result<ServingModel> ParseContainer(
   if (sec[kSecEmbeddings]->length !=
       BytesWithin(rows, width, kF32, file_size)) {
     return util::Status::ParseError("embeddings size mismatch");
-  }
-  int64_t nlist = 0;
-  if (has_ivf_secs) {
-    const SectionEntry& off = *sec[kSecIvfOffsets];
-    if (off.length < 2 * kI64 || off.length % kI64 != 0) {
-      return util::Status::ParseError("ivf offsets size mismatch");
-    }
-    nlist = off.length / kI64 - 1;
-    if (nlist < 1 || nlist > model.num_items) {
-      return util::Status::ParseError("invalid ivf nlist");
-    }
-    if (sec[kSecIvfCentroids]->length !=
-        BytesWithin(nlist, width, kF32, file_size)) {
-      return util::Status::ParseError("ivf centroids size mismatch");
-    }
-    if (sec[kSecIvfItems]->length !=
-        BytesWithin(model.num_items, 1, kI64, file_size)) {
-      return util::Status::ParseError("ivf items size mismatch");
-    }
-  }
-  if (has_code_secs) {
-    if (sec[kSecIvfCodes]->length !=
-        BytesWithin(model.num_items, width, 1, file_size)) {
-      return util::Status::ParseError("ivf codes size mismatch");
-    }
-    if (sec[kSecIvfScales]->length !=
-        BytesWithin(model.num_items, 1, kF32, file_size)) {
-      return util::Status::ParseError("ivf scales size mismatch");
-    }
   }
   int64_t hnsw_meta[kHnswMetaFields] = {0, 0, 0, 0};
   if (has_hnsw_secs) {
@@ -397,23 +323,6 @@ util::Result<ServingModel> ParseContainer(
   };
 
   model.embeddings = float_view(*sec[kSecEmbeddings], {rows, width});
-  if (has_ivf_secs) {
-    auto ivf = std::make_shared<IvfIndex>();
-    ivf->centroids = float_view(*sec[kSecIvfCentroids], {nlist, width});
-    ivf->list_offsets = int_view(*sec[kSecIvfOffsets]);
-    ivf->list_items = int_view(*sec[kSecIvfItems]);
-    if (has_code_secs) {
-      ivf->codes = SectionStorage<int8_t>(base, *sec[kSecIvfCodes],
-                                          copy_into_owned, keepalive);
-      ivf->code_scales = SectionStorage<float>(base, *sec[kSecIvfScales],
-                                               copy_into_owned, keepalive);
-    }
-    const std::string problem = IvfProblem(*ivf, model.num_items, width);
-    if (!problem.empty()) {
-      return util::Status::ParseError("corrupt ivf index: " + problem);
-    }
-    model.ivf = std::move(ivf);
-  }
   if (has_hnsw_secs) {
     auto hnsw = std::make_shared<HnswIndex>();
     hnsw->m = hnsw_meta[0];
@@ -433,11 +342,6 @@ util::Result<ServingModel> ParseContainer(
 }
 
 }  // namespace
-
-void IvfIndex::CheckConsistent(int64_t num_items, int64_t width) const {
-  const std::string problem = IvfProblem(*this, num_items, width);
-  GNMR_CHECK(problem.empty()) << problem;
-}
 
 void HnswIndex::CheckConsistent(int64_t num_items) const {
   const std::string problem = HnswProblem(*this, num_items);
@@ -483,7 +387,6 @@ util::Status SaveServingModel(const ServingModel& model,
     return util::Status::InvalidArgument("inconsistent serving model");
   }
   const int64_t width = model.embeddings.cols();
-  if (model.has_ivf()) model.ivf->CheckConsistent(model.num_items, width);
   if (model.has_hnsw()) model.hnsw->CheckConsistent(model.num_items);
 
   struct Payload {
@@ -495,25 +398,6 @@ util::Status SaveServingModel(const ServingModel& model,
   std::vector<Payload> payloads = {
       {kSecEmbeddings, std::as_const(emb).data(),
        emb.numel() * static_cast<int64_t>(sizeof(float))}};
-  if (model.has_ivf()) {
-    const IvfIndex& ivf = *model.ivf;
-    payloads.push_back(
-        {kSecIvfCentroids, std::as_const(ivf.centroids).data(),
-         ivf.centroids.numel() * static_cast<int64_t>(sizeof(float))});
-    payloads.push_back(
-        {kSecIvfOffsets, ivf.list_offsets.data(),
-         ivf.list_offsets.size() * static_cast<int64_t>(sizeof(int64_t))});
-    payloads.push_back(
-        {kSecIvfItems, ivf.list_items.data(),
-         ivf.list_items.size() * static_cast<int64_t>(sizeof(int64_t))});
-    if (ivf.has_codes()) {
-      payloads.push_back({kSecIvfCodes, ivf.codes.data(),
-                          static_cast<int64_t>(ivf.codes.size())});
-      payloads.push_back(
-          {kSecIvfScales, ivf.code_scales.data(),
-           static_cast<int64_t>(ivf.code_scales.size() * sizeof(float))});
-    }
-  }
   // The meta buffer must outlive the write loop below, so it sits outside
   // the has_hnsw() branch.
   int64_t hnsw_meta[kHnswMetaFields] = {0, 0, 0, 0};

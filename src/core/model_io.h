@@ -2,23 +2,21 @@
 // serving path needs is the multi-order node embeddings (the inference
 // cache) plus enough metadata to validate compatibility. This module
 // writes and reads that state in one self-describing binary container,
-// and does nothing else: the index builders core::BuildIvfIndex and
-// core::BuildHnswIndex live next to the retrievers that read their
-// output (serve/ivf_retriever.h, serve/hnsw_retriever.h).
+// and does nothing else: the index builder core::BuildHnswIndex lives next
+// to the retriever that reads its output (serve/hnsw_retriever.h).
 //
 // The container: the magic "GNMRSM03", an int64 header (num_users,
 // num_items, width, section_count), a section table of (id, offset,
 // length, crc32) entries, then the section payloads, each starting at a
-// 64-byte-aligned file offset. Because mmap bases are page-aligned, that
-// gives 64-byte memory alignment, so LoadServingModelMapped constructs
-// every tensor as a view straight over the mapping (see tensor/storage.h)
-// with O(1) load time. Section ids, always in ascending order:
+// 64-byte-aligned file offset; the alignment gaps are zero bytes (checked
+// on load, since no checksum covers them). Because mmap bases are
+// page-aligned, that gives 64-byte memory alignment, so
+// LoadServingModelMapped constructs every tensor as a view straight over
+// the mapping (see tensor/storage.h) with O(1) load time. Section ids, always in ascending order:
 //   1    embeddings, [num_users + num_items, width] float32 (required)
-//   2-4  IVF index: [nlist, width] centroids, nlist + 1 int64 posting-list
-//        offsets, num_items int64 item ids (all three or none)
-//   5-6  quantized IVF tier: [num_items, width] int8 codes and num_items
-//        float32 scales, posting-list position order (both or neither,
-//        and only with 2-4)
+//   2-6  retired: an inverted-file index and its int8 code tier, written
+//        by earlier builds; a file carrying any of them gets a ParseError
+//        that asks for a re-save
 //   7-9  HNSW graph: int64[4] meta {m, ef_construction, entry_point,
 //        num_levels}, num_levels * (num_items + 1) int64 per-level CSR
 //        offsets (level l's row for item i at l * (num_items + 1) + i,
@@ -26,7 +24,7 @@
 //        (all three or none)
 // Section presence defines the content, not the magic: earlier builds
 // wrote "GNMRSM04" (codes present) and "GNMRSM05" (graph present) for the
-// same layout, and both still load. The streamed "GNMRSM01"/"GNMRSM02"
+// same layout, and both still load when they carry no retired section. The streamed "GNMRSM01"/"GNMRSM02"
 // formats are retired; loading one returns a ParseError that asks for a
 // re-save.
 #ifndef GNMR_CORE_MODEL_IO_H_
@@ -44,51 +42,9 @@
 namespace gnmr {
 namespace core {
 
-/// Inverted-file index over the item embedding rows: items are clustered
-/// offline (deterministic k-means, tensor/kmeans.h) and the serving path
-/// scans only the posting lists of the clusters nearest a user's query
-/// vector. Immutable once attached to a ServingModel.
-struct IvfIndex {
-  /// [nlist, width] cluster centers in the item embedding space.
-  tensor::Tensor centroids;
-  /// list_offsets[c] .. list_offsets[c+1] delimits cluster c's slice of
-  /// list_items; size nlist + 1, list_offsets[nlist] == num_items.
-  /// Storage so a mapped artifact can expose the lists as views.
-  tensor::Storage<int64_t> list_offsets;
-  /// Item ids grouped by cluster, ascending within each cluster; every
-  /// catalogue item appears exactly once.
-  tensor::Storage<int64_t> list_items;
-  /// Optional quantized scan tier (tensor/quantize.h): [num_items, width]
-  /// int8 codes in POSTING-LIST POSITION order — codes[pos * width ..)
-  /// quantizes the embedding row of item list_items[pos] — so the code
-  /// scan streams each probed list contiguously. Empty when the index was
-  /// built without quantization.
-  tensor::Storage<int8_t> codes;
-  /// Per-row dequantization scales, same posting-list position order as
-  /// `codes` (num_items entries). scale 0 marks an all-zero row.
-  tensor::Storage<float> code_scales;
-
-  int64_t nlist() const {
-    return list_offsets.empty()
-               ? 0
-               : static_cast<int64_t>(list_offsets.size()) - 1;
-  }
-  int64_t ListSize(int64_t c) const {
-    return list_offsets[static_cast<size_t>(c) + 1] -
-           list_offsets[static_cast<size_t>(c)];
-  }
-  bool has_codes() const { return !codes.empty(); }
-
-  /// Aborts unless the index is structurally sound for a catalogue of
-  /// `num_items` items with `width`-dim embeddings: monotone offsets
-  /// covering exactly one entry per item, in-range ascending items per
-  /// list, matching centroid shape.
-  void CheckConsistent(int64_t num_items, int64_t width) const;
-};
-
 /// Hierarchical navigable-small-world graph over the item embedding rows
-/// (serve::HnswRetriever walks it greedily instead of scanning posting
-/// lists). Levels are assigned per item by a fixed-seed hash
+/// (serve::HnswRetriever walks it greedily instead of scanning the
+/// catalogue). Levels are assigned per item by a fixed-seed hash
 /// (tensor::kHnswLevelSeed), so the same catalogue always produces the
 /// same layer structure; neighbors are selected by the heuristic prune
 /// with all distances computed through the backend scan ops, making the
@@ -126,17 +82,15 @@ struct HnswIndex {
 };
 
 /// The deployable scoring artifact: multi-order embeddings + shape info,
-/// optionally carrying an IVF index for approximate retrieval.
+/// optionally carrying an HNSW graph for approximate retrieval.
 struct ServingModel {
   int64_t num_users = 0;
   int64_t num_items = 0;
   /// [num_users + num_items, width] multi-order embeddings.
   tensor::Tensor embeddings;
-  /// Optional IVF index over the item rows; null = exact retrieval only.
-  /// Shared so snapshot copies (hot-swap double buffering) stay O(1).
-  std::shared_ptr<const IvfIndex> ivf;
-  /// Optional HNSW graph over the item rows (core::BuildHnswIndex); may
-  /// coexist with the IVF index — each retrieval strategy reads its own.
+  /// Optional HNSW graph over the item rows (core::BuildHnswIndex); null =
+  /// exact retrieval only. Shared so snapshot copies (hot-swap double
+  /// buffering) stay O(1).
   std::shared_ptr<const HnswIndex> hnsw;
   /// Non-null when the model was opened via LoadServingModelMapped: the
   /// tensors above are views over this mapping. Each view also holds the
@@ -145,7 +99,6 @@ struct ServingModel {
   /// queryable (e.g. for serving diagnostics).
   std::shared_ptr<const util::MappedFile> storage_file;
 
-  bool has_ivf() const { return ivf != nullptr; }
   bool has_hnsw() const { return hnsw != nullptr; }
   bool is_mapped() const { return storage_file != nullptr; }
 
@@ -171,8 +124,8 @@ std::unique_ptr<eval::Scorer> MakeSharedScorer(
 ServingModel ExportServingModel(const GnmrModel& model);
 
 /// Writes the container (see the notes at the top of this header) with a
-/// CRC32 checksum per section; the sections present follow the indexes
-/// `model` carries. An index-less model's file is the embeddings section
+/// CRC32 checksum per section; the HNSW sections are present when `model`
+/// carries a graph. A graph-less model's file is the embeddings section
 /// alone.
 util::Status SaveServingModel(const ServingModel& model,
                               const std::string& path);
@@ -184,8 +137,9 @@ util::Status SaveServingModelV3(const ServingModel& model,
                                 const std::string& path);
 
 /// Loads an artifact into owned heap storage: maps the file, validates
-/// the header, the section table and sizes, every section checksum and
-/// the structural invariants of the indexes, then copies every section.
+/// the header, the section table, sizes and padding, every section
+/// checksum and the structural invariants of the graph, then copies every
+/// section.
 util::Result<ServingModel> LoadServingModel(const std::string& path);
 
 /// Opens an artifact zero-copy: the file is mmap'ed once and every
@@ -198,7 +152,7 @@ util::Result<ServingModel> LoadServingModel(const std::string& path);
 /// checksums are NOT verified by default (verifying would touch every
 /// page and defeat the O(1) load); pass verify_checksums = true to pay
 /// one sequential read for the integrity check. Structural validation of
-/// the header, section table and indexes always runs.
+/// the header, section table, padding and graph always runs.
 util::Result<ServingModel> LoadServingModelMapped(
     const std::string& path, bool verify_checksums = false);
 

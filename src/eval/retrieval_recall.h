@@ -1,6 +1,6 @@
 // Recall harness for approximate retrieval strategies: how much of the
 // exact top-k does an index-based retriever recover? This is the number
-// that turns "the IVF index seems fine" into a measured quality/cost
+// that turns "the graph index seems fine" into a measured quality/cost
 // trade-off — tests pin it, and bench/serve_throughput logs it next to
 // the speedup it buys.
 #ifndef GNMR_EVAL_RETRIEVAL_RECALL_H_

@@ -11,8 +11,8 @@
 // Results are exact: scores are accumulated in double in the same order as
 // ServingModel::Score, and ties break by ascending item id, so the output
 // is bit-identical to brute-force scoring + std::sort at any thread count.
-// Every other strategy (IvfRetriever, future LSH/graph indexes) is
-// measured against this scan — eval::RetrievalRecallAtK quantifies the
+// Every other strategy (HnswRetriever, future indexes) is measured
+// against this scan — eval::RetrievalRecallAtK quantifies the
 // gap.
 //
 // Item sharding: when the "sharded" kernel backend is active (the

@@ -192,8 +192,7 @@ std::vector<std::vector<RecEntry>> HnswRetriever::RetrieveBatch(
   std::vector<std::vector<RecEntry>> outs(static_cast<size_t>(n));
   const int64_t num_blocks = (n + kUserBlock - 1) / kUserBlock;
   // A single walk never shards (each hop depends on the last), so the
-  // batch is pure outer parallelism over user blocks — the same fan-out
-  // shape as IvfRetriever::RetrieveBatch.
+  // batch is pure outer parallelism over user blocks.
   if (ItemShardingActive(ItemShardMode::kAuto) && num_blocks > 1) {
     tensor::ShardPool::Global()->Run(num_blocks, [&](int64_t b) {
       const int64_t start = b * kUserBlock;

@@ -18,11 +18,11 @@
 // top-k), measured by eval::RetrievalRecallAtK and bounded in-tree by the
 // recall@10 gate in hnsw_retriever_test.
 //
-// Unlike the scan strategies a single query never shards: the walk is
+// Unlike the exact scan a single query never shards: the walk is
 // inherently sequential (each hop's frontier depends on the last), and at
 // ef_search-scale candidate counts a fan-out would cost more than the
-// scan it saves. Batches fan user blocks out over the shard pool exactly
-// like IvfRetriever::RetrieveBatch.
+// scan it saves. Batches fan user blocks out over the shard pool
+// instead.
 //
 // Stats: `hops` counts nodes whose neighbor lists were walked,
 // `scanned_items` the distance evaluations those hops triggered — the
@@ -41,8 +41,7 @@ namespace gnmr {
 namespace core {
 
 /// Builds the HNSW graph over the item embedding rows and attaches it to
-/// `model` (replacing any graph already attached; an IVF index on the same
-/// model is untouched). m <= 0 picks tensor::kHnswDefaultM,
+/// `model` (replacing any graph already attached). m <= 0 picks tensor::kHnswDefaultM,
 /// ef_construction <= 0 tensor::kHnswDefaultEfConstruction (both floored
 /// at 2 / m respectively after defaulting). The model must be consistent.
 ///
@@ -106,8 +105,7 @@ class HnswRetriever : public Retriever {
   /// it per call).
   int64_t ef_search() const { return ef_search_; }
 
-  /// Users per parallel work unit in RetrieveBatch (same tile as
-  /// IvfRetriever).
+  /// Users per parallel work unit in RetrieveBatch.
   static constexpr int64_t kUserBlock = 8;
 
  private:

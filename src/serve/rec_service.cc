@@ -6,7 +6,6 @@
 
 #include "src/obs/trace.h"
 #include "src/serve/hnsw_retriever.h"
-#include "src/serve/ivf_retriever.h"
 #include "src/util/check.h"
 #include "src/util/stopwatch.h"
 
@@ -46,9 +45,6 @@ void AddInto(RetrieverStats* into, const RetrieverStats& s) {
   into->requests += s.requests;
   into->scanned_items += s.scanned_items;
   into->scanned_bytes += s.scanned_bytes;
-  into->probed_clusters += s.probed_clusters;
-  into->scanned_code_bytes += s.scanned_code_bytes;
-  into->reranked_items += s.reranked_items;
   into->hops += s.hops;
 }
 
@@ -72,22 +68,7 @@ RecService::RecService(std::shared_ptr<const core::ServingModel> model,
   // Same construction path a hot swap takes, minus the version bump: the
   // service has never served anything yet, so this is version 0.
   exact_ = std::make_shared<const ExactRetriever>(model, seen);
-  if (options_.retriever == RetrieverKind::kIvf) {
-    GNMR_CHECK(model->has_ivf())
-        << "RetrieverKind::kIvf needs a model with an IVF index "
-           "(core::BuildIvfIndex)";
-    retriever_ = std::make_shared<const IvfRetriever>(
-        std::move(model), std::move(seen), options_.nprobe,
-        ItemShardMode::kAuto, options_.quantized, options_.rerank_k);
-  } else if (options_.retriever == RetrieverKind::kHnsw) {
-    GNMR_CHECK(model->has_hnsw())
-        << "RetrieverKind::kHnsw needs a model with an HNSW graph "
-           "(core::BuildHnswIndex)";
-    retriever_ = std::make_shared<const HnswRetriever>(
-        std::move(model), std::move(seen), options_.ef_search);
-  } else {
-    retriever_ = exact_;
-  }
+  retriever_ = MakePrimary(std::move(model), std::move(seen));
   num_items_.store(retriever_->model().num_items, std::memory_order_relaxed);
 }
 
@@ -114,6 +95,17 @@ bool RecService::SampleTrace() const {
 }
 
 void RecService::InvalidateCache() { CurrentCache()->Invalidate(); }
+
+std::shared_ptr<const Retriever> RecService::MakePrimary(
+    std::shared_ptr<const core::ServingModel> model,
+    std::shared_ptr<const SeenItems> seen) const {
+  if (options_.retriever != RetrieverKind::kHnsw) return exact_;
+  GNMR_CHECK(model->has_hnsw())
+      << "RetrieverKind::kHnsw needs a model with an HNSW graph "
+         "(core::BuildHnswIndex)";
+  return std::make_shared<const HnswRetriever>(
+      std::move(model), std::move(seen), options_.ef_search);
+}
 
 std::shared_ptr<const ExactRetriever> RecService::ExactFallbackIfRequested(
     bool exact) {
@@ -386,8 +378,8 @@ void RecService::InstallLocked(
     std::shared_ptr<const SeenItems> seen) {
   GNMR_TRACE_SPAN("serve.install");
   // Caller holds swap_mu_. Retriever construction is O(1) for exact and
-  // O(1) shape checks for IVF (the O(num_items) index validation runs
-  // where the index is produced — BuildIvfIndex / LoadServingModel — not
+  // O(1) shape checks for HNSW (the O(num_items) graph validation runs
+  // where the graph is produced — BuildHnswIndex / LoadServingModel — not
   // here), so holding the lock across it is cheap; readers copying the
   // shared_ptr keep serving the old snapshot until the assignments below.
   AddInto(&retired_retrieval_, retriever_->Stats());
@@ -396,20 +388,7 @@ void RecService::InstallLocked(
   }
   num_items_.store(next->num_items, std::memory_order_relaxed);
   exact_ = std::make_shared<const ExactRetriever>(next, seen);
-  if (options_.retriever == RetrieverKind::kIvf) {
-    GNMR_CHECK(next->has_ivf())
-        << "swapping a model without an IVF index into a kIvf service";
-    retriever_ = std::make_shared<const IvfRetriever>(
-        std::move(next), std::move(seen), options_.nprobe,
-        ItemShardMode::kAuto, options_.quantized, options_.rerank_k);
-  } else if (options_.retriever == RetrieverKind::kHnsw) {
-    GNMR_CHECK(next->has_hnsw())
-        << "swapping a model without an HNSW graph into a kHnsw service";
-    retriever_ = std::make_shared<const HnswRetriever>(
-        std::move(next), std::move(seen), options_.ef_search);
-  } else {
-    retriever_ = exact_;
-  }
+  retriever_ = MakePrimary(std::move(next), std::move(seen));
   // Replace the cache generation instead of version-bumping it: the
   // outgoing generation's counters are retired (mirroring
   // retired_retrieval_) and its stale lists are freed as soon as the last
@@ -422,6 +401,7 @@ void RecService::InstallLocked(
   std::shared_ptr<RecCache> outgoing = std::atomic_exchange(
       &cache_, std::make_shared<RecCache>(options_.cache_capacity_per_shard,
                                           options_.cache_shards));
+  if (after_publish_hook_) after_publish_hook_();
   const CacheStats retired = outgoing->stats();
   retired_cache_.hits += retired.hits;
   retired_cache_.misses += retired.misses;
@@ -448,22 +428,10 @@ util::Status RecService::LoadAndSwap(const std::string& path) {
                               : core::LoadServingModel(path);
   if (!loaded.ok()) return loaded.status();
   core::ServingModel next = std::move(loaded).value();
-  if (options_.retriever == RetrieverKind::kIvf && !next.has_ivf()) {
-    // Index-less artifact on an IVF service: build the index here (offline
-    // work, off the swap lock) so the swap below installs a complete
-    // snapshot.
-    GNMR_TRACE_SPAN("serve.build_ivf");
-    // Quantization policy: only catalogues past the deployment threshold
-    // pay for the code tier (the mechanism itself has no minimum).
-    const bool quantize =
-        options_.quantized &&
-        next.num_items >= tensor::kIvfQuantizeMinItems;
-    util::Status built = core::BuildIvfIndex(&next, options_.nlist, quantize);
-    if (!built.ok()) return built;
-  }
   if (options_.retriever == RetrieverKind::kHnsw && !next.has_hnsw()) {
-    // Graph-less artifact on an HNSW service: same policy as the IVF
-    // branch — build offline here, install a complete snapshot below.
+    // Graph-less artifact on an HNSW service: build the graph here
+    // (offline work, off the swap lock) so the swap below installs a
+    // complete snapshot.
     GNMR_TRACE_SPAN("serve.build_hnsw");
     util::Status built = core::BuildHnswIndex(
         &next, options_.hnsw_m, /*ef_construction=*/0);

@@ -2,16 +2,16 @@
 //
 // RecService owns the online read path end to end: requests are answered
 // from the RecCache when possible, otherwise from the current Retriever
-// snapshot (exact full-catalogue scan, IVF approximate retrieval, or the
-// HNSW graph walk — Options::retriever picks the strategy, and the
-// service never touches a concrete scan type beyond constructing it). Model hot-swaps are
+// snapshot (the exact full-catalogue scan or the HNSW graph walk —
+// Options::retriever picks the strategy, and the service never touches a
+// concrete scan type beyond constructing it). Model hot-swaps are
 // zero-downtime — the next snapshot is built (or loaded from disk) while
 // the current one keeps serving, then an atomic pointer swap + O(1) cache
 // invalidation cut traffic over; in-flight requests finish on the snapshot
 // they started with (shared_ptr pinning).
 //
-// Exact fallback: an approximate-backed (IVF or HNSW) service also keeps
-// an ExactRetriever over the same snapshot; Recommend/RecommendBatch take a per-request
+// Exact fallback: an HNSW-backed service also keeps an ExactRetriever
+// over the same snapshot; Recommend/RecommendBatch take a per-request
 // `exact` knob that bypasses the approximate index (and the cache, whose
 // entries are strategy-shaped) for callers that need the guaranteed
 // full-catalogue answer — e.g. spot-checking recall in production.
@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,10 +41,6 @@ namespace serve {
 enum class RetrieverKind {
   /// ExactRetriever: full-catalogue blocked scan.
   kExact,
-  /// IvfRetriever: clustered approximate retrieval. The serving model must
-  /// carry an IVF index (core::BuildIvfIndex); LoadAndSwap builds one on
-  /// the fly for artifacts that lack it.
-  kIvf,
   /// HnswRetriever: graph-walk approximate retrieval, sub-linear per
   /// query. The serving model must carry an HNSW graph
   /// (core::BuildHnswIndex); LoadAndSwap builds one on the fly for
@@ -59,7 +56,7 @@ struct ServiceStats {
   /// Requests that piggybacked on another thread's in-flight retrieval of
   /// the same (user, k) instead of recomputing it (single-flight misses).
   uint64_t coalesced = 0;
-  /// Requests that forced the exact scan on an IVF-backed service (the
+  /// Requests that forced the exact scan on an HNSW-backed service (the
   /// per-request `exact` knob).
   uint64_t exact_fallbacks = 0;
   uint64_t swaps = 0;
@@ -76,8 +73,8 @@ struct ServiceStats {
   /// counts only the live generation — retired entries are freed.
   CacheStats cache;
   /// Retrieval-side counters summed across every retriever this service
-  /// has owned (current + retired snapshots): items scanned, clusters
-  /// probed. scanned_items / (requests * catalogue) is the scan fraction
+  /// has owned (current + retired snapshots): items scanned, graph hops.
+  /// scanned_items / (requests * catalogue) is the scan fraction
   /// the index saved.
   RetrieverStats retrieval;
 
@@ -100,23 +97,6 @@ class RecService {
     int64_t cache_shards = 8;
     /// Retrieval strategy of the primary (cached) path.
     RetrieverKind retriever = RetrieverKind::kExact;
-    /// kIvf: clusters probed per request (<= 0 picks the default, clamped
-    /// to the index's nlist).
-    int64_t nprobe = tensor::kIvfDefaultNprobe;
-    /// kIvf: cluster count used when LoadAndSwap must build an index for
-    /// an artifact that lacks one (<= 0 picks the default).
-    int64_t nlist = 0;
-    /// kIvf: serve the two-phase quantized scan (int8 code scan + exact
-    /// rerank) when the snapshot's index carries codes. When LoadAndSwap
-    /// builds an index for a codeless artifact it also quantizes —
-    /// provided the catalogue clears tensor::kIvfQuantizeMinItems (below
-    /// that the code tier's fixed overheads outweigh the bandwidth win).
-    /// A snapshot whose index lacks codes silently serves the float scan
-    /// (IvfRetriever::quantized() exposes the effective state).
-    bool quantized = false;
-    /// kIvf + quantized: exact-rerank pool size per request (<= 0 picks
-    /// tensor::kIvfDefaultRerankK).
-    int64_t rerank_k = 0;
     /// kHnsw: level-0 beam width per request (<= 0 picks
     /// tensor::kHnswDefaultEfSearch; a request's k can still raise the
     /// effective beam per call).
@@ -147,8 +127,8 @@ class RecService {
 
   /// Serves from `model` (non-null), filtering each user's `seen` items
   /// when provided. `seen` is shared across swaps: LoadAndSwap keeps it,
-  /// SwapModel may replace it. With Options::retriever == kIvf the model
-  /// must carry an IVF index; with kHnsw, an HNSW graph.
+  /// SwapModel may replace it. With Options::retriever == kHnsw the model
+  /// must carry an HNSW graph.
   RecService(std::shared_ptr<const core::ServingModel> model,
              std::shared_ptr<const SeenItems> seen, Options options);
   explicit RecService(std::shared_ptr<const core::ServingModel> model,
@@ -161,7 +141,7 @@ class RecService {
   /// instead of N; if the leader unwinds before publishing, waiters re-run
   /// the miss path (one is promoted to leader, the rest coalesce onto it)
   /// instead of surfacing its empty placeholder. `exact` forces the
-  /// full-catalogue scan on an IVF-backed service, bypassing cache and
+  /// full-catalogue scan on an HNSW-backed service, bypassing cache and
   /// flights (a no-op on an exact-backed service). `user` must fit in 32
   /// bits (the cache/flight key packing — checked). Thread-safe.
   std::vector<RecEntry> Recommend(int64_t user, int64_t k,
@@ -175,8 +155,7 @@ class RecService {
 
   /// Hot-swaps the served snapshot and invalidates the cache atomically.
   /// Pass `seen` to replace the filter sets (nullptr keeps the current
-  /// ones). On a kIvf service the new model must carry an IVF index; on a
-  /// kHnsw service, an HNSW graph.
+  /// ones). On a kHnsw service the new model must carry an HNSW graph.
   /// Concurrent Recommend calls never block on retrieval: they either
   /// finish on the old snapshot or start on the new one.
   void SwapModel(std::shared_ptr<const core::ServingModel> next,
@@ -184,9 +163,8 @@ class RecService {
 
   /// Loads a ServingModel artifact (SaveServingModel) and swaps it in;
   /// the current snapshot serves until the load completes. Keeps the
-  /// current seen sets. On a kIvf service an artifact without an
-  /// index gets one built (Options::nlist) before the swap; on a kHnsw
-  /// service an artifact without a graph gets one built (Options::hnsw_m).
+  /// current seen sets. On a kHnsw service an artifact without a graph
+  /// gets one built (Options::hnsw_m) before the swap.
   /// On error the service is untouched.
   util::Status LoadAndSwap(const std::string& path);
 
@@ -257,6 +235,14 @@ class RecService {
   /// anything), else nullptr — the single place the fallback rule lives
   /// for both Recommend and RecommendBatch.
   std::shared_ptr<const ExactRetriever> ExactFallbackIfRequested(bool exact);
+
+  /// The primary (cached-path) retriever for `model` under
+  /// Options::retriever: exact_ itself on a kExact service, else an
+  /// HnswRetriever (the model must carry a graph — checked). exact_ must
+  /// already be the new snapshot's.
+  std::shared_ptr<const Retriever> MakePrimary(
+      std::shared_ptr<const core::ServingModel> model,
+      std::shared_ptr<const SeenItems> seen) const;
 
   /// Replaces the snapshot + invalidates the cache; swap_mu_ must be held.
   /// Retires the outgoing retrievers' counters into retired_retrieval_.
@@ -372,6 +358,10 @@ class RecService {
   /// a retrieval.
   std::mutex flights_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<Flight>> flights_;
+  /// Test seam (RecServiceTestPeer): runs inside InstallLocked after the
+  /// new cache generation is published and before the outgoing one's
+  /// counters are harvested — the window a late probe can fall into.
+  std::function<void()> after_publish_hook_;
 };
 
 }  // namespace serve

@@ -3,10 +3,9 @@
 // RecService (and anything else answering top-N requests over a
 // ServingModel snapshot) programs against this interface instead of a
 // concrete scan: ExactRetriever (exact_retriever.h) is the full-catalogue
-// blocked scan, IvfRetriever (ivf_retriever.h) probes a clustered index
-// and scans a fraction of the catalogue, HnswRetriever (hnsw_retriever.h)
-// walks a navigable-small-world graph and evaluates a sub-linear slice.
-// Future index types (LSH, disk-resident) drop in behind the same calls.
+// blocked scan, HnswRetriever (hnsw_retriever.h) walks a
+// navigable-small-world graph and evaluates a sub-linear slice. Future
+// index types (LSH, disk-resident) drop in behind the same calls.
 //
 // Contract every strategy honours:
 //   - scores are the dot product of ServingModel::Score — the lane-partial
@@ -111,23 +110,14 @@ struct RetrieverStats {
   uint64_t requests = 0;
   /// Item rows scored across all requests.
   uint64_t scanned_items = 0;
-  /// Embedding bytes streamed to produce those scores: scanned item rows
-  /// plus, for IVF, the centroid rows read by every cluster probe. This
-  /// is the memory-bandwidth cost of the scan — the number that matters
-  /// when the model is served out of a shared mmap.
+  /// Embedding bytes streamed to produce those scores (the scanned item
+  /// rows). This is the memory-bandwidth cost of the scan — the number
+  /// that matters when the model is served out of a shared mmap.
   uint64_t scanned_bytes = 0;
-  /// IVF only: posting lists visited across all requests (0 for exact).
-  uint64_t probed_clusters = 0;
-  /// Quantized IVF only: bytes of int8 codes + per-row scales streamed by
-  /// the approximate phase (a subset of scanned_bytes, which also counts
-  /// centroid probes and the float rows the exact rerank re-reads).
-  uint64_t scanned_code_bytes = 0;
-  /// Quantized IVF only: candidates re-scored by the exact float rerank.
-  uint64_t reranked_items = 0;
   /// HNSW only: graph nodes expanded (neighbor lists walked) across all
   /// requests — the pointer-chasing depth of the search, next to
   /// scanned_items which counts the distance evaluations those hops
-  /// triggered (0 for the scan strategies).
+  /// triggered (0 for the exact scan).
   uint64_t hops = 0;
 };
 
@@ -136,13 +126,13 @@ class Retriever {
  public:
   virtual ~Retriever() = default;
 
-  /// Strategy name ("exact", "ivf", "hnsw").
+  /// Strategy name ("exact", "hnsw").
   virtual const char* name() const = 0;
 
   /// Top-k items for `user`, best first by BetterThan, excluding the
   /// user's seen items. k is clamped to the catalogue size; fewer than k
-  /// entries come back when filtering (or a sparse index probe) leaves
-  /// fewer candidates.
+  /// entries come back when filtering (or a graph walk that reaches too
+  /// few items) leaves fewer candidates.
   virtual std::vector<RecEntry> RetrieveTopN(int64_t user,
                                              int64_t k) const = 0;
 

@@ -336,11 +336,6 @@ class ShardedBackend : public KernelBackend {
     k_.query_dot_indexed(q, base, idx, out, n, m);
   }
 
-  void I8QueryDot(const int8_t* q, const int8_t* codes, int32_t* out,
-                  int64_t n, int64_t m) const override {
-    k_.i8_query_dot(q, codes, out, n, m);
-  }
-
  private:
   /// Dispatches one task per shard to `pool`; single-shard plans run
   /// inline (no dispatch latency for small inputs).
@@ -493,11 +488,6 @@ void KernelBackend::QueryDotIndexed(const float* q, const float* base,
                                     const int64_t* idx, float* out, int64_t n,
                                     int64_t m) const {
   kernels::QueryDotIndexedRows(q, base, idx, out, n, m);
-}
-
-void KernelBackend::I8QueryDot(const int8_t* q, const int8_t* codes,
-                               int32_t* out, int64_t n, int64_t m) const {
-  kernels::I8QueryDotRows(q, codes, out, n, m);
 }
 
 const std::vector<const KernelBackend*>& AllBackends() {

@@ -6,10 +6,9 @@
 // active KernelBackend, so swapping the execution strategy never touches
 // the call sites. The serving read path dispatches
 // here too: QueryDot / QueryDotIndexed are the one-query-against-many-rows
-// scans behind ExactRetriever, IvfRetriever and the HNSW builder, and
-// I8QueryDot is the int8 code scan of the quantized IVF tier
-// (tensor/quantize.h). RunRows hands out row ranges for caller-written
-// row bodies, the per-row kernels of the fused GNMR layer ops.
+// scans behind ExactRetriever and the HNSW builder. RunRows hands out row
+// ranges for caller-written row bodies, the per-row kernels of the fused
+// GNMR layer ops.
 //
 // Registered backends:
 //   "sharded" — the default: row-range partitioning (shard_plan.h) over
@@ -27,8 +26,8 @@
 //               tested against.
 //
 // Selection: SetBackend()/ScopedBackend at runtime, or the GNMR_BACKEND
-// environment variable read on first use (bench/example binaries also map
-// a --backend= flag onto SetBackend). Default: "sharded"; GNMR_BACKEND=
+// environment variable read on first use (examples/gnmr_serve also maps a
+// --backend= flag onto SetBackend). Default: "sharded"; GNMR_BACKEND=
 // serial runs the reference. An unknown name aborts with the list of
 // registered backends.
 //
@@ -211,14 +210,6 @@ class KernelBackend {
   virtual void QueryDotIndexed(const float* q, const float* base,
                                const int64_t* idx, float* out, int64_t n,
                                int64_t m) const;
-
-  /// Quantized code scan: out[i] = quant::I8Dot(q, codes + i*m, m) for i in
-  /// [0, n) — pure int32 arithmetic, exact on every backend. Callers
-  /// dequantize with quant::I8DotScore's multiply order. Precondition: all
-  /// codes were produced by quant::QuantizeRowI8 (clamped to [-127, 127]);
-  /// a -128 code would saturate the vector kernel's pairwise maddubs sums.
-  virtual void I8QueryDot(const int8_t* q, const int8_t* codes, int32_t* out,
-                          int64_t n, int64_t m) const;
 };
 
 // ---- Range-kernel instantiation helpers -------------------------------------

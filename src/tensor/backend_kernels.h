@@ -14,7 +14,6 @@
 #include "src/tensor/backend.h"
 #include "src/tensor/backend_simd.h"
 #include "src/tensor/kernel_tunables.h"
-#include "src/tensor/quantize.h"
 #include "src/tensor/sparse.h"
 
 namespace gnmr {
@@ -245,11 +244,6 @@ inline void QueryDotIndexedRows(const float* q, const float* base,
   }
 }
 
-inline void I8QueryDotRows(const int8_t* q, const int8_t* codes, int32_t* out,
-                           int64_t n, int64_t m) {
-  for (int64_t i = 0; i < n; ++i) out[i] = quant::I8Dot(q, codes + i * m, m);
-}
-
 // The serial bodies as a range table: what the sharded backend runs per
 // shard on hosts without AVX2+FMA. Eltwise bodies run as given.
 inline constexpr RangeKernels kSerialRangeKernels = {
@@ -257,8 +251,8 @@ inline constexpr RangeKernels kSerialRangeKernels = {
     &SpmmRows,         &GatherRowRange,      &ScatterAddRowList,
     &RowDotRows,       &ChunkSum,            &RowSumsRange,
     &ColSumsRange,     &QueryDotRows,        &QueryDotIndexedRows,
-    &I8QueryDotRows,   nullptr,              0,
-    nullptr,           0,
+    nullptr,           0,                    nullptr,
+    0,
 };
 
 }  // namespace kernels

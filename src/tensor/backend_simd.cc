@@ -37,10 +37,6 @@
 //     here, see rule 1) IS what two 4-wide double accumulators compute, so
 //     the vector loop reproduces the scalar reference bit-for-bit by
 //     construction.
-//   - I8QueryDot: pure int32 arithmetic is associative, so the maddubs
-//     reduction equals quant::I8Dot exactly — no association contract
-//     needed, just the no--128-codes precondition that keeps the pairwise
-//     int16 sums saturation-free.
 //   - EltwiseMap/Zip: per-element single-expression bodies have no
 //     accumulation to reorder; the twins here are generated from the same
 //     X-macro expressions as the portable copies (element_ops.h) and are
@@ -476,40 +472,6 @@ double LaneSum(const float* in, int64_t begin, int64_t end) {
   return acc;
 }
 
-// ---- Int8 code scan ---------------------------------------------------------
-
-// One quantized code dot, 32 codes per iteration. maddubs needs one
-// unsigned operand, so compute |q| (u8) against sign(c, q): pairwise int16
-// sums of u8*i8 products. QuantizeRowI8 clamps codes to [-127, 127], so a
-// pair is at most 2 * 127 * 127 = 32258 < 32767 — no int16 saturation —
-// and madd against ones widens to int32 exactly. Integer addition is
-// associative, so the 8-lane reduction equals the serial quant::I8Dot for
-// any lane order. (A -128 code would break both the abs and the
-// saturation bound; backend.h documents the precondition.)
-int32_t I8DotAvx2(const int8_t* q, const int8_t* c, int64_t m) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i acc = _mm256_setzero_si256();
-  int64_t j = 0;
-  for (; j + 32 <= m; j += 32) {
-    __m256i qv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + j));
-    __m256i cv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + j));
-    __m256i pairs =
-        _mm256_maddubs_epi16(_mm256_abs_epi8(qv), _mm256_sign_epi8(cv, qv));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, ones));
-  }
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                            _mm256_extracti128_si256(acc, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  int32_t total = _mm_cvtsi128_si32(s);
-  for (; j < m; ++j) {
-    total += static_cast<int32_t>(q[j]) * static_cast<int32_t>(c[j]);
-  }
-  return total;
-}
-
 // ---- Eltwise twins ----------------------------------------------------------
 // Internal-linkage copies of the element_ops.h bodies, generated from the
 // same X-macro expressions, compiled in this TU so the autovectorizer may
@@ -668,20 +630,13 @@ void QueryDotIndexed(const float* q, const float* base, const int64_t* idx,
   }
 }
 
-void I8QueryDot(const int8_t* q, const int8_t* codes, int32_t* out,
-                int64_t n, int64_t m) {
-  for (int64_t i = 0; i < n; ++i) {
-    out[i] = I8DotAvx2(q, codes + i * m, m);
-  }
-}
-
 constexpr RangeKernels kSimdKernels = {
     &MatMulRows,     &MatMulTransBRows, &MatMulTransARows,
     &SpmmRows,       &GatherRows,       &ScatterAddList,
     &RowDotRows,     &LaneSum,          &RowSumsRange,
     &ColSumsRange,   &QueryDot,         &QueryDotIndexed,
-    &I8QueryDot,     kMapTwins,         kNumMapTwins,
-    kZipTwins,       kNumZipTwins,
+    kMapTwins,       kNumMapTwins,      kZipTwins,
+    kNumZipTwins,
 };
 
 }  // namespace

@@ -70,14 +70,12 @@ struct RangeKernels {
                    int64_t hi);
   /// out[j] += every row's in[., j] in ascending row order, in [n, m].
   void (*col_sums)(const float* in, float* out, int64_t n, int64_t m);
-  /// The three serving scans, with the KernelBackend signatures.
+  /// The two serving scans, with the KernelBackend signatures.
   void (*query_dot)(const float* q, const float* rows, float* out, int64_t n,
                     int64_t m);
   void (*query_dot_indexed)(const float* q, const float* base,
                             const int64_t* idx, float* out, int64_t n,
                             int64_t m);
-  void (*i8_query_dot)(const int8_t* q, const int8_t* codes, int32_t* out,
-                       int64_t n, int64_t m);
   /// Eltwise twins in element_ops.h X-macro list order (nullptr/0 when the
   /// table runs the given MapLoop/ZipLoop pointers unchanged).
   const KernelBackend::MapFn* map_twins;

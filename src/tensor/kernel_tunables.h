@@ -95,8 +95,7 @@ inline constexpr int64_t kShardMinRowsPerShard = 8;
 /// per shard.
 inline constexpr int64_t kShardMinElemsPerShard = int64_t{1} << 12;
 
-/// The sharded ExactRetriever (and IvfRetriever's candidate scan) never
-/// splits one request's catalogue below this many items per shard. At 256
+/// The sharded ExactRetriever never splits one request's catalogue below this many items per shard. At 256
 /// the 2600-item catalogue of perfbench train_taobao (two request
 /// threads) split 4 ways and p99_us rose on 10 of 10 alternating pairs
 /// against 2048, which scans it inline, with max_qps unchanged
@@ -108,53 +107,6 @@ inline constexpr int64_t kShardMinItemsPerShard = 2048;
 /// (false). Nnz balancing absorbs power-law degree skew at the cost of one
 /// pass over row_ptr when a plan is first built for a matrix.
 inline constexpr bool kShardSpmmNnzBalanced = true;
-
-// ---- IVF retrieval (core::BuildIvfIndex, serve::IvfRetriever) ---------------
-
-/// Default cluster count of the IVF index when the caller passes nlist <= 0
-/// (clamped to the catalogue size). Sized for the 10k-100k item catalogues
-/// the serve bench exercises; larger catalogues should pass ~sqrt(items).
-inline constexpr int64_t kIvfDefaultNlist = 64;
-
-/// Default number of clusters probed per request. nlist/8 keeps the
-/// scanned fraction well under the exact scan while the bench's measured
-/// recall stays high; raise per deployment for tighter recall targets.
-inline constexpr int64_t kIvfDefaultNprobe = 8;
-
-/// Deployment guidance threshold: below this many items one blocked exact
-/// pass is already cheaper than centroid probing plus posting-list
-/// indirection, so serving frontends (gnmr_serve) fall back to the exact
-/// strategy. BuildIvfIndex itself indexes any catalogue — tests and
-/// offline tooling legitimately cluster small ones.
-inline constexpr int64_t kIvfMinItemsForIndex = 1024;
-
-/// Lloyd iteration cap of the offline k-means behind BuildIvfIndex.
-inline constexpr int64_t kIvfKMeansMaxIters = 25;
-
-// ---- Quantized IVF scan (tensor/quantize.h, serve::IvfRetriever) ------------
-
-/// Largest code magnitude of the symmetric per-row int8 quantizer: codes
-/// live in [-127, 127] (the -128 slot is unused, keeping negation exact and
-/// the AVX2 maddubs pair sums inside int16 range: 2 * 127 * 127 < 32767).
-/// Scale policy: scale = maxabs(row) / kI8QuantMaxCode, code =
-/// clamp(lrintf(x / scale)); an all-zero row gets scale 0 and zero codes.
-inline constexpr int64_t kI8QuantMaxCode = 127;
-
-/// Default size of the exact-rerank candidate pool of the quantized IVF
-/// scan when the caller passes rerank_k <= 0. The int8 code scan keeps the
-/// best rerank_k candidates by approximate score, then the float path
-/// rescores exactly those; ~10x a typical top-10 request keeps measured
-/// recall at the float-scan level while the rerank stays a rounding error
-/// next to the code scan.
-inline constexpr int64_t kIvfDefaultRerankK = 128;
-
-/// Deployment guidance threshold: below this many items the float posting
-/// lists fit in cache and the code-scan indirection buys nothing, so
-/// serving frontends (gnmr_serve, RecService auto-building on swap-in)
-/// skip quantization. BuildIvfIndex(..., quantize=true) itself quantizes
-/// any catalogue — tests and offline tooling legitimately compress small
-/// ones.
-inline constexpr int64_t kIvfQuantizeMinItems = 2048;
 
 // ---- HNSW retrieval (core::BuildHnswIndex, serve::HnswRetriever) ------------
 
@@ -189,8 +141,8 @@ inline constexpr int64_t kHnswMaxLevel = 32;
 
 /// Deployment guidance threshold: below this many items one blocked exact
 /// pass beats the graph walk's pointer chasing, so serving frontends
-/// (gnmr_serve) fall back to the exact strategy — the same policy split as
-/// kIvfMinItemsForIndex. BuildHnswIndex itself indexes any catalogue.
+/// (gnmr_serve) fall back to the exact strategy. BuildHnswIndex itself
+/// indexes any catalogue.
 inline constexpr int64_t kHnswMinItemsForIndex = 1024;
 
 }  // namespace tensor

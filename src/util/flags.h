@@ -5,8 +5,11 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
+
+#include "src/util/status.h"
 
 namespace gnmr {
 namespace util {
@@ -16,6 +19,7 @@ namespace util {
 ///   Flags flags(argc, argv);
 ///   int epochs = flags.GetInt("epochs", 20);
 ///   bool fast = flags.GetBool("fast", false);
+///   flags.CheckOrExit();  // after the last accessor
 class Flags {
  public:
   Flags(int argc, char** argv);
@@ -29,6 +33,17 @@ class Flags {
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 
+  /// Checks the command line against the accessors called so far: every
+  /// flag given must have been asked for by name (Has or a Get*), and
+  /// every value read through GetInt/GetDouble must have parsed (the
+  /// accessor returned its default instead). Returns the first problem as
+  /// InvalidArgument naming the flag.
+  Status Check() const;
+
+  /// Check(), printing the problem to stderr and exiting with status 2 on
+  /// failure. Binaries call it once, after reading every flag they take.
+  void CheckOrExit() const;
+
   /// Non-flag positional arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
@@ -39,6 +54,10 @@ class Flags {
   std::string program_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  /// Names the accessors were asked for (Check's "known" set).
+  mutable std::set<std::string> queried_;
+  /// Names whose numeric value failed to parse.
+  mutable std::set<std::string> unparsed_;
 };
 
 }  // namespace util

@@ -1,11 +1,18 @@
-// Tests for ranking metrics and the leave-one-out evaluator.
+// Tests for ranking metrics, the leave-one-out evaluator and the
+// retrieval recall harness.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
+#include <memory>
+#include <vector>
 
+#include "src/core/model_io.h"
 #include "src/eval/evaluator.h"
 #include "src/eval/metrics.h"
+#include "src/eval/retrieval_recall.h"
+#include "src/serve/exact_retriever.h"
+#include "src/util/rng.h"
 
 namespace gnmr {
 namespace eval {
@@ -131,6 +138,21 @@ TEST(EvaluatorTest, ToStringContainsAllCutoffs) {
   EXPECT_NE(s.find("HR@1="), std::string::npos);
   EXPECT_NE(s.find("HR@10="), std::string::npos);
   EXPECT_NE(s.find("NDCG@10="), std::string::npos);
+}
+
+// -------------------------------------------------------- retrieval recall ----
+
+TEST(RetrievalRecallTest, ExactAgainstItselfIsPerfect) {
+  core::ServingModel m;
+  m.num_users = 6;
+  m.num_items = 40;
+  util::Rng rng(29);
+  m.embeddings = tensor::Tensor::RandomNormal({46, 5}, &rng);
+  auto model = std::make_shared<const core::ServingModel>(std::move(m));
+  serve::ExactRetriever a(model), b(model);
+  std::vector<int64_t> users = {0, 1, 2, 3, 4};
+  EXPECT_DOUBLE_EQ(RetrievalRecallAtK(a, b, users, 10), 1.0);
+  EXPECT_DOUBLE_EQ(RetrievalRecallAtK(a, b, {}, 10), 1.0);
 }
 
 }  // namespace

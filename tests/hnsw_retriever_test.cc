@@ -4,8 +4,9 @@
 // carries the bit-identical score the exact scan would give it), the
 // pinned recall@10 >= 0.95 gate with the distance-eval budget asserted
 // through RetrieverStats, batch/parallel parity, and RecService routing
-// through RetrieverKind::kHnsw including hot-swap and the
-// build-on-load path for graphless artifacts.
+// through RetrieverKind::kHnsw including the per-request exact fallback
+// (single and batched), hot-swap and the build-on-load path for graphless
+// artifacts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,9 +36,8 @@ using serve::RecEntry;
 
 // ------------------------------------------------------------ test data ----
 
-// Well-separated clustered embeddings, same construction as the IVF
-// suite: `num_clusters` centers at a large scale, every row near one of
-// them with small noise. Users prefer "their" cluster's items by a wide
+// Well-separated clustered embeddings: `num_clusters` centers at a large
+// scale, every row near one of them with small noise. Users prefer "their" cluster's items by a wide
 // margin — the regime where a proximity graph's greedy walk should zoom
 // straight into the right neighborhood.
 core::ServingModel ClusteredModel(int64_t num_users, int64_t num_items,
@@ -168,8 +168,7 @@ TEST(HnswBuildTest, SingleItemCatalogue) {
 
 TEST(HnswBuildTest, GraphIdenticalAcrossBitExactBackends) {
   // The builder's distances flow through QueryDot/QueryDotIndexed, so
-  // every bit-exact backend must grow the identical graph — the same
-  // property that makes IVF's k-means portable.
+  // every bit-exact backend must grow the identical graph.
   core::ServingModel reference = ClusteredModel(4, 1200, 8, 8, 47);
   {
     tensor::ScopedBackend scoped("serial");
@@ -331,7 +330,16 @@ TEST(RecServiceHnswTest, RoutesThroughConfiguredStrategy) {
   EXPECT_EQ(stats.requests, 16u);
   EXPECT_GT(stats.retrieval.hops, 0u);
   EXPECT_GT(stats.retrieval.scanned_items, 0u);
-  EXPECT_EQ(stats.retrieval.probed_clusters, 0u);  // no IVF in the path
+
+  // Batched exact fallback too.
+  std::vector<int64_t> users = {0, 1, 2, 3};
+  std::vector<std::vector<RecEntry>> batch =
+      service.RecommendBatch(users, 10, /*exact=*/true);
+  ASSERT_EQ(batch.size(), users.size());
+  for (size_t u = 0; u < users.size(); ++u) {
+    ExpectExactlyEqual(batch[u], exact.RetrieveTopN(users[u], 10));
+  }
+  EXPECT_EQ(service.stats().exact_fallbacks, 12u);
 }
 
 TEST(RecServiceHnswTest, CacheServesHnswResultsAndSwapInvalidates) {

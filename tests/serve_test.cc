@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -21,8 +22,6 @@
 #include "src/serve/rec_service.h"
 #include "src/serve/seen_items.h"
 #include "src/serve/exact_retriever.h"
-#include "src/serve/ivf_retriever.h"
-#include "src/tensor/kernel_tunables.h"
 
 namespace gnmr {
 namespace serve {
@@ -62,6 +61,17 @@ class RecServiceTestPeer {
   static void Unregister(RecService* service, uint64_t key) {
     std::lock_guard<std::mutex> lock(service->flights_mu_);
     service->flights_.erase(key);
+  }
+  // The cache generation a reader starting now would probe.
+  static std::shared_ptr<RecCache> CurrentCache(RecService* service) {
+    return service->CurrentCache();
+  }
+  // Runs `hook` inside the next swap, between publishing the new cache
+  // generation and harvesting the outgoing one's counters (swap_mu_ is
+  // held, so the hook must not call back into the service).
+  static void SetAfterPublishHook(RecService* service,
+                                  std::function<void()> hook) {
+    service->after_publish_hook_ = std::move(hook);
   }
 };
 
@@ -504,116 +514,46 @@ TEST(RecServiceTest, LoadAndSwapFromArtifact) {
   EXPECT_FALSE(service.LoadAndSwap("/nonexistent/model.bin").ok());
 }
 
-// ------------------------------------------------------ quantized routing ----
-
-TEST(RecServiceQuantizedTest, QuantizedOptionsRouteThroughCodeScan) {
-  core::ServingModel m = *RandomModel(8, 256, 8, 611);
-  ASSERT_TRUE(core::BuildIvfIndex(&m, 8, /*quantize=*/true).ok());
-  auto model = std::make_shared<const core::ServingModel>(std::move(m));
-  RecService::Options options;
-  options.retriever = RetrieverKind::kIvf;
-  options.nprobe = 3;
-  options.quantized = true;
-  options.rerank_k = 16;
-  RecService service(model, nullptr, options);
-  EXPECT_STREQ(service.retriever()->name(), "ivf");
-  auto ivf =
-      std::dynamic_pointer_cast<const IvfRetriever>(service.retriever());
-  ASSERT_NE(ivf, nullptr);
-  EXPECT_TRUE(ivf->quantized());
-  EXPECT_EQ(ivf->rerank_k(), 16);
-  // Responses come from the two-phase scan, bitwise.
-  IvfRetriever want(model, nullptr, /*nprobe=*/3, ItemShardMode::kAuto,
-                    /*quantized=*/true, /*rerank_k=*/16);
-  for (int64_t u = 0; u < 8; ++u) {
-    ExpectExactlyEqual(service.Recommend(u, 10), want.RetrieveTopN(u, 10));
-  }
+TEST(RecServiceTest, ExactServiceIgnoresExactKnob) {
+  auto model = RandomModel(8, 40, 6, 83);
+  RecService service(model);
+  EXPECT_STREQ(service.retriever()->name(), "exact");
+  std::vector<RecEntry> a = service.Recommend(3, 10);
+  std::vector<RecEntry> b = service.Recommend(3, 10, /*exact=*/true);
+  ExpectExactlyEqual(b, a);
   ServiceStats stats = service.stats();
-  EXPECT_GT(stats.retrieval.scanned_code_bytes, 0u);
-  EXPECT_GT(stats.retrieval.reranked_items, 0u);
-  EXPECT_GT(stats.retrieval.scanned_bytes,
-            stats.retrieval.scanned_code_bytes);
+  EXPECT_EQ(stats.exact_fallbacks, 0u);
+  EXPECT_EQ(stats.cache_hits, 1u);  // the knob is a no-op: cache still used
 }
 
-TEST(RecServiceQuantizedTest, HotSwapKeepsQuantizedTier) {
-  core::ServingModel a = *RandomModel(8, 256, 8, 613);
-  ASSERT_TRUE(core::BuildIvfIndex(&a, 8, /*quantize=*/true).ok());
-  core::ServingModel b = *RandomModel(8, 256, 8, 617);
-  ASSERT_TRUE(core::BuildIvfIndex(&b, 8, /*quantize=*/true).ok());
-  auto model_a = std::make_shared<const core::ServingModel>(std::move(a));
-  auto model_b = std::make_shared<const core::ServingModel>(std::move(b));
-  RecService::Options options;
-  options.retriever = RetrieverKind::kIvf;
-  options.nprobe = 3;
-  options.quantized = true;
-  RecService service(model_a, nullptr, options);
-  service.Recommend(2, 10);
-  service.SwapModel(model_b);
-  EXPECT_EQ(service.model_version(), 1u);
-  auto ivf =
-      std::dynamic_pointer_cast<const IvfRetriever>(service.retriever());
-  ASSERT_NE(ivf, nullptr);
-  EXPECT_TRUE(ivf->quantized()) << "swap must keep the code-scan tier";
-  IvfRetriever want(model_b, nullptr, /*nprobe=*/3, ItemShardMode::kAuto,
-                    /*quantized=*/true);
-  ExpectExactlyEqual(service.Recommend(2, 10), want.RetrieveTopN(2, 10));
-
-  // A codeless-index snapshot on a quantized service degrades to the
-  // float scan silently — serving never stops.
-  core::ServingModel c = *RandomModel(8, 256, 8, 619);
-  ASSERT_TRUE(core::BuildIvfIndex(&c, 8).ok());
-  service.SwapModel(std::make_shared<const core::ServingModel>(std::move(c)));
-  auto degraded =
-      std::dynamic_pointer_cast<const IvfRetriever>(service.retriever());
-  ASSERT_NE(degraded, nullptr);
-  EXPECT_FALSE(degraded->quantized());
-  EXPECT_FALSE(service.Recommend(2, 10).empty());
-}
-
-TEST(RecServiceQuantizedTest, LoadAndSwapAutoQuantizesAtThreshold) {
-  // An index-less artifact at the deployment threshold: LoadAndSwap
-  // builds the index AND the codes, so the swapped-in snapshot keeps
-  // serving the quantized tier.
-  const int64_t big_items = tensor::kIvfQuantizeMinItems;
-  auto big = RandomModel(4, big_items, 8, 701);
-  std::string path = testing::TempDir() + "/serve_quant_plain.bin";
-  ASSERT_TRUE(core::SaveServingModel(*big, path).ok());  // no index
-  core::ServingModel first = *big;
-  ASSERT_TRUE(core::BuildIvfIndex(&first, 8, /*quantize=*/true).ok());
-  RecService::Options options;
-  options.retriever = RetrieverKind::kIvf;
-  options.nlist = 8;
-  options.nprobe = 2;
-  options.quantized = true;
-  RecService service(
-      std::make_shared<const core::ServingModel>(std::move(first)), nullptr,
-      options);
-  ASSERT_TRUE(service.LoadAndSwap(path).ok());
-  auto ivf =
-      std::dynamic_pointer_cast<const IvfRetriever>(service.retriever());
-  ASSERT_NE(ivf, nullptr);
-  EXPECT_TRUE(ivf->quantized())
-      << "catalogue at kIvfQuantizeMinItems must auto-quantize on reload";
-  EXPECT_FALSE(service.Recommend(1, 10).empty());
-  std::remove(path.c_str());
-
-  // Below the threshold the rebuilt index carries no codes: the quantized
-  // option is deployment policy, not a hard requirement.
-  auto small = RandomModel(4, 256, 8, 703);
-  std::string small_path = testing::TempDir() + "/serve_quant_small.bin";
-  ASSERT_TRUE(core::SaveServingModel(*small, small_path).ok());
-  core::ServingModel sfirst = *small;
-  ASSERT_TRUE(core::BuildIvfIndex(&sfirst, 8, /*quantize=*/true).ok());
-  RecService sservice(
-      std::make_shared<const core::ServingModel>(std::move(sfirst)), nullptr,
-      options);
-  ASSERT_TRUE(sservice.LoadAndSwap(small_path).ok());
-  auto sivf =
-      std::dynamic_pointer_cast<const IvfRetriever>(sservice.retriever());
-  ASSERT_NE(sivf, nullptr);
-  EXPECT_FALSE(sivf->quantized());
-  EXPECT_FALSE(sservice.Recommend(1, 10).empty());
-  std::remove(small_path.c_str());
+// A swap publishes the new cache generation before it harvests the
+// outgoing one's counters. A probe landing between the two steps — on the
+// generation a fresh reader now sees, or on the outgoing one a reader
+// captured before the swap — must still reach ServiceStats::cache: the
+// fresh reader's through the live generation, the late one's through the
+// harvest. Harvesting first would drop a fresh reader's probe into an
+// already-harvested generation.
+TEST(RecServiceTest, SwapWindowLosesNoCacheProbe) {
+  auto model = RandomModel(8, 40, 6, 89);
+  RecService service(model);
+  service.Recommend(1, 5);  // miss
+  service.Recommend(1, 5);  // hit
+  std::shared_ptr<RecCache> before_swap =
+      RecServiceTestPeer::CurrentCache(&service);
+  int window_probes = 0;
+  RecServiceTestPeer::SetAfterPublishHook(&service, [&] {
+    std::vector<RecEntry> out;
+    RecServiceTestPeer::CurrentCache(&service)->Get(1, 5, &out);
+    before_swap->Get(1, 5, &out);
+    window_probes += 2;
+  });
+  service.SwapModel(model);
+  RecServiceTestPeer::SetAfterPublishHook(&service, nullptr);
+  ASSERT_EQ(window_probes, 2);
+  const CacheStats cache = service.stats().cache;
+  EXPECT_EQ(cache.hits + cache.misses, 4u);
+  EXPECT_EQ(cache.hits, 2u);    // the pre-swap hit + the late reader's hit
+  EXPECT_EQ(cache.misses, 2u);  // the first miss + the fresh generation's
 }
 
 TEST(RecServiceTest, ConcurrentRecommendUnderSwaps) {

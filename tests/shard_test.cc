@@ -373,17 +373,13 @@ TEST(ShardedBackendParityTest, AllOpsBitIdenticalToSerialAt127Workers) {
   };
   const KernelBackend::MapFn leaky = &MapLoop<&elops::LeakyReluEl>;
   const KernelBackend::ZipFn sig_bwd = &ZipLoop<&elops::SigmoidBwdEl>;
-  // Serving scans: 301 rows of width 37 (ragged against the 8-lane and
-  // 32-code vector loops); the indexed scan revisits rows out of order.
+  // Serving scans: 301 rows of width 37 (ragged against the 8-lane vector
+  // loop); the indexed scan revisits rows out of order.
   const int64_t qn = 301, qm = 37;
   Tensor q = Tensor::RandomNormal({qm}, &rng);
   Tensor q_rows = Tensor::RandomNormal({qn, qm}, &rng);
   std::vector<int64_t> q_idx;
   for (int64_t i = 0; i < qn; ++i) q_idx.push_back(rng.UniformInt(0, qn - 1));
-  std::vector<int8_t> i8_q(static_cast<size_t>(qm));
-  std::vector<int8_t> i8_codes(static_cast<size_t>(qn * qm));
-  for (auto& v : i8_q) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
-  for (auto& v : i8_codes) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
 
   // Serial references, computed once.
   Tensor mm_ref({mm_n, mm_m});
@@ -410,8 +406,6 @@ TEST(ShardedBackendParityTest, AllOpsBitIdenticalToSerialAt127Workers) {
   serial->QueryDot(q.data(), q_rows.data(), qd_ref.data(), qn, qm);
   serial->QueryDotIndexed(q.data(), q_rows.data(), q_idx.data(),
                           qdi_ref.data(), qn, qm);
-  std::vector<int32_t> i8_ref(qn);
-  serial->I8QueryDot(i8_q.data(), i8_codes.data(), i8_ref.data(), qn, qm);
 
   const struct {
     const KernelBackend* backend;
@@ -475,10 +469,6 @@ TEST(ShardedBackendParityTest, AllOpsBitIdenticalToSerialAt127Workers) {
                                qdi_got.data(), qn, qm);
       EXPECT_EQ(qd_ref, qd_got) << ctx << "querydot";
       EXPECT_EQ(qdi_ref, qdi_got) << ctx << "querydot-indexed";
-      std::vector<int32_t> i8_got(qn);
-      sharded->I8QueryDot(i8_q.data(), i8_codes.data(), i8_got.data(), qn,
-                          qm);
-      EXPECT_EQ(i8_ref, i8_got) << ctx << "i8-querydot";
     }
   }
   simd::SetSimdAvx512TilesEnabledForTest(true);

@@ -25,7 +25,6 @@
 #include "src/tensor/element_ops.h"
 #include "src/tensor/gradcheck.h"
 #include "src/tensor/kernel_tunables.h"
-#include "src/tensor/quantize.h"
 #include "src/tensor/shard_pool.h"
 #include "src/tensor/sparse.h"
 #include "src/tensor/tensor_ops.h"
@@ -435,85 +434,6 @@ TEST(BackendParityTest, QueryDotIndexedGatherParity) {
                                        got.data(), n, m);
     for (size_t i = 0; i < idx.size(); ++i) {
       ASSERT_EQ(ref[i], got[i]) << v.tag << " querydot-indexed row " << i;
-    }
-  }
-}
-
-// --------------------------------------------------------------- quantizer --
-
-TEST(QuantizeTest, RoundTripDeterministicAndBounded) {
-  util::Rng rng(32);
-  const int64_t n = 64, m = 37;
-  Tensor rows = Tensor::RandomNormal({n, m}, &rng);
-  std::vector<int8_t> codes(n * m), codes2(n * m);
-  std::vector<float> scales(n), scales2(n);
-  quant::QuantizeRowsI8(rows.data(), n, m, codes.data(), scales.data());
-  quant::QuantizeRowsI8(rows.data(), n, m, codes2.data(), scales2.data());
-  ASSERT_EQ(codes, codes2) << "quantization must be deterministic";
-  ASSERT_EQ(scales, scales2);
-  for (int64_t i = 0; i < n; ++i) {
-    EXPECT_GT(scales[static_cast<size_t>(i)], 0.0f);
-    float maxabs = 0.0f;
-    for (int64_t j = 0; j < m; ++j) {
-      const int8_t c = codes[static_cast<size_t>(i * m + j)];
-      // The +-127 clamp is the precondition of the AVX2 maddubs kernel.
-      ASSERT_GE(c, -kI8QuantMaxCode);
-      ASSERT_LE(c, kI8QuantMaxCode);
-      // Round trip within half a quantization step.
-      EXPECT_NEAR(static_cast<float>(c) * scales[static_cast<size_t>(i)],
-                  rows.at(i, j), 0.51f * scales[static_cast<size_t>(i)]);
-      maxabs = std::max(maxabs, std::fabs(rows.at(i, j)));
-    }
-    EXPECT_EQ(scales[static_cast<size_t>(i)],
-              maxabs / static_cast<float>(kI8QuantMaxCode));
-  }
-  // Zero row: scale 0, all-zero codes (the documented degenerate case).
-  std::vector<float> zero_row(m, 0.0f);
-  std::vector<int8_t> zero_codes(m, 42);
-  EXPECT_EQ(quant::QuantizeRowI8(zero_row.data(), m, zero_codes.data()), 0.0f);
-  for (int8_t c : zero_codes) EXPECT_EQ(c, 0);
-}
-
-TEST(BackendParityTest, I8QueryDotAllBackendsExact) {
-  util::Rng rng(33);
-  // Widths across the AVX2 32-lane kernel: sub-vector, exact multiples,
-  // and ragged tails; plus an extreme row to prove saturation-safety at
-  // the +-127 code bound.
-  for (int64_t m : {int64_t{1}, int64_t{31}, int64_t{32}, int64_t{33},
-                    int64_t{64}, int64_t{100}}) {
-    const int64_t n = 129;
-    std::vector<int8_t> q(static_cast<size_t>(m));
-    std::vector<int8_t> codes(static_cast<size_t>(n * m));
-    for (auto& v : q) {
-      v = static_cast<int8_t>(rng.UniformInt(-kI8QuantMaxCode,
-                                             kI8QuantMaxCode));
-    }
-    for (auto& v : codes) {
-      v = static_cast<int8_t>(rng.UniformInt(-kI8QuantMaxCode,
-                                             kI8QuantMaxCode));
-    }
-    // Row 0: worst case +-127 everywhere (alternating signs).
-    for (int64_t j = 0; j < m; ++j) {
-      q[static_cast<size_t>(j)] =
-          static_cast<int8_t>((j % 2 == 0) ? kI8QuantMaxCode
-                                           : -kI8QuantMaxCode);
-      codes[static_cast<size_t>(j)] = static_cast<int8_t>(kI8QuantMaxCode);
-    }
-    std::vector<int32_t> ref(static_cast<size_t>(n));
-    std::vector<int32_t> got(static_cast<size_t>(n));
-    FindBackend("serial")->I8QueryDot(q.data(), codes.data(), ref.data(), n,
-                                      m);
-    // Serial must equal the quant::I8Dot reference exactly.
-    for (int64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(ref[static_cast<size_t>(i)],
-                quant::I8Dot(q.data(), codes.data() + i * m, m));
-    }
-    for (const Variant& v : Variants()) {
-      v.backend->I8QueryDot(q.data(), codes.data(), got.data(), n, m);
-      for (int64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(ref[static_cast<size_t>(i)], got[static_cast<size_t>(i)])
-            << v.tag << " i8 querydot m=" << m << " row " << i;
-      }
     }
   }
 }

@@ -406,6 +406,44 @@ TEST(FlagsTest, MalformedNumberFallsBackToDefault) {
   EXPECT_EQ(flags.GetInt("epochs", 9), 9);
 }
 
+TEST(FlagsTest, CheckRejectsUnknownAndUnparsedFlags) {
+  const char* argv[] = {"prog",      "--epochs=30", "--lr=0.1x",
+                        "--verbose", "--model=m",   "--retriever=ivf"};
+  Flags flags(6, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("epochs", 0), 30);
+  EXPECT_TRUE(flags.Has("model"));  // asking by name makes a flag known
+  EXPECT_EQ(flags.GetString("retriever", ""), "ivf");
+  EXPECT_TRUE(flags.GetBool("verbose", false));
+  // --lr was given but never read: unknown to this binary.
+  Status s = flags.Check();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("unknown flag --lr"), std::string::npos)
+      << s.ToString();
+  // Read, it no longer counts as unknown, but its value is no number.
+  EXPECT_DOUBLE_EQ(flags.GetDouble("lr", 0.5), 0.5);
+  s = flags.Check();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("--lr=0.1x is not a number"), std::string::npos)
+      << s.ToString();
+}
+
+TEST(FlagsTest, CheckPassesWhenEveryFlagIsRead) {
+  const char* argv[] = {"prog", "--epochs=3", "--fast", "input.tsv"};
+  Flags flags(4, const_cast<char**>(argv));
+  flags.GetInt("epochs", 0);
+  flags.GetBool("fast", false);
+  flags.GetString("absent", "");  // asking for absent flags is fine
+  EXPECT_TRUE(flags.Check().ok());
+  flags.CheckOrExit();  // returns
+}
+
+TEST(FlagsDeathTest, CheckOrExitNamesTheFlagAndExitsNonZero) {
+  const char* argv[] = {"prog", "--no_such_flag=1"};
+  Flags flags(2, const_cast<char**>(argv));
+  EXPECT_EXIT(flags.CheckOrExit(), testing::ExitedWithCode(2),
+              "unknown flag --no_such_flag");
+}
+
 // ---------------------------------------------------------- TablePrinter ----
 
 TEST(TablePrinterTest, RendersAlignedTable) {
