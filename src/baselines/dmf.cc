@@ -64,7 +64,8 @@ void DMF::Fit(const data::Dataset& train) {
       ad::Var logits = ad::MulScalar(RowCosine(pu, qi), kLogitScale);
       tensor::Tensor labels =
           tensor::Tensor::FromData({static_cast<int64_t>(b.size()), 1},
-                                   std::vector<float>(b.labels));
+                                   tensor::OwnedVector<float>(
+                                       b.labels.begin(), b.labels.end()));
       ad::Var loss =
           ad::BceWithLogitsLoss(logits, ad::Var::Constant(std::move(labels)));
       ad::Backward(loss);

@@ -93,7 +93,8 @@ void NCF::Fit(const data::Dataset& train) {
     for (const PointBatch& b : batches) {
       ad::Var logits = Predict(b.users, b.items);
       tensor::Tensor labels = tensor::Tensor::FromData(
-          {static_cast<int64_t>(b.size()), 1}, std::vector<float>(b.labels));
+          {static_cast<int64_t>(b.size()), 1},
+          tensor::OwnedVector<float>(b.labels.begin(), b.labels.end()));
       ad::Var loss =
           ad::BceWithLogitsLoss(logits, ad::Var::Constant(std::move(labels)));
       ad::Backward(loss);

@@ -76,7 +76,7 @@ void NMTR::Fit(const data::Dataset& train) {
         ad::Var logits = CascadeLogit(b.users, b.items, pos);
         tensor::Tensor labels = tensor::Tensor::FromData(
             {static_cast<int64_t>(b.size()), 1},
-            std::vector<float>(b.labels));
+            tensor::OwnedVector<float>(b.labels.begin(), b.labels.end()));
         ad::Var loss = ad::BceWithLogitsLoss(
             logits, ad::Var::Constant(std::move(labels)));
         ad::Backward(loss);

@@ -149,7 +149,7 @@ Var FusedTypeEmbedding(const Var& s, const Var& w1, const Var& b1,
   // columns with alpha = ReLU(. + b1) (alpha > 0 exactly where the
   // pre-activation is, so it doubles as the ReLU mask in the backward).
   Tensor proj = top::MatMul(s.value(), wcat);
-  Tensor out({rows, d});
+  Tensor out = Tensor::Uninitialized({rows, d});  // channel 0 writes it
   {
     float* pd = proj.data();
     float* od = out.data();
@@ -186,7 +186,8 @@ Var FusedTypeEmbedding(const Var& s, const Var& w1, const Var& b1,
         }
         // dproj: the channel columns get G * alpha_c, the alpha columns
         // the ReLU-masked row sums of G * proj_c.
-        Tensor dproj({rows, width});
+        // Every column of every row is written below.
+        Tensor dproj = Tensor::Uninitialized({rows, width});
         {
           const float* pd = proj.data();
           const float* gd = self->grad.data();
@@ -259,8 +260,9 @@ Var FusedRelationAttention(const Var& stack, int64_t num_k,
   const int64_t width = 3 * d;
   // attn[node][(s*K + k)*K + k']: head s's weight of behavior k' for k.
   const int64_t per_node = heads * num_k * num_k;
-  Tensor attn({n, per_node});
-  Tensor out({num_k * n, d});
+  // The row body writes every weight and (value sum first) every output.
+  Tensor attn = Tensor::Uninitialized({n, per_node});
+  Tensor out = Tensor::Uninitialized({num_k * n, d});
   {
     const float* x = stack.value().data();
     const float* qd = qkv.data();
@@ -382,8 +384,9 @@ Var FusedBehaviorGate(const Var& stack, int64_t num_k, const Var& w3,
   GNMR_CHECK(b3.shape() == (std::vector<int64_t>{1, 1}));
   // hidden = X W3; the row body turns it into ReLU(. + b2) in place.
   Tensor hidden = top::MatMul(stack.value(), w3.value());
-  Tensor gate({n, num_k});  // softmax weights per node
-  Tensor out({n, d});
+  // Both written whole by the row body.
+  Tensor gate = Tensor::Uninitialized({n, num_k});  // softmax weights
+  Tensor out = Tensor::Uninitialized({n, d});
   {
     const float* x = stack.value().data();
     float* hdata = hidden.data();
@@ -430,8 +433,10 @@ Var FusedBehaviorGate(const Var& stack, int64_t num_k, const Var& w3,
         Node* b2_node = self->inputs[2].get();
         Node* w2_node = self->inputs[3].get();
         Node* b3_node = self->inputs[4].get();
-        Tensor dx({num_k * n, d});       // the gate-product part
-        Tensor dlogit({num_k * n, 1});
+        // dx and dlogit are written whole; dhidden keeps its zero fill,
+        // since rows with a zero logit gradient are skipped.
+        Tensor dx = Tensor::Uninitialized({num_k * n, d});  // gate product
+        Tensor dlogit = Tensor::Uninitialized({num_k * n, 1});
         Tensor dhidden({num_k * n, h});  // through the ReLU
         {
           const float* x = x_node->value.data();

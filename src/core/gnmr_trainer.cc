@@ -1,5 +1,7 @@
 #include "src/core/gnmr_trainer.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <condition_variable>
 #include <deque>
@@ -52,6 +54,13 @@ ShardEpochStats ShardDelta(const tensor::ShardPoolStats& before,
         static_cast<double>(delta_of(b, after.worker_busy_ns[w])) * 1e-9);
   }
   return delta;
+}
+
+/// The process's minor page faults so far.
+int64_t MinorFaults() {
+  rusage usage{};
+  GNMR_CHECK_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  return static_cast<int64_t>(usage.ru_minflt);
 }
 
 }  // namespace
@@ -154,6 +163,7 @@ EpochStats GnmrTrainer::TrainEpoch() {
   // busy time. Reading the stats never instantiates the pool, so the other
   // backends pay nothing.
   tensor::ShardPoolStats shard_before = tensor::GlobalShardPoolStats();
+  const int64_t faults_before = MinorFaults();
 
   std::vector<int64_t> order = trainable_users_;
   rng_.Shuffle(&order);
@@ -224,10 +234,12 @@ EpochStats GnmrTrainer::TrainEpoch() {
   stats.mean_loss = steps > 0 ? loss_sum / static_cast<double>(steps) : 0.0;
   stats.seconds = timer.ElapsedSeconds();
   stats.shard = ShardDelta(shard_before, tensor::GlobalShardPoolStats());
+  stats.minor_faults = MinorFaults() - faults_before;
   if (config_.verbose) {
     GNMR_LOG(INFO) << "epoch " << epoch_ << " loss=" << stats.mean_loss
                    << " grad=" << stats.grad_norm << " ("
-                   << stats.seconds << "s)";
+                   << stats.seconds << "s, " << stats.minor_faults
+                   << " minor faults)";
     if (stats.shard.dispatches > 0) {
       GNMR_LOG(INFO) << "  shard pool: " << stats.shard.workers
                      << " workers, " << stats.shard.dispatches

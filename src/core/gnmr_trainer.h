@@ -58,6 +58,11 @@ struct EpochStats {
   double seconds = 0.0;
   /// Shard-pool activity attributed to this epoch (see ShardEpochStats).
   ShardEpochStats shard;
+  /// Minor page faults during the epoch: the getrusage(RUSAGE_SELF) delta,
+  /// so process-wide like `shard`. Near zero once step buffers are reused
+  /// from the heap (README "Step memory"); a step that maps fresh memory
+  /// shows up here.
+  int64_t minor_faults = 0;
 };
 
 /// Alias for callers that track training-run rather than epoch

@@ -94,7 +94,9 @@ tensor::Storage<T> SectionStorage(
     const std::shared_ptr<const util::MappedFile>& keepalive) {
   const T* p = reinterpret_cast<const T*>(base + e.offset);
   const int64_t n = e.length / static_cast<int64_t>(sizeof(T));
-  if (copy_into_owned) return tensor::Storage<T>(std::vector<T>(p, p + n));
+  if (copy_into_owned) {
+    return tensor::Storage<T>(tensor::OwnedVector<T>(p, p + n));
+  }
   return tensor::Storage<T>::View(p, n, keepalive);
 }
 

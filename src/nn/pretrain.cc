@@ -7,6 +7,7 @@
 #include "src/nn/linear.h"
 #include "src/nn/optimizer.h"
 #include "src/tensor/ad_ops.h"
+#include "src/tensor/sparse.h"
 #include "src/util/check.h"
 
 namespace gnmr {
@@ -26,10 +27,14 @@ tensor::Tensor BuildRows(const graph::MultiBehaviorGraph& g, bool user_side,
   int64_t width = neighbor_count * k_count;
   for (size_t r = 0; r < ids.size(); ++r) {
     for (int64_t k = 0; k < k_count; ++k) {
-      std::vector<int64_t> nbrs = user_side ? g.ItemsOf(ids[r], k)
-                                            : g.UsersOf(ids[r], k);
-      for (int64_t nb : nbrs) {
-        rd[static_cast<int64_t>(r) * width + k * neighbor_count + nb] = 1.0f;
+      // The behavior's CSR row, read in place: its columns are the
+      // neighbours.
+      const tensor::CsrMatrix& adj = user_side ? g.UserItem(k) : g.ItemUser(k);
+      const size_t id = static_cast<size_t>(ids[r]);
+      GNMR_CHECK(ids[r] >= 0 && ids[r] < adj.rows()) << "row " << ids[r];
+      float* row = rd + static_cast<int64_t>(r) * width + k * neighbor_count;
+      for (int64_t p = adj.row_ptr()[id]; p < adj.row_ptr()[id + 1]; ++p) {
+        row[adj.col_idx()[static_cast<size_t>(p)]] = 1.0f;
       }
     }
   }

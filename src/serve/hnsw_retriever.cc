@@ -305,8 +305,8 @@ class HnswBuilder {
 
   /// Flattens the adjacency into the persisted CSR form: per-level rows of
   /// ascending neighbor ids, levels tiled back to back.
-  void Flatten(std::vector<int64_t>* offsets,
-               std::vector<int64_t>* neighbors) const {
+  void Flatten(tensor::OwnedVector<int64_t>* offsets,
+               tensor::OwnedVector<int64_t>* neighbors) const {
     const int64_t stride = n_ + 1;
     offsets->assign(static_cast<size_t>(num_levels() * stride), 0);
     size_t total = 0;
@@ -528,8 +528,8 @@ util::Status BuildHnswIndex(ServingModel* model, int64_t m,
   hnsw->ef_construction = ef_construction;
   hnsw->entry_point = builder.entry_point();
   hnsw->num_levels = builder.num_levels();
-  std::vector<int64_t> offsets;
-  std::vector<int64_t> neighbors;
+  tensor::OwnedVector<int64_t> offsets;
+  tensor::OwnedVector<int64_t> neighbors;
   builder.Flatten(&offsets, &neighbors);
   hnsw->neighbor_offsets = std::move(offsets);
   hnsw->neighbors = std::move(neighbors);

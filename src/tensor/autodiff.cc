@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <unordered_set>
 #include <utility>
 
@@ -9,12 +10,46 @@
 #include "src/tensor/element_ops.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/check.h"
+#include "src/util/logging.h"
+#include "src/util/sanitizer.h"
+
+// __GLIBC__ comes from the C++ headers above.
+#if defined(__GLIBC__) && !GNMR_SANITIZER_MALLOC
+#include <malloc.h>
+#define GNMR_PIN_GLIBC_HEAP 1
+#endif
 
 namespace gnmr {
 namespace ad {
 
 namespace {
 std::atomic<uint64_t> g_next_node_id{1};
+
+/// Pins glibc's heap policy the first time a process runs a backward pass
+/// (README "Step memory"). By default glibc serves each multi-MB step
+/// tensor with a fresh mmap, or trims the freed heap top back to the
+/// kernel, so every training step re-faults and re-zeroes the same
+/// buffers. With these two settings the freed buffers stay in the heap
+/// and the next step reuses them: the process keeps its high-water mark
+/// resident. Serving never runs Backward, so it keeps glibc's defaults.
+/// A sanitizer's own malloc ignores these settings, so they are skipped.
+void PinTrainingHeapPolicy() {
+#ifdef GNMR_PIN_GLIBC_HEAP
+  static std::once_flag once;
+  std::call_once(once, [] {
+    constexpr int kMmapThreshold = 32 << 20;  // glibc's 64-bit maximum
+    constexpr int kTrimThreshold = 256 << 20;
+    if (mallopt(M_MMAP_THRESHOLD, kMmapThreshold) != 1) {
+      GNMR_LOG(WARNING) << "mallopt(M_MMAP_THRESHOLD, " << kMmapThreshold
+                        << ") was rejected; step buffers stay mmap-backed";
+    }
+    if (mallopt(M_TRIM_THRESHOLD, kTrimThreshold) != 1) {
+      GNMR_LOG(WARNING) << "mallopt(M_TRIM_THRESHOLD, " << kTrimThreshold
+                        << ") was rejected; the heap top is trimmed";
+    }
+  });
+#endif
+}
 }  // namespace
 
 void Node::EnsureGrad() {
@@ -111,6 +146,7 @@ void Backward(const Var& root) {
 }
 
 void BackwardWithGrad(const Var& root, const tensor::Tensor& seed) {
+  PinTrainingHeapPolicy();
   GNMR_CHECK(root.defined());
   GNMR_CHECK(seed.shape() == root.value().shape());
   if (!root.requires_grad()) return;

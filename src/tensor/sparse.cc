@@ -29,9 +29,9 @@ CsrMatrix CsrMatrix::FromCoo(int64_t rows, int64_t cols,
     return a.row != b.row ? a.row < b.row : a.col < b.col;
   });
 
-  std::vector<int64_t> row_ptr(static_cast<size_t>(rows) + 1, 0);
-  std::vector<int64_t> col_idx;
-  std::vector<float> values;
+  OwnedVector<int64_t> row_ptr(static_cast<size_t>(rows) + 1, 0);
+  OwnedVector<int64_t> col_idx;
+  OwnedVector<float> values;
   col_idx.reserve(sorted.size());
   values.reserve(sorted.size());
   for (size_t i = 0; i < sorted.size();) {
@@ -81,9 +81,9 @@ CsrMatrix CsrMatrix::Transposed() const {
   CsrMatrix t;
   t.rows_ = cols_;
   t.cols_ = rows_;
-  std::vector<int64_t> t_row_ptr(static_cast<size_t>(cols_) + 1, 0);
-  std::vector<int64_t> t_col_idx(static_cast<size_t>(nnz()), 0);
-  std::vector<float> t_values(static_cast<size_t>(nnz()), 0.0f);
+  OwnedVector<int64_t> t_row_ptr(static_cast<size_t>(cols_) + 1, 0);
+  OwnedVector<int64_t> t_col_idx(static_cast<size_t>(nnz()), 0);
+  OwnedVector<float> t_values(static_cast<size_t>(nnz()), 0.0f);
 
   // Counting pass.
   for (int64_t c : col_idx_) t_row_ptr[static_cast<size_t>(c) + 1] += 1;
@@ -113,7 +113,7 @@ CsrMatrix CsrMatrix::RowScaled(const std::vector<float>& scale) const {
   // The result owns fresh values even when this matrix is a view; the
   // structure arrays are shared via Storage's cheap copy.
   CsrMatrix out = *this;
-  std::vector<float> scaled(values_.begin(), values_.end());
+  OwnedVector<float> scaled(values_.begin(), values_.end());
   for (int64_t r = 0; r < rows_; ++r) {
     for (int64_t p = row_ptr_[static_cast<size_t>(r)];
          p < row_ptr_[static_cast<size_t>(r) + 1]; ++p) {

@@ -8,11 +8,19 @@
 // Views are immutable: every mutating accessor aborts with a clear
 // message. Copying a view is O(1) and shares the keepalive; copying an
 // owned storage deep-copies, exactly like the std::vector it wraps.
+//
+// The owned buffer is an OwnedVector<T>: a std::vector whose value-less
+// constructions (`OwnedVector<T>(n)`, `resize(n)`) leave trivially
+// constructible elements unwritten instead of zeroing them. That is what
+// Tensor::Uninitialized builds on; everything that passes a value
+// (`OwnedVector<T>(n, 0)`, `assign`, iterator ranges) fills as usual.
 #ifndef GNMR_TENSOR_STORAGE_H_
 #define GNMR_TENSOR_STORAGE_H_
 
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,6 +29,35 @@
 namespace gnmr {
 namespace tensor {
 
+/// std::allocator whose value-less construct() default-initialises (a
+/// no-op for arithmetic types) instead of value-initialising (zeroing).
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  DefaultInitAllocator() noexcept = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(
+      std::is_nothrow_default_constructible<U>::value) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// The owned buffer type of Storage<T>. Build it directly (not a
+/// std::vector<T> converted later) so adopting it costs no copy.
+template <typename T>
+using OwnedVector = std::vector<T, DefaultInitAllocator<T>>;
+
 template <typename T>
 class Storage {
  public:
@@ -28,8 +65,8 @@ class Storage {
   Storage() = default;
 
   /// Owned storage adopting `data`. Intentionally implicit so call sites
-  /// can assign a freshly built std::vector directly.
-  Storage(std::vector<T> data)  // NOLINT(runtime/explicit)
+  /// can assign a freshly built OwnedVector directly.
+  Storage(OwnedVector<T> data)  // NOLINT(runtime/explicit)
       : owned_(std::move(data)) {}
 
   /// Non-owning read-only view of `size` elements at `data`. `keepalive`
@@ -95,7 +132,7 @@ class Storage {
   const std::shared_ptr<const void>& keepalive() const { return keepalive_; }
 
  private:
-  std::vector<T> owned_;
+  OwnedVector<T> owned_;
   const T* view_ = nullptr;
   int64_t view_size_ = 0;
   std::shared_ptr<const void> keepalive_;

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
+
+#include "src/util/sanitizer.h"
 
 namespace gnmr {
 namespace tensor {
@@ -22,6 +25,18 @@ Tensor::Tensor(std::vector<int64_t> shape) : shape_(std::move(shape)) {
   data_.assign(static_cast<size_t>(ShapeNumel(shape_)), 0.0f);
 }
 
+Tensor Tensor::Uninitialized(std::vector<int64_t> shape) {
+  const size_t n = static_cast<size_t>(ShapeNumel(shape));
+  Tensor t;
+  t.shape_ = std::move(shape);
+#if GNMR_ASAN
+  t.data_ = OwnedVector<float>(n, std::numeric_limits<float>::quiet_NaN());
+#else
+  t.data_ = OwnedVector<float>(n);
+#endif
+  return t;
+}
+
 Tensor Tensor::Zeros(std::vector<int64_t> shape) {
   return Tensor(std::move(shape));
 }
@@ -38,7 +53,8 @@ Tensor Tensor::Full(std::vector<int64_t> shape, float value) {
 
 Tensor Tensor::Scalar(float value) { return Full({1}, value); }
 
-Tensor Tensor::FromData(std::vector<int64_t> shape, std::vector<float> data) {
+Tensor Tensor::FromData(std::vector<int64_t> shape,
+                        OwnedVector<float> data) {
   int64_t n = ShapeNumel(shape);
   GNMR_CHECK_EQ(n, static_cast<int64_t>(data.size()));
   Tensor t;
@@ -147,8 +163,7 @@ void Tensor::Fill(float value) {
 }
 
 Tensor Tensor::OwnedCopy() const {
-  std::vector<float> copy(data_.begin(), data_.end());
-  return FromData(shape_, std::move(copy));
+  return FromData(shape_, OwnedVector<float>(data_.begin(), data_.end()));
 }
 
 Tensor Tensor::Reshaped(std::vector<int64_t> new_shape) const {

@@ -29,7 +29,15 @@ class Tensor {
   Tensor() = default;
 
   /// Zero-initialised tensor of the given shape. All dims must be positive.
+  /// Kernels that accumulate into their output (+=) start from this.
   explicit Tensor(std::vector<int64_t> shape);
+
+  /// Tensor of the given shape whose elements are left unwritten: no zero
+  /// fill, so a recycled heap buffer keeps whatever it held. Only for an
+  /// op that writes every element before anything reads it. In
+  /// AddressSanitizer builds the elements are quiet NaN instead, so a
+  /// bitwise test fails on any element such an op leaves unwritten.
+  static Tensor Uninitialized(std::vector<int64_t> shape);
 
   /// Factory helpers -------------------------------------------------------
 
@@ -39,7 +47,7 @@ class Tensor {
   /// Scalar tensor of shape {1}.
   static Tensor Scalar(float value);
   /// Takes ownership of `data`; data.size() must equal the shape's numel.
-  static Tensor FromData(std::vector<int64_t> shape, std::vector<float> data);
+  static Tensor FromData(std::vector<int64_t> shape, OwnedVector<float> data);
   /// i.i.d. N(mean, stddev^2) entries.
   static Tensor RandomNormal(std::vector<int64_t> shape, util::Rng* rng,
                              float mean = 0.0f, float stddev = 1.0f);

@@ -385,7 +385,7 @@ Tensor ConcatCols(const std::vector<const Tensor*>& parts) {
     GNMR_CHECK_EQ(p->rows(), n);
     total_cols += p->cols();
   }
-  Tensor out({n, total_cols});
+  Tensor out = Tensor::Uninitialized({n, total_cols});  // parts tile it
   float* od = out.data();
   int64_t col_off = 0;
   for (const Tensor* p : parts) {
@@ -408,7 +408,7 @@ Tensor ConcatRows(const std::vector<const Tensor*>& parts) {
     GNMR_CHECK_EQ(p->cols(), m);
     total_rows += p->rows();
   }
-  Tensor out({total_rows, m});
+  Tensor out = Tensor::Uninitialized({total_rows, m});  // parts tile it
   float* od = out.data();
   int64_t row_off = 0;
   for (const Tensor* p : parts) {
@@ -425,7 +425,7 @@ Tensor SliceCols(const Tensor& a, int64_t start, int64_t len) {
   GNMR_CHECK_LE(start + len, a.cols());
   int64_t n = a.rows();
   int64_t m = a.cols();
-  Tensor out({n, len});
+  Tensor out = Tensor::Uninitialized({n, len});  // every row copied
   const float* ad = a.data();
   float* od = out.data();
   for (int64_t i = 0; i < n; ++i) {
@@ -440,7 +440,7 @@ Tensor SliceRows(const Tensor& a, int64_t start, int64_t len) {
   GNMR_CHECK_GT(len, 0);
   GNMR_CHECK_LE(start + len, a.rows());
   int64_t m = a.cols();
-  Tensor out({len, m});
+  Tensor out = Tensor::Uninitialized({len, m});  // one whole copy
   std::copy(a.data() + start * m, a.data() + (start + len) * m, out.data());
   return out;
 }
@@ -452,7 +452,8 @@ Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& idx) {
   for (int64_t src : idx) {
     GNMR_CHECK(src >= 0 && src < n) << "gather index " << src;
   }
-  Tensor out({static_cast<int64_t>(idx.size()), m});
+  // Every output row is one copied source row.
+  Tensor out = Tensor::Uninitialized({static_cast<int64_t>(idx.size()), m});
   GetBackend().GatherRows(a.data(), m, idx.data(),
                           static_cast<int64_t>(idx.size()), out.data());
   return out;

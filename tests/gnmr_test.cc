@@ -532,6 +532,9 @@ TEST(FusedLayerTest, OddShapesBitwiseAcrossBackends) {
             ad::Backward(WeightedSum(out));
             for (size_t i = 0; i < params.size(); ++i) {
               if (!params[i].has_grad()) continue;  // psi's when unused
+              // Bitwise-equal NaNs would pass the comparison below.
+              EXPECT_FALSE(params[i].grad().HasNonFinite())
+                  << tag << " " << c.tag << " param " << i;
               if (first_grads.size() < params.size()) {
                 first_grads.resize(params.size());
               }

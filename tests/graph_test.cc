@@ -7,7 +7,6 @@
 
 #include "src/graph/interaction_graph.h"
 #include "src/graph/negative_sampler.h"
-#include "src/graph/neighbor_sampler.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/rng.h"
 
@@ -183,54 +182,6 @@ TEST(NegativeSamplerTest, NumEligible) {
   NegativeSampler sampler(&g, 1);
   EXPECT_EQ(sampler.NumEligible(0), 3);
   EXPECT_EQ(sampler.NumEligible(1), 4);
-}
-
-// ------------------------------------------------------- NeighborSampler ----
-
-TEST(NeighborSamplerTest, SeedsComeFirstAndEdgesAreValid) {
-  MultiBehaviorGraph g = TestGraph();
-  NeighborSampler sampler(&g, /*fanout=*/10);
-  util::Rng rng(17);
-  SampledSubgraph sg = sampler.Sample({0, 1}, {}, /*hops=*/2, &rng);
-  ASSERT_GE(sg.nodes.size(), 2u);
-  EXPECT_EQ(sg.nodes[0], 0);
-  EXPECT_EQ(sg.nodes[1], 1);
-  ASSERT_EQ(sg.hop_edges.size(), 2u);
-  for (const auto& hop : sg.hop_edges) {
-    for (const auto& e : hop) {
-      ASSERT_LT(static_cast<size_t>(e.src_pos), sg.nodes.size());
-      ASSERT_LT(static_cast<size_t>(e.dst_pos), sg.nodes.size());
-      // Bipartite: src and dst on opposite sides.
-      bool src_user = sg.nodes[static_cast<size_t>(e.src_pos)] < 3;
-      bool dst_user = sg.nodes[static_cast<size_t>(e.dst_pos)] < 3;
-      EXPECT_NE(src_user, dst_user);
-    }
-  }
-}
-
-TEST(NeighborSamplerTest, FanoutBoundsNeighbors) {
-  // Star graph: one user connected to many items.
-  std::vector<Interaction> events;
-  for (int64_t j = 0; j < 50; ++j) events.push_back({0, j, 0, j});
-  MultiBehaviorGraph g(1, 50, 1, events);
-  NeighborSampler sampler(&g, /*fanout=*/5);
-  util::Rng rng(19);
-  SampledSubgraph sg = sampler.Sample({0}, {}, 1, &rng);
-  ASSERT_EQ(sg.hop_edges.size(), 1u);
-  EXPECT_EQ(sg.hop_edges[0].size(), 5u);
-  // Sampled neighbors are distinct items.
-  std::set<int32_t> srcs;
-  for (const auto& e : sg.hop_edges[0]) srcs.insert(e.src_pos);
-  EXPECT_EQ(srcs.size(), 5u);
-}
-
-TEST(NeighborSamplerTest, SmallDegreeKeepsAllNeighbors) {
-  MultiBehaviorGraph g = TestGraph();
-  NeighborSampler sampler(&g, /*fanout=*/100);
-  util::Rng rng(23);
-  SampledSubgraph sg = sampler.Sample({0}, {}, 1, &rng);
-  // u0 has 2 view edges + 1 buy edge.
-  EXPECT_EQ(sg.hop_edges[0].size(), 3u);
 }
 
 }  // namespace

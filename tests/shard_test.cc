@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -707,7 +708,12 @@ TEST(TrainerShardStatsTest, LossCurveBitIdenticalToSerialBackend) {
     GnmrTrainer trainer(cfg, train);
     std::vector<double> losses;
     for (int64_t e = 0; e < cfg.epochs; ++e) {
-      losses.push_back(trainer.TrainEpoch().mean_loss);
+      const EpochStats stats = trainer.TrainEpoch();
+      // Equal NaN gradients would still give equal (hinge-clamped) losses;
+      // a NaN here is an element some op left unwritten (see
+      // Tensor::Uninitialized).
+      EXPECT_TRUE(std::isfinite(stats.grad_norm)) << backend->name();
+      losses.push_back(stats.mean_loss);
     }
     return losses;
   };

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <tuple>
 #include <utility>
@@ -10,6 +12,7 @@
 #include "src/tensor/tensor.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/rng.h"
+#include "src/util/sanitizer.h"
 
 namespace gnmr {
 namespace tensor {
@@ -17,7 +20,7 @@ namespace {
 
 namespace top = ops;
 
-Tensor T2(std::vector<float> v, int64_t n, int64_t m) {
+Tensor T2(OwnedVector<float> v, int64_t n, int64_t m) {
   return Tensor::FromData({n, m}, std::move(v));
 }
 
@@ -29,6 +32,40 @@ TEST(TensorTest, ZeroInitialised) {
   EXPECT_EQ(t.numel(), 6);
   for (int64_t i = 0; i < 2; ++i)
     for (int64_t j = 0; j < 3; ++j) EXPECT_EQ(t.at(i, j), 0.0f);
+}
+
+TEST(TensorTest, UninitializedHasShapeAndIsWritable) {
+  Tensor t = Tensor::Uninitialized({3, 5});
+  EXPECT_EQ(t.shape(), (std::vector<int64_t>{3, 5}));
+  EXPECT_EQ(t.numel(), 15);
+  EXPECT_TRUE(t.owns_storage());
+#if GNMR_ASAN
+  // Sanitizer builds poison the elements, so a forgotten write shows.
+  for (int64_t i = 0; i < t.numel(); ++i) EXPECT_TRUE(std::isnan(t.data()[i]));
+#endif
+  for (int64_t i = 0; i < t.numel(); ++i) t.data()[i] = static_cast<float>(i);
+  EXPECT_EQ(t.at(2, 4), 14.0f);
+  EXPECT_EQ(t.SumValue(), 105.0f);
+}
+
+TEST(TensorTest, ZeroFillSurvivesARecycledDirtyBuffer) {
+  // The allocator may hand the freed buffer straight back; Tensor(shape)
+  // must still read +0.0f everywhere, not the old contents (or -0.0f).
+  const std::vector<int64_t> shape = {256, 1024};  // 1 MiB
+  {
+    Tensor dirty = Tensor::Uninitialized(shape);
+    dirty.Fill(-0.0f);
+    dirty.at(7, 9) = -3.5f;
+  }
+  Tensor t(shape);
+  const float* p = t.data();
+  int64_t non_zero = 0;
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, p + i, sizeof(bits));
+    non_zero += bits != 0u;
+  }
+  EXPECT_EQ(non_zero, 0);
 }
 
 TEST(TensorTest, FactoryHelpers) {

@@ -1,7 +1,8 @@
 // Determinism regression tests of the pipelined trainer: batch sampling
 // comes from per-batch seeded RNG streams, so the producer/consumer
 // pipeline must reproduce the serial loop's loss trajectory bit-for-bit,
-// and a fixed seed must reproduce itself run to run.
+// and a fixed seed must reproduce itself run to run. One memory test
+// guards the reuse of step buffers across epochs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include "src/data/dataset.h"
 #include "src/data/synthetic.h"
 #include "src/tensor/backend.h"
+#include "src/util/sanitizer.h"
 
 namespace gnmr {
 namespace core {
@@ -41,6 +43,30 @@ std::vector<double> LossCurve(GnmrTrainer* trainer, int64_t epochs) {
     losses.push_back(trainer->TrainEpoch().mean_loss);
   }
   return losses;
+}
+
+// Defined first so it runs before the other cases grow this process's
+// heap. Each step frees and re-allocates the same multi-MB tensors; once
+// the first Backward has pinned glibc's heap policy (README "Step
+// memory") a steady epoch reuses them from the heap instead of mapping
+// and zero-faulting fresh pages.
+TEST(TrainerPipelineTest, SteadyEpochReusesStepBuffers) {
+#if !defined(__GLIBC__) || GNMR_SANITIZER_MALLOC
+  GTEST_SKIP() << "the fault profile is glibc malloc's";
+#else
+  data::Dataset train = data::GenerateSynthetic(data::TaobaoLike(0.5, 11));
+  GnmrConfig cfg;
+  cfg.use_pretrain = false;
+  cfg.epochs = 3;
+  GnmrTrainer trainer(cfg, train);
+  const EpochStats first = trainer.TrainEpoch();
+  trainer.TrainEpoch();
+  const EpochStats steady = trainer.TrainEpoch();
+  EXPECT_GT(first.minor_faults, 0);
+  EXPECT_LT(steady.minor_faults * 10, first.minor_faults)
+      << "first epoch " << first.minor_faults << " faults, third "
+      << steady.minor_faults;
+#endif
 }
 
 TEST(TrainerPipelineTest, PipelinedMatchesSerialLossCurveExactly) {
