@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks of the kernels underneath GNMR:
 // dense matmul, sparse SpMM, graph construction, negative sampling, one
 // GNMR layer forward and a full training step — plus per-backend variants
-// of the hot kernels (serial / sharded, see backend.h) and
-// the pipelined-vs-serial trainer epoch. They catch kernel-level
-// performance regressions against the record in BENCH_micro_kernels.json.
+// of the hot kernels (serial / sharded, see backend.h). They catch
+// kernel-level performance regressions against the record in
+// BENCH_micro_kernels.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -211,37 +211,6 @@ void BM_GnmrTrainEpoch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * split.train.num_users);
 }
 BENCHMARK(BM_GnmrTrainEpoch);
-
-// The synthetic integration workload for the batch pipeline: a sampling-
-// heavy configuration (many positives/negatives per user, shallow
-// propagation) where batch preparation is a substantial share of the step,
-// so overlapping it with forward/backward pays. Compare
-// trainer_epoch/pipelined against trainer_epoch/serial_prep; identical
-// seeds produce identical loss curves in both (trainer_pipeline_test).
-void BM_TrainerEpoch(benchmark::State& state, bool pipelined) {
-  data::Dataset full = data::GenerateSynthetic(data::MovieLensLike(0.4));
-  data::TrainTestSplit split = data::LeaveLatestOut(full);
-  core::GnmrConfig cfg;
-  cfg.use_pretrain = false;
-  // ~360 trainable users / 64 per batch = several pipeline handoffs per
-  // epoch; 16x16 samples per user make batch prep a real slice of the step.
-  cfg.batch_users = 64;
-  cfg.positives_per_user = 16;
-  cfg.negatives_per_positive = 16;
-  cfg.num_layers = 1;
-  cfg.pipeline_batches = pipelined;
-  core::GnmrTrainer trainer(cfg, split.train);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trainer.TrainEpoch().mean_loss);
-  }
-  state.SetItemsProcessed(state.iterations() * split.train.num_users);
-}
-BENCHMARK_CAPTURE(BM_TrainerEpoch, pipelined, true)
-    ->Name("trainer_epoch/pipelined")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TrainerEpoch, serial_prep, false)
-    ->Name("trainer_epoch/serial_prep")
-    ->Unit(benchmark::kMillisecond);
 
 void BM_EvalProtocol(benchmark::State& state) {
   data::Dataset full = data::GenerateSynthetic(data::MovieLensLike(0.4));

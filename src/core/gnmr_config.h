@@ -77,13 +77,6 @@ struct GnmrConfig {
   int64_t negatives_per_positive = 1;
   /// Global gradient-norm clip; 0 disables.
   double grad_clip = 5.0;
-  /// Overlap batch preparation (shuffle slice, negative sampling, index
-  /// lists) with the forward/backward/Adam pass of the previous batch on a
-  /// producer thread. Batches are sampled from per-batch seeded RNG streams
-  /// either way, so the loss trajectory for a fixed seed is identical with
-  /// the pipeline on or off.
-  bool pipeline_batches = true;
-
   uint64_t seed = 123;
   /// Log per-epoch loss at INFO level.
   bool verbose = false;

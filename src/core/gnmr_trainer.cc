@@ -3,11 +3,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
-#include <utility>
 
 #include "src/obs/trace.h"
 #include "src/tensor/ad_ops.h"
@@ -20,11 +15,6 @@ namespace gnmr {
 namespace core {
 
 namespace {
-
-/// Producer-ahead bound: how many prepared batches may sit between the
-/// sampling thread and the training thread. 2 = classic double buffering
-/// plus one slot of slack against bursty batch costs.
-constexpr size_t kPipelineDepth = 2;
 
 /// Salt separating the per-batch sampling streams from every other
 /// consumer of the config seed (model init, epoch shuffle).
@@ -94,8 +84,6 @@ util::Rng GnmrTrainer::BatchRng(int64_t epoch, int64_t batch_index) const {
 GnmrTrainer::TripletBatch GnmrTrainer::BuildBatch(
     const std::vector<int64_t>& order, size_t start, size_t end,
     util::Rng* rng) const {
-  // Under the pipelined epoch loop this span lands on the producer
-  // thread's ring, so the trace shows sampling overlapping TrainStep.
   GNMR_TRACE_SPAN("train.build_batch");
   TripletBatch batch;
   size_t samples_per_user = static_cast<size_t>(config_.positives_per_user *
@@ -168,66 +156,15 @@ EpochStats GnmrTrainer::TrainEpoch() {
   std::vector<int64_t> order = trainable_users_;
   rng_.Shuffle(&order);
 
-  std::vector<std::pair<size_t, size_t>> ranges;
-  for (size_t start = 0; start < order.size();
-       start += static_cast<size_t>(config_.batch_users)) {
-    ranges.emplace_back(start,
-                        std::min(order.size(),
-                                 start + static_cast<size_t>(
-                                             config_.batch_users)));
-  }
-
   double loss_sum = 0.0;
   int64_t steps = 0;
-
-  if (!config_.pipeline_batches || ranges.size() <= 1) {
-    for (size_t b = 0; b < ranges.size(); ++b) {
-      util::Rng batch_rng = BatchRng(epoch_, static_cast<int64_t>(b));
-      TripletBatch batch =
-          BuildBatch(order, ranges[b].first, ranges[b].second, &batch_rng);
-      TrainStep(batch, &loss_sum, &steps, &stats);
-    }
-  } else {
-    // Two-stage pipeline: the producer samples batch b+1 (read-only graph
-    // and sampler state, its own RNG stream) while this thread trains on
-    // batch b. Batches arrive in range order through a bounded queue, so
-    // optimizer updates happen in exactly the serial-loop order.
-    std::mutex mu;
-    std::condition_variable queue_has_room;
-    std::condition_variable queue_has_batch;
-    std::deque<TripletBatch> queue;
-    bool producer_done = false;
-
-    std::thread producer([&] {
-      for (size_t b = 0; b < ranges.size(); ++b) {
-        util::Rng batch_rng = BatchRng(epoch_, static_cast<int64_t>(b));
-        TripletBatch batch =
-            BuildBatch(order, ranges[b].first, ranges[b].second, &batch_rng);
-        std::unique_lock<std::mutex> lock(mu);
-        queue_has_room.wait(lock,
-                            [&] { return queue.size() < kPipelineDepth; });
-        queue.push_back(std::move(batch));
-        queue_has_batch.notify_one();
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      producer_done = true;
-      queue_has_batch.notify_one();
-    });
-
-    for (;;) {
-      TripletBatch batch;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        queue_has_batch.wait(
-            lock, [&] { return !queue.empty() || producer_done; });
-        if (queue.empty()) break;  // producer_done and drained
-        batch = std::move(queue.front());
-        queue.pop_front();
-      }
-      queue_has_room.notify_one();
-      TrainStep(batch, &loss_sum, &steps, &stats);
-    }
-    producer.join();
+  const size_t batch_users = static_cast<size_t>(config_.batch_users);
+  for (size_t start = 0, b = 0; start < order.size();
+       start += batch_users, ++b) {
+    util::Rng batch_rng = BatchRng(epoch_, static_cast<int64_t>(b));
+    TripletBatch batch = BuildBatch(
+        order, start, std::min(order.size(), start + batch_users), &batch_rng);
+    TrainStep(batch, &loss_sum, &steps, &stats);
   }
 
   optimizer_->DecayLearningRate(config_.lr_decay);

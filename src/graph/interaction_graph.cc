@@ -123,13 +123,6 @@ bool MultiBehaviorGraph::HasEdge(int64_t user, int64_t item,
   return std::binary_search(begin, end, item);
 }
 
-bool MultiBehaviorGraph::HasAnyEdge(int64_t user, int64_t item) const {
-  const CsrMatrix& m = merged_user_item_;
-  auto begin = m.col_idx().begin() + m.row_ptr()[static_cast<size_t>(user)];
-  auto end = m.col_idx().begin() + m.row_ptr()[static_cast<size_t>(user) + 1];
-  return std::binary_search(begin, end, item);
-}
-
 int64_t MultiBehaviorGraph::UserDegree(int64_t user, int64_t behavior) const {
   return UserItem(behavior).RowNnz(user);
 }

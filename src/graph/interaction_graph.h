@@ -73,8 +73,6 @@ class MultiBehaviorGraph {
   std::vector<int64_t> UsersOf(int64_t item, int64_t behavior) const;
   /// True if the (user, item) edge exists under behavior k. O(log deg).
   bool HasEdge(int64_t user, int64_t item, int64_t behavior) const;
-  /// True if the (user, item) edge exists under any behavior. O(K log deg).
-  bool HasAnyEdge(int64_t user, int64_t item) const;
 
   /// Degree of user `u` under behavior k.
   int64_t UserDegree(int64_t user, int64_t behavior) const;

@@ -11,16 +11,6 @@ tensor::Tensor XavierUniform(int64_t fan_in, int64_t fan_out,
   return tensor::Tensor::RandomUniform({fan_in, fan_out}, rng, -a, a);
 }
 
-tensor::Tensor XavierNormal(int64_t fan_in, int64_t fan_out, util::Rng* rng) {
-  float stddev = std::sqrt(2.0f / static_cast<float>(fan_in + fan_out));
-  return tensor::Tensor::RandomNormal({fan_in, fan_out}, rng, 0.0f, stddev);
-}
-
-tensor::Tensor HeNormal(int64_t fan_in, int64_t fan_out, util::Rng* rng) {
-  float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  return tensor::Tensor::RandomNormal({fan_in, fan_out}, rng, 0.0f, stddev);
-}
-
 tensor::Tensor EmbeddingNormal(int64_t count, int64_t dim, float stddev,
                                util::Rng* rng) {
   return tensor::Tensor::RandomNormal({count, dim}, rng, 0.0f, stddev);

@@ -13,12 +13,6 @@ namespace nn {
 /// Xavier/Glorot uniform: U[-a, a], a = sqrt(6 / (fan_in + fan_out)).
 tensor::Tensor XavierUniform(int64_t fan_in, int64_t fan_out, util::Rng* rng);
 
-/// Xavier/Glorot normal: N(0, 2 / (fan_in + fan_out)).
-tensor::Tensor XavierNormal(int64_t fan_in, int64_t fan_out, util::Rng* rng);
-
-/// He/Kaiming normal: N(0, 2 / fan_in); preferred before ReLU.
-tensor::Tensor HeNormal(int64_t fan_in, int64_t fan_out, util::Rng* rng);
-
 /// Small-scale normal embedding init: N(0, stddev^2).
 tensor::Tensor EmbeddingNormal(int64_t count, int64_t dim, float stddev,
                                util::Rng* rng);

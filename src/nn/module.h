@@ -31,17 +31,6 @@ class Module {
   }
 };
 
-/// Concatenates parameter lists of several modules.
-inline std::vector<ad::Var> CollectParameters(
-    std::initializer_list<const Module*> modules) {
-  std::vector<ad::Var> out;
-  for (const Module* m : modules) {
-    auto params = m->Parameters();
-    out.insert(out.end(), params.begin(), params.end());
-  }
-  return out;
-}
-
 }  // namespace nn
 }  // namespace gnmr
 

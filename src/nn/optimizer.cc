@@ -15,34 +15,6 @@ void Optimizer::Step(const std::vector<ad::Var>& params) {
   }
 }
 
-Sgd::Sgd(double lr, double momentum, double weight_decay)
-    : Optimizer(lr), momentum_(momentum), weight_decay_(weight_decay) {}
-
-void Sgd::Update(ad::Var* param) {
-  tensor::Tensor* value = param->mutable_value();
-  const tensor::Tensor& grad = param->grad();
-  float* v = value->data();
-  const float* g = grad.data();
-  int64_t n = value->numel();
-  float lr = static_cast<float>(lr_);
-  float wd = static_cast<float>(weight_decay_);
-  if (momentum_ > 0.0) {
-    auto [it, inserted] =
-        velocity_.try_emplace(param->node().get(),
-                              tensor::Tensor(value->shape()));
-    float* vel = it->second.data();
-    float mu = static_cast<float>(momentum_);
-    for (int64_t i = 0; i < n; ++i) {
-      vel[i] = mu * vel[i] + g[i];
-      v[i] -= lr * (vel[i] + wd * v[i]);
-    }
-  } else {
-    for (int64_t i = 0; i < n; ++i) {
-      v[i] -= lr * (g[i] + wd * v[i]);
-    }
-  }
-}
-
 Adam::Adam(double lr, double beta1, double beta2, double eps,
            double weight_decay)
     : Optimizer(lr),

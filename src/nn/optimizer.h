@@ -33,20 +33,6 @@ class Optimizer {
   double lr_;
 };
 
-/// Plain SGD with optional momentum and decoupled weight decay.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(double lr, double momentum = 0.0, double weight_decay = 0.0);
-
- protected:
-  void Update(ad::Var* param) override;
-
- private:
-  double momentum_;
-  double weight_decay_;
-  std::unordered_map<const ad::Node*, tensor::Tensor> velocity_;
-};
-
 /// Adam (Kingma & Ba 2015) with decoupled weight decay (AdamW).
 class Adam : public Optimizer {
  public:

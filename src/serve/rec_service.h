@@ -82,11 +82,6 @@ struct ServiceStats {
     return requests == 0 ? 0.0
                          : static_cast<double>(cache_hits) / requests;
   }
-  double MeanLatencyUs() const {
-    return requests == 0
-               ? 0.0
-               : static_cast<double>(latency_ns_total) / 1e3 / requests;
-  }
 };
 
 /// Thread-safe top-N recommendation service over ServingModel snapshots.

@@ -422,15 +422,5 @@ Var MseLoss(const Var& pred, const Var& target) {
   return MeanAll(Square(Sub(pred, target)));
 }
 
-Var L2Penalty(const std::vector<Var>& params, float lambda) {
-  GNMR_CHECK(!params.empty());
-  Var total;
-  for (const Var& p : params) {
-    Var term = SumAll(Square(p));
-    total = total.defined() ? Add(total, term) : term;
-  }
-  return MulScalar(total, lambda);
-}
-
 }  // namespace ad
 }  // namespace gnmr

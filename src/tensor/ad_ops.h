@@ -103,9 +103,6 @@ Var BceWithLogitsLoss(const Var& logits, const Var& targets);
 /// mean((pred - target)^2).
 Var MseLoss(const Var& pred, const Var& target);
 
-/// Sum of squared L2 norms of the given parameters, scaled by lambda.
-Var L2Penalty(const std::vector<Var>& params, float lambda);
-
 }  // namespace ad
 }  // namespace gnmr
 

@@ -21,119 +21,6 @@ namespace tensor {
 
 namespace {
 
-using kernels::BroadcastZipRows;
-using kernels::ChunkSum;
-using kernels::ColSumsRange;
-using kernels::MatMulRow;
-using kernels::MatMulTransARows;
-using kernels::MatMulTransBRows;
-using kernels::RowDotOne;
-using kernels::RowSumsRange;
-using kernels::ScatterAddRowList;
-using kernels::SpmmRow;
-
-// ---- SerialBackend ----------------------------------------------------------
-
-class SerialBackend : public KernelBackend {
- public:
-  const char* name() const override { return "serial"; }
-
-  void MatMul(const float* a, const float* b, float* out, int64_t n,
-              int64_t k, int64_t m) const override {
-    for (int64_t i = 0; i < n; ++i) {
-      MatMulRow(a + i * k, b, out + i * m, k, m);
-    }
-  }
-
-  void MatMulTransB(const float* a, const float* b, float* out, int64_t n,
-                    int64_t k, int64_t m) const override {
-    MatMulTransBRows(a, b, out, k, m, 0, n);
-  }
-
-  void MatMulTransA(const float* a, const float* b, float* out, int64_t n,
-                    int64_t k, int64_t m) const override {
-    MatMulTransARows(a, b, out, n, k, m, 0, n);
-  }
-
-  void Spmm(const CsrMatrix& a, const float* x, float* out,
-            int64_t d) const override {
-    for (int64_t i = 0; i < a.rows(); ++i) {
-      SpmmRow(a, x, out + i * d, i, d);
-    }
-  }
-
-  void GatherRows(const float* a, int64_t m, const int64_t* idx,
-                  int64_t count, float* out) const override {
-    for (int64_t r = 0; r < count; ++r) {
-      std::copy(a + idx[r] * m, a + (idx[r] + 1) * m, out + r * m);
-    }
-  }
-
-  void ScatterAddRows(float* target, int64_t rows, int64_t m,
-                      const int64_t* idx, int64_t count,
-                      const float* src) const override {
-    (void)rows;
-    ScatterAddRowList(target, m, idx, count, src);
-  }
-
-  void RowDot(const float* a, const float* b, float* out, int64_t n,
-              int64_t m) const override {
-    for (int64_t i = 0; i < n; ++i) {
-      out[i] = static_cast<float>(RowDotOne(a + i * m, b + i * m, m));
-    }
-  }
-
-  void EltwiseMap(const float* in, float* out, int64_t n, MapFn f,
-                  float p) const override {
-    f(in, out, n, p);
-  }
-
-  void EltwiseZip(const float* a, const float* b, float* out, int64_t n,
-                  ZipFn f, float p) const override {
-    f(a, b, out, n, p);
-  }
-
-  double ReduceSum(const float* in, int64_t n) const override {
-    double total = 0.0;
-    for (int64_t start = 0; start < n; start += kReduceSumChunk) {
-      total += ChunkSum(in, start, std::min(n, start + kReduceSumChunk));
-    }
-    return total;
-  }
-
-  void BroadcastZip(const float* a, const float* b, float* out, int64_t n,
-                    int64_t m, Broadcast kind, bool b_first, ZipFn f,
-                    float p) const override {
-    BroadcastZipRows(a, b, out, m, kind, b_first, f, p, 0, n);
-  }
-
-  void RowSums(const float* in, float* out, int64_t n,
-               int64_t m) const override {
-    RowSumsRange(in, out, m, 0, n);
-  }
-
-  void ColSums(const float* in, float* out, int64_t n,
-               int64_t m) const override {
-    ColSumsRange(in, out, n, m);
-  }
-
-  void RunRows(int64_t n, int64_t work_per_row,
-               const RowsFn& rows) const override {
-    (void)work_per_row;
-    rows(0, n);
-  }
-};
-
-// ---- ShardedBackend ---------------------------------------------------------
-// Row-range partitioning over the persistent shard pool (shard_pool.h):
-// the MatMuls, SpMM, GatherRows, RowDot, the same-shape eltwise ops and
-// ReduceSum cut their row (or chunk) dimension with a ShardPlan and run
-// one RangeKernels entry per shard — the AVX2 table on hosts that have it,
-// the serial bodies otherwise. Each output element is computed whole by
-// one range call in the serial accumulation order, so results are
-// bit-identical to serial at any worker count — including 1, where plans
-// collapse to a single inline range — and on either table.
-
 // Portable MapLoop/ZipLoop instantiations for every element_ops.h X-macro
 // body, in list order — the exact function pointers tensor_ops.cc and
 // ad_ops.cc pass to EltwiseMap/EltwiseZip (template instantiations
@@ -162,271 +49,261 @@ Fn Translate(Fn f, const Fn (&keys)[N], const Fn* twins, int num_twins) {
   return f;
 }
 
-class ShardedBackend : public KernelBackend {
- public:
-  explicit ShardedBackend(const RangeKernels& kernels) : k_(kernels) {}
-
-  const char* name() const override { return "sharded"; }
-
-  const RangeKernels& range_kernels() const { return k_; }
-
-  void MatMul(const float* a, const float* b, float* out, int64_t n,
-              int64_t k, int64_t m) const override {
-    RunRowTiles(n, k, m, kMinTilesPerShard, [=](int64_t i0, int64_t i1) {
-      k_.matmul_rows(a, b, out, k, m, i0, i1);
-    });
+/// Dispatches fn(begin, end) once per range of `plan` to `pool`;
+/// single-range plans run inline (no dispatch latency for small inputs).
+template <typename Fn>
+void RunPlan(ShardPool& pool, const ShardPlan& plan, const Fn& fn) {
+  if (plan.num_shards() <= 1) {
+    for (const ShardRange& r : plan.ranges()) fn(r.begin, r.end);
+    return;
   }
+  std::function<void(int64_t)> task = [&plan, &fn](int64_t s) {
+    const ShardRange& r = plan.shard(s);
+    fn(r.begin, r.end);
+  };
+  pool.Run(plan.num_shards(), task);
+}
 
-  void MatMulTransB(const float* a, const float* b, float* out, int64_t n,
-                    int64_t k, int64_t m) const override {
-    RunRowTiles(n, k, m, kMinTilesPerShard, [=](int64_t i0, int64_t i1) {
-      k_.matmul_trans_b_rows(a, b, out, k, m, i0, i1);
-    });
-  }
+/// The three MatMul layouts are cut on register-tile boundaries, so only
+/// the last range runs a short tile: the ranges count tiles, and
+/// OnRowTiles maps a tile range back to output rows [0, n).
+constexpr int64_t kMinTilesPerShard =
+    (kShardMinRowsPerShard + kSimdMatMulRowTile - 1) / kSimdMatMulRowTile;
 
-  void MatMulTransA(const float* a, const float* b, float* out, int64_t n,
-                    int64_t k, int64_t m) const override {
-    // The weight-gradient shape: few output rows (a weight's fan-in), each
-    // a sum over the long k (batch) dimension, so one row tile per shard
-    // is already plenty of work.
-    RunRowTiles(n, k, m, 1, [=](int64_t i0, int64_t i1) {
-      k_.matmul_trans_a_rows(a, b, out, n, k, m, i0, i1);
-    });
-  }
+int64_t NumRowTiles(int64_t n) {
+  return (n + kSimdMatMulRowTile - 1) / kSimdMatMulRowTile;
+}
 
-  void Spmm(const CsrMatrix& a, const float* x, float* out,
-            int64_t d) const override {
-    const int64_t n = a.rows();
-    const int64_t* row_ptr = a.row_ptr().data();
-    const int64_t* col_idx = a.col_idx().data();
-    const float* values = a.values().data();
-    if (n <= 1 || a.nnz() * d < kParallelSpmmMinWork) {
-      k_.spmm_rows(row_ptr, col_idx, values, x, out, d, 0, n);
-      return;
-    }
-    std::shared_ptr<ShardPool> pool = ShardPool::Global();
-    ShardPlan plan = PlanForSpmm(a, pool->workers());
-    RunPlan(*pool, plan, [=](const ShardRange& r) {
-      k_.spmm_rows(row_ptr, col_idx, values, x, out, d, r.begin, r.end);
-    });
-  }
+template <typename Fn>
+auto OnRowTiles(int64_t n, Fn rows) {
+  return [n, rows](int64_t t0, int64_t t1) {
+    rows(t0 * kSimdMatMulRowTile, std::min(n, t1 * kSimdMatMulRowTile));
+  };
+}
 
-  void GatherRows(const float* a, int64_t m, const int64_t* idx,
-                  int64_t count, float* out) const override {
-    if (count <= 1 || count * m < kParallelRowsMinWork) {
-      k_.gather_rows(a, m, idx, out, 0, count);
-      return;
-    }
-    RunUniform(count, kShardMinRowsPerShard, [=](const ShardRange& r) {
-      k_.gather_rows(a, m, idx, out, r.begin, r.end);
-    });
-  }
-
-  void ScatterAddRows(float* target, int64_t rows, int64_t m,
-                      const int64_t* idx, int64_t count,
-                      const float* src) const override {
-    // One pass in source order on the calling thread. Duplicate
-    // destinations rule out splitting the source list, and a target-row
-    // split (every shard scanning the whole list, or the list bucketed by
-    // shard first) measured slower at 4 workers than at 1
-    // (BM_ScatterAddRowsBackend).
-    (void)rows;
-    k_.scatter_add_rows(target, m, idx, count, src);
-  }
-
-  void RowDot(const float* a, const float* b, float* out, int64_t n,
-              int64_t m) const override {
-    if (n <= 1 || n * m < kParallelRowsMinWork) {
-      k_.row_dot(a, b, out, m, 0, n);
-      return;
-    }
-    RunUniform(n, kShardMinRowsPerShard, [=](const ShardRange& r) {
-      k_.row_dot(a, b, out, m, r.begin, r.end);
-    });
-  }
-
-  void EltwiseMap(const float* in, float* out, int64_t n, MapFn f,
-                  float p) const override {
-    const MapFn g = Translate(f, kMapKeys, k_.map_twins, k_.num_map_twins);
-    if (n < kParallelEltwiseMinWork) {
-      g(in, out, n, p);
-      return;
-    }
-    RunUniform(n, kShardMinElemsPerShard, [=](const ShardRange& r) {
-      g(in + r.begin, out + r.begin, r.end - r.begin, p);
-    });
-  }
-
-  void EltwiseZip(const float* a, const float* b, float* out, int64_t n,
-                  ZipFn f, float p) const override {
-    const ZipFn g = Translate(f, kZipKeys, k_.zip_twins, k_.num_zip_twins);
-    if (n < kParallelEltwiseMinWork) {
-      g(a, b, out, n, p);
-      return;
-    }
-    RunUniform(n, kShardMinElemsPerShard, [=](const ShardRange& r) {
-      g(a + r.begin, b + r.begin, out + r.begin, r.end - r.begin, p);
-    });
-  }
-
-  double ReduceSum(const float* in, int64_t n) const override {
-    int64_t num_chunks = (n + kReduceSumChunk - 1) / kReduceSumChunk;
-    if (num_chunks <= 1) return k_.chunk_sum(in, 0, n);
-    // Fixed-chunk double partials, chunk indices sharded across workers,
-    // combined serially in chunk order — the association is set by
-    // kReduceSumChunk alone, so sums match the serial backend exactly.
-    std::vector<double> partial(static_cast<size_t>(num_chunks), 0.0);
-    double* partials = partial.data();
-    RunUniform(num_chunks, 1, [=](const ShardRange& r) {
-      for (int64_t c = r.begin; c < r.end; ++c) {
-        int64_t begin = c * kReduceSumChunk;
-        partials[c] =
-            k_.chunk_sum(in, begin, std::min(n, begin + kReduceSumChunk));
-      }
-    });
-    double total = 0.0;
-    for (double v : partial) total += v;
-    return total;
-  }
-
-  // The broadcast zips and both reductions run whole on the calling
-  // thread. A pool fan-out of the zips or of RowSums won fewer than 9 of
-  // 10 alternating train_taobao pairs (the ablation in
-  // BENCH_train_backend_default.json), and the [1,m] ColSums inputs are
-  // bias-row gradients (1, 8 and 16 wide in GNMR), too narrow to split.
-  void BroadcastZip(const float* a, const float* b, float* out, int64_t n,
-                    int64_t m, Broadcast kind, bool b_first, ZipFn f,
-                    float p) const override {
-    BroadcastZipRows(a, b, out, m, kind, b_first,
-                     Translate(f, kZipKeys, k_.zip_twins, k_.num_zip_twins),
-                     p, 0, n);
-  }
-
-  void RowSums(const float* in, float* out, int64_t n,
-               int64_t m) const override {
-    k_.row_sums(in, out, m, 0, n);
-  }
-
-  void ColSums(const float* in, float* out, int64_t n,
-               int64_t m) const override {
-    k_.col_sums(in, out, n, m);
-  }
-
-  void RunRows(int64_t n, int64_t work_per_row,
-               const RowsFn& rows) const override {
-    if (n <= 1 || n * work_per_row < kParallelRowsMinWork) {
-      rows(0, n);
-      return;
-    }
-    RunUniform(n, kShardMinRowsPerShard, [&](const ShardRange& r) {
-      rows(r.begin, r.end);
-    });
-  }
-
-  // The serving scans stay on the calling thread: they run on serving
-  // request threads (already fanned out per request), where a pool
-  // dispatch per scan would only add latency jitter.
-  void QueryDot(const float* q, const float* rows, float* out, int64_t n,
-                int64_t m) const override {
-    k_.query_dot(q, rows, out, n, m);
-  }
-
-  void QueryDotIndexed(const float* q, const float* base, const int64_t* idx,
-                       float* out, int64_t n, int64_t m) const override {
-    k_.query_dot_indexed(q, base, idx, out, n, m);
-  }
-
- private:
-  /// Dispatches one task per shard to `pool`; single-shard plans run
-  /// inline (no dispatch latency for small inputs).
-  template <typename Fn>
-  void RunPlan(ShardPool& pool, const ShardPlan& plan, const Fn& fn) const {
-    if (plan.num_shards() <= 1) {
-      for (const ShardRange& r : plan.ranges()) fn(r);
-      return;
-    }
-    std::function<void(int64_t)> task = [&plan, &fn](int64_t s) {
-      fn(plan.shard(s));
-    };
-    pool.Run(plan.num_shards(), task);
-  }
-
-  /// The three MatMul layouts: output rows [0, n) of an n*k*m product,
-  /// inline below kParallelMatMulMinWork, else cut on register-tile
-  /// boundaries (so only the last shard runs a short tile) with at least
-  /// `min_tiles` tiles per shard.
-  static constexpr int64_t kMinTilesPerShard =
-      (kShardMinRowsPerShard + kSimdMatMulRowTile - 1) / kSimdMatMulRowTile;
-
-  template <typename Fn>
-  void RunRowTiles(int64_t n, int64_t k, int64_t m, int64_t min_tiles,
-                   const Fn& rows) const {
-    if (n <= 1 || n * k * m < kParallelMatMulMinWork) {
-      rows(0, n);
-      return;
-    }
-    constexpr int64_t tile = kSimdMatMulRowTile;
-    RunUniform((n + tile - 1) / tile, min_tiles, [&](const ShardRange& r) {
-      rows(r.begin * tile, std::min(n, r.end * tile));
-    });
-  }
-
-  /// Uniform row plan sized and dispatched on ONE Global() snapshot, so a
-  /// concurrent SetShardWorkers can neither mismatch plan and pool nor
-  /// tear the pool down mid-dispatch (and the global slot lock is taken
-  /// once per op, not twice).
-  template <typename Fn>
-  void RunUniform(int64_t n, int64_t min_per_shard, const Fn& fn) const {
-    std::shared_ptr<ShardPool> pool = ShardPool::Global();
-    ShardPlan plan = ShardPlan::Uniform(n, pool->workers(), min_per_shard);
-    RunPlan(*pool, plan, fn);
-  }
-
-  /// Cached per-matrix SpMM plan: propagation re-runs the same per-behavior
-  /// adjacency every step, and the nnz-balanced cut only needs row_ptr, so
-  /// build it once and reuse while the matrix (and worker count) is
-  /// unchanged. Keyed by the row_ptr storage address; a stale hit after a
-  /// matrix is freed and another allocated in its place is detected by the
-  /// rows/nnz/workers fingerprint — and even an undetected collision would
-  /// still be a valid (merely unbalanced) partition of [0, rows).
-  ShardPlan PlanForSpmm(const CsrMatrix& a, int64_t workers) const {
-    const int64_t* key = a.row_ptr().data();
-    {
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      auto it = plan_cache_.find(key);
-      if (it != plan_cache_.end() && it->second.rows == a.rows() &&
-          it->second.nnz == a.nnz() && it->second.workers == workers) {
-        return it->second.plan;
-      }
-    }
-    ShardPlan plan =
-        kShardSpmmNnzBalanced
-            ? ShardPlan::NnzBalanced(a, workers, kShardMinRowsPerShard)
-            : ShardPlan::Uniform(a.rows(), workers, kShardMinRowsPerShard);
-    {
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      if (plan_cache_.size() >= kMaxCachedPlans) plan_cache_.clear();
-      plan_cache_[key] = {a.rows(), a.nnz(), workers, plan};
-    }
-    return plan;
-  }
-
+/// Cached per-matrix SpMM plan: propagation re-runs the same per-behavior
+/// adjacency every step, and the nnz-balanced cut only needs row_ptr, so
+/// build it once and reuse while the matrix (and shard count) is
+/// unchanged. Keyed by the row_ptr storage address; a stale hit after a
+/// matrix is freed and another allocated in its place is detected by the
+/// rows/nnz/shards fingerprint — and even an undetected collision would
+/// still be a valid (merely unbalanced) partition of [0, rows). A plan
+/// depends on the matrix and the shard count only, so one cache serves
+/// every backend.
+ShardPlan PlanForSpmm(const CsrMatrix& a, int64_t shards) {
   struct CachedPlan {
     int64_t rows = 0;
     int64_t nnz = 0;
-    int64_t workers = 0;
+    int64_t shards = 0;
     ShardPlan plan;
   };
-  static constexpr size_t kMaxCachedPlans = 64;
+  constexpr size_t kMaxCachedPlans = 64;
+  static std::mutex mu;
+  static std::unordered_map<const int64_t*, CachedPlan> cache;
+  const int64_t* key = a.row_ptr().data();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = cache.find(key);
+    if (it != cache.end() && it->second.rows == a.rows() &&
+        it->second.nnz == a.nnz() && it->second.shards == shards) {
+      return it->second.plan;
+    }
+  }
+  ShardPlan plan = ShardPlan::NnzBalanced(a, shards, kShardMinRowsPerShard);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    if (cache.size() >= kMaxCachedPlans) cache.clear();
+    cache[key] = {a.rows(), a.nnz(), shards, plan};
+  }
+  return plan;
+}
 
-  const RangeKernels& k_;
-  mutable std::mutex plan_mu_;
-  mutable std::unordered_map<const int64_t*, CachedPlan> plan_cache_;
-};
+}  // namespace
+
+// ---- Dispatch ---------------------------------------------------------------
+// Every op cuts its row (or chunk) dimension into ranges and runs one
+// RangeKernels entry per range. Each output element is computed whole by
+// one range call in the serial accumulation order, so results are
+// bit-identical at any cap and worker count — including a cap of 1 or a
+// 1-worker pool, where every op is one inline range — and on either table.
+
+template <typename Fn>
+void KernelBackend::RunRanges(int64_t n, int64_t work, int64_t min_work,
+                              int64_t min_per_shard, const Fn& fn) const {
+  if (RunsInline(n, work, min_work)) {
+    fn(int64_t{0}, n);
+    return;
+  }
+  // Plan and dispatch on ONE Global() snapshot, so a concurrent
+  // SetShardWorkers can neither mismatch plan and pool nor tear the pool
+  // down mid-dispatch.
+  std::shared_ptr<ShardPool> pool = ShardPool::Global();
+  RunPlan(*pool,
+          ShardPlan::Uniform(n, std::min(pool->workers(), shard_cap_),
+                             min_per_shard),
+          fn);
+}
+
+void KernelBackend::MatMul(const float* a, const float* b, float* out,
+                           int64_t n, int64_t k, int64_t m) const {
+  RunRanges(NumRowTiles(n), n * k * m, kParallelMatMulMinWork,
+            kMinTilesPerShard,
+            OnRowTiles(n, [=](int64_t i0, int64_t i1) {
+              k_.matmul_rows(a, b, out, k, m, i0, i1);
+            }));
+}
+
+void KernelBackend::MatMulTransB(const float* a, const float* b, float* out,
+                                 int64_t n, int64_t k, int64_t m) const {
+  RunRanges(NumRowTiles(n), n * k * m, kParallelMatMulMinWork,
+            kMinTilesPerShard,
+            OnRowTiles(n, [=](int64_t i0, int64_t i1) {
+              k_.matmul_trans_b_rows(a, b, out, k, m, i0, i1);
+            }));
+}
+
+void KernelBackend::MatMulTransA(const float* a, const float* b, float* out,
+                                 int64_t n, int64_t k, int64_t m) const {
+  // The weight-gradient shape: few output rows (a weight's fan-in), each
+  // a sum over the long k (batch) dimension, so one row tile per shard
+  // is already plenty of work.
+  RunRanges(NumRowTiles(n), n * k * m, kParallelMatMulMinWork, 1,
+            OnRowTiles(n, [=](int64_t i0, int64_t i1) {
+              k_.matmul_trans_a_rows(a, b, out, n, k, m, i0, i1);
+            }));
+}
+
+void KernelBackend::Spmm(const CsrMatrix& a, const float* x, float* out,
+                         int64_t d) const {
+  const int64_t n = a.rows();
+  const int64_t* row_ptr = a.row_ptr().data();
+  const int64_t* col_idx = a.col_idx().data();
+  const float* values = a.values().data();
+  auto rows = [=](int64_t i0, int64_t i1) {
+    k_.spmm_rows(row_ptr, col_idx, values, x, out, d, i0, i1);
+  };
+  if (RunsInline(n, a.nnz() * d, kParallelSpmmMinWork)) {
+    rows(0, n);
+    return;
+  }
+  // Nnz-balanced rather than uniform: power-law degree skew would
+  // otherwise serialize the shard holding the heavy users.
+  std::shared_ptr<ShardPool> pool = ShardPool::Global();
+  RunPlan(*pool, PlanForSpmm(a, std::min(pool->workers(), shard_cap_)), rows);
+}
+
+void KernelBackend::GatherRows(const float* a, int64_t m, const int64_t* idx,
+                               int64_t count, float* out) const {
+  RunRanges(count, count * m, kParallelRowsMinWork, kShardMinRowsPerShard,
+            [=](int64_t lo, int64_t hi) {
+              k_.gather_rows(a, m, idx, out, lo, hi);
+            });
+}
+
+void KernelBackend::ScatterAddRows(float* target, int64_t rows, int64_t m,
+                                   const int64_t* idx, int64_t count,
+                                   const float* src) const {
+  // One pass in source order on the calling thread. Duplicate
+  // destinations rule out splitting the source list, and a target-row
+  // split (every shard scanning the whole list, or the list bucketed by
+  // shard first) measured slower at 4 workers than at 1
+  // (BM_ScatterAddRowsBackend).
+  (void)rows;
+  k_.scatter_add_rows(target, m, idx, count, src);
+}
+
+void KernelBackend::RowDot(const float* a, const float* b, float* out,
+                           int64_t n, int64_t m) const {
+  RunRanges(n, n * m, kParallelRowsMinWork, kShardMinRowsPerShard,
+            [=](int64_t lo, int64_t hi) { k_.row_dot(a, b, out, m, lo, hi); });
+}
+
+void KernelBackend::EltwiseMap(const float* in, float* out, int64_t n,
+                               MapFn f, float p) const {
+  const MapFn g = Translate(f, kMapKeys, k_.map_twins, k_.num_map_twins);
+  RunRanges(n, n, kParallelEltwiseMinWork, kShardMinElemsPerShard,
+            [=](int64_t lo, int64_t hi) { g(in + lo, out + lo, hi - lo, p); });
+}
+
+void KernelBackend::EltwiseZip(const float* a, const float* b, float* out,
+                               int64_t n, ZipFn f, float p) const {
+  const ZipFn g = Translate(f, kZipKeys, k_.zip_twins, k_.num_zip_twins);
+  RunRanges(n, n, kParallelEltwiseMinWork, kShardMinElemsPerShard,
+            [=](int64_t lo, int64_t hi) {
+              g(a + lo, b + lo, out + lo, hi - lo, p);
+            });
+}
+
+double KernelBackend::ReduceSum(const float* in, int64_t n) const {
+  const int64_t num_chunks = (n + kReduceSumChunk - 1) / kReduceSumChunk;
+  if (num_chunks <= 1) return k_.chunk_sum(in, 0, n);
+  // Fixed-chunk double partials, chunk ranges cut like rows, combined in
+  // chunk order: the association is set by kReduceSumChunk alone.
+  std::vector<double> partial(static_cast<size_t>(num_chunks), 0.0);
+  double* partials = partial.data();
+  RunRanges(num_chunks, n, 0, 1, [=](int64_t lo, int64_t hi) {
+    for (int64_t c = lo; c < hi; ++c) {
+      const int64_t begin = c * kReduceSumChunk;
+      partials[c] =
+          k_.chunk_sum(in, begin, std::min(n, begin + kReduceSumChunk));
+    }
+  });
+  double total = 0.0;
+  for (double v : partial) total += v;
+  return total;
+}
+
+// The broadcast zips and both reductions run whole on the calling thread
+// under any cap. A pool fan-out of the zips or of RowSums won fewer than 9
+// of 10 alternating train_taobao pairs (the ablation in
+// BENCH_train_backend_default.json), and the [1,m] ColSums inputs are
+// bias-row gradients (1, 8 and 16 wide in GNMR), too narrow to split.
+void KernelBackend::BroadcastZip(const float* a, const float* b, float* out,
+                                 int64_t n, int64_t m, Broadcast kind,
+                                 bool b_first, ZipFn f, float p) const {
+  kernels::BroadcastZipRows(
+      a, b, out, m, kind, b_first,
+      Translate(f, kZipKeys, k_.zip_twins, k_.num_zip_twins), p, 0, n);
+}
+
+void KernelBackend::RowSums(const float* in, float* out, int64_t n,
+                            int64_t m) const {
+  k_.row_sums(in, out, m, 0, n);
+}
+
+void KernelBackend::ColSums(const float* in, float* out, int64_t n,
+                            int64_t m) const {
+  k_.col_sums(in, out, n, m);
+}
+
+void KernelBackend::RunRows(int64_t n, int64_t work_per_row,
+                            const RowsFn& rows) const {
+  RunRanges(n, n * work_per_row, kParallelRowsMinWork, kShardMinRowsPerShard,
+            rows);
+}
+
+void KernelBackend::QueryDot(const float* q, const float* rows, float* out,
+                             int64_t n, int64_t m) const {
+  k_.query_dot(q, rows, out, n, m);
+}
+
+void KernelBackend::QueryDotIndexed(const float* q, const float* base,
+                                    const int64_t* idx, float* out, int64_t n,
+                                    int64_t m) const {
+  k_.query_dot_indexed(q, base, idx, out, n, m);
+}
 
 // ---- Registry ---------------------------------------------------------------
 
-const SerialBackend kSerialBackend;
+namespace {
+
+// The reference: the serial table, every op one inline range.
+constexpr KernelBackend kSerialReference("serial",
+                                         kernels::kSerialRangeKernels, 1);
+
+// The serial table on the pool: what "sharded" runs without AVX2+FMA.
+constexpr KernelBackend kShardedSerialKernels(
+    "sharded", kernels::kSerialRangeKernels, KernelBackend::kUncappedShards);
 
 // The registered "sharded" backend runs the vector table when both the
 // build (backend_simd.cc compiled with AVX2) and the host (runtime cpuid)
@@ -434,15 +311,18 @@ const SerialBackend kSerialBackend;
 // touching the vector TU, so no AVX2 instruction can execute on an
 // unsupported host.
 const KernelBackend* ShardedBackendInstance() {
-  static const ShardedBackend instance([]() -> const RangeKernels& {
-    const util::CpuFeatures& cpu = util::HostCpuFeatures();
-    if (cpu.avx2 && cpu.fma) {
-      if (const RangeKernels* native = simd::NativeSimdKernels()) {
-        return *native;
-      }
-    }
-    return kernels::kSerialRangeKernels;
-  }());
+  static const KernelBackend instance(
+      "sharded",
+      []() -> const RangeKernels& {
+        const util::CpuFeatures& cpu = util::HostCpuFeatures();
+        if (cpu.avx2 && cpu.fma) {
+          if (const RangeKernels* native = simd::NativeSimdKernels()) {
+            return *native;
+          }
+        }
+        return kernels::kSerialRangeKernels;
+      }(),
+      KernelBackend::kUncappedShards);
   return &instance;
 }
 
@@ -473,38 +353,14 @@ const KernelBackend* DefaultBackend() {
 
 }  // namespace
 
-// ---- Serving scan ops: serial base implementations --------------------------
-// Non-pure with reference bodies so only backends that accelerate these
-// override them. Per-output-element results, no cross-row accumulation, so
-// any override is bit-identical by construction as long as it keeps the
-// lane-partial (float) / plain-int32 (code) dot.
-
-void KernelBackend::QueryDot(const float* q, const float* rows, float* out,
-                             int64_t n, int64_t m) const {
-  kernels::QueryDotRows(q, rows, out, n, m);
-}
-
-void KernelBackend::QueryDotIndexed(const float* q, const float* base,
-                                    const int64_t* idx, float* out, int64_t n,
-                                    int64_t m) const {
-  kernels::QueryDotIndexedRows(q, base, idx, out, n, m);
-}
-
 const std::vector<const KernelBackend*>& AllBackends() {
   static const std::vector<const KernelBackend*> all = {
-      &kSerialBackend, ShardedBackendInstance()};
+      &kSerialReference, ShardedBackendInstance()};
   return all;
 }
 
 const KernelBackend* ShardedSerialKernelsForTest() {
-  static const ShardedBackend instance(kernels::kSerialRangeKernels);
-  return &instance;
-}
-
-bool ShardedUsesVectorKernelsForTest() {
-  const auto* sharded =
-      static_cast<const ShardedBackend*>(ShardedBackendInstance());
-  return &sharded->range_kernels() != &kernels::kSerialRangeKernels;
+  return &kShardedSerialKernels;
 }
 
 const KernelBackend* FindBackend(const std::string& name) {

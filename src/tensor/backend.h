@@ -10,20 +10,26 @@
 // ranges for caller-written row bodies, the per-row kernels of the fused
 // GNMR layer ops.
 //
-// Registered backends:
-//   "sharded" — the default: row-range partitioning (shard_plan.h) over
-//               a persistent std::thread worker pool (shard_pool.h), sized
-//               by GNMR_SHARD_WORKERS / SetShardWorkers. Each range runs the
-//               hand-vectorized AVX2 kernels of backend_simd.cc when the
-//               runtime cpuid probe (util/cpu_features.h) reports
-//               AVX2+FMA, and the serial bodies otherwise. The vector
-//               kernels keep serial's per-element accumulation order with
-//               unfused mul+add, so "sharded" is bit-identical to "serial"
-//               at any worker count on either kernel set. The serving scans
-//               run on the calling thread.
-//   "serial"  — straight-line loops on the calling thread; the bit-exact
-//               reference (backend_kernels.h) every "sharded" kernel is
-//               tested against.
+// One concrete class, three instances. A KernelBackend is a RangeKernels
+// table (backend_simd.h) run under a shard cap: every op cuts its row (or
+// chunk) dimension into at most `shard_cap` ranges and runs one table entry
+// per range. The cap is data, so every instance goes through the same
+// dispatch code:
+//   "sharded" — the default: the cpuid-picked table (the hand-vectorized
+//               AVX2 kernels of backend_simd.cc when util/cpu_features.h
+//               reports AVX2+FMA, the serial bodies otherwise) cut by
+//               shard_plan.h over the persistent std::thread pool of
+//               shard_pool.h, sized by GNMR_SHARD_WORKERS /
+//               SetShardWorkers. The serving scans run on the calling
+//               thread.
+//   "serial"  — the serial reference table (backend_kernels.h) with cap 1:
+//               each op runs as one inline range on the calling thread and
+//               never touches the shard pool.
+//   ShardedSerialKernelsForTest() — the serial table on the pool, which is
+//               what "sharded" runs on hosts without AVX2+FMA.
+// The vector kernels keep the serial per-element accumulation order with
+// unfused mul+add, and a range boundary never splits an output element, so
+// all three are bit-identical at any worker count.
 //
 // Selection: SetBackend()/ScopedBackend at runtime, or the GNMR_BACKEND
 // environment variable read on first use (examples/gnmr_serve also maps a
@@ -50,6 +56,8 @@
 
 namespace gnmr {
 namespace tensor {
+
+struct RangeKernels;  // backend_simd.h
 
 /// Portable scalar reference of the fixed lane-partial dot product — THE
 /// serving-score contract: lane l accumulates elements j with
@@ -78,7 +86,7 @@ inline double LanePartialDot(const float* a, const float* b, int64_t m) {
   return acc;
 }
 
-/// Strategy interface over the raw hot-path kernels.
+/// The hot-path kernels: one RangeKernels table under a shard cap.
 class KernelBackend {
  public:
   /// Elementwise map kernel over a contiguous range: out[i] = f(in[i], p)
@@ -93,60 +101,71 @@ class KernelBackend {
   using ZipFn = void (*)(const float* a, const float* b, float* out,
                          int64_t n, float p);
 
-  virtual ~KernelBackend() = default;
+  /// Runs `kernels` cut into at most `shard_cap` ranges per op. A cap of 1
+  /// runs every op as one inline range and never touches the shard pool;
+  /// kUncappedShards cuts up to the pool's worker count.
+  constexpr KernelBackend(const char* name, const RangeKernels& kernels,
+                          int64_t shard_cap)
+      : name_(name), k_(kernels), shard_cap_(shard_cap) {}
+  KernelBackend(const KernelBackend&) = delete;
+  KernelBackend& operator=(const KernelBackend&) = delete;
+
+  static constexpr int64_t kUncappedShards = INT64_MAX;
 
   /// Registry name ("serial" or "sharded").
-  virtual const char* name() const = 0;
+  const char* name() const { return name_; }
+
+  /// The kernel table every op runs.
+  const RangeKernels& range_kernels() const { return k_; }
 
   /// Dense [n,k] x [k,m] -> out [n,m]; out is zero-initialised.
-  virtual void MatMul(const float* a, const float* b, float* out, int64_t n,
-                      int64_t k, int64_t m) const = 0;
+  void MatMul(const float* a, const float* b, float* out, int64_t n, int64_t k,
+              int64_t m) const;
 
   /// a [n,k] x b^T -> out [n,m], where b is stored [m,k] (MatMul's
   /// input-gradient shape G * B^T). Each element accumulates exactly as
   /// MatMul(a, Transpose(b)) would: ascending k, terms with a == 0
   /// skipped, unfused mul+add. out is zero-initialised.
-  virtual void MatMulTransB(const float* a, const float* b, float* out,
-                            int64_t n, int64_t k, int64_t m) const = 0;
+  void MatMulTransB(const float* a, const float* b, float* out, int64_t n,
+                    int64_t k, int64_t m) const;
 
   /// a^T x b -> out [n,m], where a is stored [k,n] and b is [k,m]
   /// (MatMul's weight-gradient shape A^T * G). Each element accumulates
   /// exactly as MatMul(Transpose(a), b) would: ascending k, terms with
   /// a == 0 skipped, unfused mul+add. out is zero-initialised.
-  virtual void MatMulTransA(const float* a, const float* b, float* out,
-                            int64_t n, int64_t k, int64_t m) const = 0;
+  void MatMulTransA(const float* a, const float* b, float* out, int64_t n,
+                    int64_t k, int64_t m) const;
 
   /// Sparse-dense product a [n,m] x x [m,d] -> out [n,d]; out zeroed.
-  virtual void Spmm(const CsrMatrix& a, const float* x, float* out,
-                    int64_t d) const = 0;
+  void Spmm(const CsrMatrix& a, const float* x, float* out, int64_t d) const;
 
   /// out[r, :] = a[idx[r], :]; a has `m` columns, idx has `count` entries
   /// (pre-validated by the caller).
-  virtual void GatherRows(const float* a, int64_t m, const int64_t* idx,
-                          int64_t count, float* out) const = 0;
+  void GatherRows(const float* a, int64_t m, const int64_t* idx, int64_t count,
+                  float* out) const;
 
   /// target[idx[r], :] += src[r, :] for r in [0, count), applied in
   /// ascending r order per target row (duplicates accumulate
   /// deterministically). target has `rows` x `m`.
-  virtual void ScatterAddRows(float* target, int64_t rows, int64_t m,
-                              const int64_t* idx, int64_t count,
-                              const float* src) const = 0;
+  void ScatterAddRows(float* target, int64_t rows, int64_t m,
+                      const int64_t* idx, int64_t count,
+                      const float* src) const;
 
   /// out[i] = dot(a[i, :], b[i, :]) in double, for i in [0, n).
-  virtual void RowDot(const float* a, const float* b, float* out, int64_t n,
-                      int64_t m) const = 0;
+  void RowDot(const float* a, const float* b, float* out, int64_t n,
+              int64_t m) const;
 
   /// Runs the map kernel over [0, n), possibly split across threads.
-  virtual void EltwiseMap(const float* in, float* out, int64_t n, MapFn f,
-                          float p) const = 0;
+  void EltwiseMap(const float* in, float* out, int64_t n, MapFn f,
+                  float p) const;
 
   /// Runs the zip kernel over [0, n), possibly split across threads.
-  virtual void EltwiseZip(const float* a, const float* b, float* out,
-                          int64_t n, ZipFn f, float p) const = 0;
+  void EltwiseZip(const float* a, const float* b, float* out, int64_t n,
+                  ZipFn f, float p) const;
 
   /// Sum of all elements via fixed-chunk double partials (kReduceSumChunk);
   /// bit-identical across backends and thread counts.
-  virtual double ReduceSum(const float* in, int64_t n) const = 0;
+  double ReduceSum(const float* in, int64_t n) const;
 
   // ---- Rank-2 broadcasts and their reductions -------------------------------
   // The shapes of bias rows and per-row gates: one [n,m] operand against a
@@ -162,19 +181,17 @@ class KernelBackend {
   /// out[i,j] = f(a[i,j], bb, p), or f(bb, a[i,j], p) when `b_first`,
   /// where bb = b[i] (kCol) or b[j] (kRow) and a is [n,m]. `out` may alias
   /// `a` (in-place update). Per-element, so no order to keep.
-  virtual void BroadcastZip(const float* a, const float* b, float* out,
-                            int64_t n, int64_t m, Broadcast kind,
-                            bool b_first, ZipFn f, float p) const = 0;
+  void BroadcastZip(const float* a, const float* b, float* out, int64_t n,
+                    int64_t m, Broadcast kind, bool b_first, ZipFn f,
+                    float p) const;
 
   /// out[i] = sum of row i of in [n,m] ([n,m] -> [n,1]), accumulated in
   /// float from +0.0f in ascending column order.
-  virtual void RowSums(const float* in, float* out, int64_t n,
-                       int64_t m) const = 0;
+  void RowSums(const float* in, float* out, int64_t n, int64_t m) const;
 
   /// out[j] = sum of column j of in [n,m] ([n,m] -> [1,m]), accumulated in
   /// float from +0.0f in ascending row order. out is zero-initialised.
-  virtual void ColSums(const float* in, float* out, int64_t n,
-                       int64_t m) const = 0;
+  void ColSums(const float* in, float* out, int64_t n, int64_t m) const;
 
   // ---- Row-independent bodies ----------------------------------------------
 
@@ -183,33 +200,47 @@ class KernelBackend {
   using RowsFn = std::function<void(int64_t lo, int64_t hi)>;
 
   /// Runs `rows` over a partition of [0, n): whole on the calling thread
-  /// (serial, and sharded below kParallelRowsMinWork total work), else cut
-  /// into row shards on the pool. `work_per_row` is the body's cost of one
+  /// (cap 1, or below kParallelRowsMinWork total work), else cut into row
+  /// shards on the pool. `work_per_row` is the body's cost of one
   /// row in multiply-adds, which only sizes the cut. Every row is computed
   /// whole by one call of the same body, so the partition never changes a
   /// result: the fused GNMR layer ops (core/gnmr_fused_ops.h) are
   /// bit-identical across backends and worker counts by construction.
-  virtual void RunRows(int64_t n, int64_t work_per_row,
-                       const RowsFn& rows) const = 0;
+  void RunRows(int64_t n, int64_t work_per_row, const RowsFn& rows) const;
 
   // ---- Serving scan ops -----------------------------------------------------
   // One query row against many embedding rows — the shape of a top-N
-  // retrieval scan, which RowDot (pairwise rows) does not cover. These have
-  // serial base implementations (the lane-partial / integer references), so
-  // a backend only overrides what it accelerates; every implementation must
-  // stay bit-identical to the base (per-element output, no cross-row
-  // accumulation to reorder).
+  // retrieval scan, which RowDot (pairwise rows) does not cover. They run
+  // on the calling thread under any cap: their callers are serving request
+  // threads, already fanned out per request, where a pool dispatch per
+  // scan would only add latency jitter.
 
   /// out[i] = float(LanePartialDot(q, rows + i*m, m)) for i in [0, n):
   /// `q` against n CONTIGUOUS rows.
-  virtual void QueryDot(const float* q, const float* rows, float* out,
-                        int64_t n, int64_t m) const;
+  void QueryDot(const float* q, const float* rows, float* out, int64_t n,
+                int64_t m) const;
 
   /// Gather flavour: out[i] = float(LanePartialDot(q, base + idx[i]*m, m)).
   /// Row indices are pre-validated by the caller.
-  virtual void QueryDotIndexed(const float* q, const float* base,
-                               const int64_t* idx, float* out, int64_t n,
-                               int64_t m) const;
+  void QueryDotIndexed(const float* q, const float* base, const int64_t* idx,
+                       float* out, int64_t n, int64_t m) const;
+
+ private:
+  /// True when an op over `n` rows costing `work` runs as one inline range:
+  /// under cap 1, for a single row, or below the op's fan-out threshold.
+  bool RunsInline(int64_t n, int64_t work, int64_t min_work) const {
+    return shard_cap_ <= 1 || n <= 1 || work < min_work;
+  }
+
+  /// fn(lo, hi) over [0, n): inline when RunsInline, else a uniform plan of
+  /// at least `min_per_shard` rows per range on the shard pool.
+  template <typename Fn>
+  void RunRanges(int64_t n, int64_t work, int64_t min_work,
+                 int64_t min_per_shard, const Fn& fn) const;
+
+  const char* name_;
+  const RangeKernels& k_;
+  int64_t shard_cap_;
 };
 
 // ---- Range-kernel instantiation helpers -------------------------------------
@@ -251,11 +282,6 @@ const std::vector<const KernelBackend*>& AllBackends();
 /// any host; on supported hosts the registered instance runs the vector
 /// kernels instead.
 const KernelBackend* ShardedSerialKernelsForTest();
-
-/// True when the registered "sharded" backend runs the vector range
-/// kernels, false when it runs the serial ones. Lets tests check the
-/// cpuid-driven table choice.
-bool ShardedUsesVectorKernelsForTest();
 
 /// RAII backend switch for tests: sets on construction, restores the
 /// previous backend on destruction.

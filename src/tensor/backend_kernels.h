@@ -1,9 +1,11 @@
-// Shared serial kernel bodies for the kernel backends (backend.h).
+// The serial kernel bodies: the reference semantics of every backend op.
 //
-// These loops ARE the reference semantics: SerialBackend runs them over
-// [0, rows), and kSerialRangeKernels packs the same bodies as the range
-// table the sharded backend runs on hosts without AVX2+FMA, so fan-out
-// never changes an output element's accumulation order.
+// kSerialRangeKernels packs them as a RangeKernels table. The "serial"
+// backend runs it as one inline range per op; the sharded backend runs it
+// per shard on hosts without AVX2+FMA, and the AVX2 table in
+// backend_simd.cc is tested against it. Every body writes only the output
+// rows it is given, in the per-element accumulation order these loops
+// define, so fan-out never changes a result.
 // Internal header — include only from backend implementation files.
 #ifndef GNMR_TENSOR_BACKEND_KERNELS_H_
 #define GNMR_TENSOR_BACKEND_KERNELS_H_
@@ -14,7 +16,6 @@
 #include "src/tensor/backend.h"
 #include "src/tensor/backend_simd.h"
 #include "src/tensor/kernel_tunables.h"
-#include "src/tensor/sparse.h"
 
 namespace gnmr {
 namespace tensor {
@@ -93,12 +94,6 @@ inline void SpmmRows(const int64_t* row_ptr, const int64_t* col_idx,
   }
 }
 
-inline void SpmmRow(const CsrMatrix& a, const float* x, float* out_row,
-                    int64_t i, int64_t d) {
-  SpmmRowRaw(a.row_ptr().data(), a.col_idx().data(), a.values().data(), x,
-             out_row, i, d);
-}
-
 // Scatter-add of every source row, in ascending source order:
 // target[idx[r], :] += src[r, :].
 inline void ScatterAddRowList(float* target, int64_t m, const int64_t* idx,
@@ -117,29 +112,23 @@ inline void GatherRowRange(const float* a, int64_t m, const int64_t* idx,
   }
 }
 
-// One row dot product in double, accumulated as kReduceLanes fixed lane
-// partials (lane l sums elements j with j % kReduceLanes == l) combined in
-// ascending lane order. The lane shape — not plain left-to-right
-// accumulation — is the op's contract: it is exactly the association a
-// vector unit computes with the row cut into kReduceLanes-wide groups, so
-// the AVX2 kernels can vectorize RowDot while every backend (this scalar
-// body included) produces bit-identical sums.
-inline double RowDotOne(const float* a_row, const float* b_row, int64_t m) {
-  // The lane-partial reference moved to backend.h (LanePartialDot) when
-  // the serving scans adopted the same contract; this is the same body.
-  return LanePartialDot(a_row, b_row, m);
-}
-
+// Rows [lo, hi) of RowDot, each a LanePartialDot (backend.h): lane l
+// sums elements j with j % kReduceLanes == l in double, lanes combine in
+// ascending order. The lane shape — not plain left-to-right accumulation
+// — is the op's contract: it is exactly the association a vector unit
+// computes with the row cut into kReduceLanes-wide groups, so the AVX2
+// kernels can vectorize RowDot while both tables produce bit-identical
+// sums.
 inline void RowDotRows(const float* a, const float* b, float* out, int64_t m,
                        int64_t lo, int64_t hi) {
   for (int64_t i = lo; i < hi; ++i) {
-    out[i] = static_cast<float>(RowDotOne(a + i * m, b + i * m, m));
+    out[i] = static_cast<float>(LanePartialDot(a + i * m, b + i * m, m));
   }
 }
 
 // Double partial over one fixed-width chunk (the unit of ReduceSum's
 // backend-independent association, kReduceSumChunk), accumulated with the
-// same fixed kReduceLanes lane-partial shape as RowDotOne and for the same
+// same fixed kReduceLanes lane-partial shape as RowDotRows and for the same
 // reason.
 inline double ChunkSum(const float* in, int64_t begin, int64_t end) {
   double lane[kReduceLanes] = {0.0};
@@ -244,8 +233,9 @@ inline void QueryDotIndexedRows(const float* q, const float* base,
   }
 }
 
-// The serial bodies as a range table: what the sharded backend runs per
-// shard on hosts without AVX2+FMA. Eltwise bodies run as given.
+// The serial bodies as a range table: what "serial" runs as one inline
+// range, and the sharded backend per shard on hosts without AVX2+FMA.
+// Eltwise bodies run as given.
 inline constexpr RangeKernels kSerialRangeKernels = {
     &MatMulRows,       &MatMulTransBRows,    &MatMulTransARows,
     &SpmmRows,         &GatherRowRange,      &ScatterAddRowList,

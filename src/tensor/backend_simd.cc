@@ -279,7 +279,7 @@ void RowTile(int64_t rows, bool zeros, bool use512, TileArgs t, int64_t m) {
 // ---- SpMM -------------------------------------------------------------------
 
 // One output row, column-paneled: up to 4 ymm accumulators per panel,
-// re-walking the row's nonzeros (ascending, like the serial SpmmRow) once
+// re-walking the row's nonzeros (ascending, like the serial SpmmRowRaw) once
 // per panel. Unfused mul+add.
 void SpmmRowSimd(const int64_t* row_ptr, const int64_t* col_idx,
                  const float* values, const float* x, float* out_row,
@@ -421,8 +421,8 @@ void ColSumsRange(const float* in, float* out, int64_t n, int64_t m) {
 
 // Row dot in double via two 4-wide double accumulators. After the vector
 // loop, accumulator lanes spill to lane[0..7] where lane l holds exactly
-// the elements j with j % 8 == l — the association backend_kernels.h's
-// scalar RowDotOne is specified to compute — then tail elements and the
+// the elements j with j % 8 == l — the association backend.h's
+// scalar LanePartialDot is specified to compute — then tail elements and the
 // ascending lane combine proceed identically to the scalar reference.
 double LaneDot(const float* a_row, const float* b_row, int64_t m) {
   static_assert(kReduceLanes == 8,

@@ -2,11 +2,12 @@
 // AVX2/FMA-compiled translation unit (backend_simd.cc). Include only from
 // backend implementation files and tests.
 //
-// The "sharded" backend cuts every op into row (or chunk) ranges and runs
+// Every KernelBackend cuts each op into row (or chunk) ranges and runs
 // each range through a RangeKernels table. Two tables exist: the serial
-// reference bodies (backend_kernels.h, kSerialRangeKernels) and the
-// vectorized bodies exported by backend_simd.cc (NativeSimdKernels). The
-// registry picks one once, from the runtime cpuid probe.
+// reference bodies (backend_kernels.h, kSerialRangeKernels), which
+// "serial" runs, and the vectorized bodies exported by backend_simd.cc
+// (NativeSimdKernels). The registry picks the "sharded" table once, from
+// the runtime cpuid probe.
 //
 // backend_simd.cc is the one TU in the build compiled with -mavx2 -mfma
 // (and -ffp-contract=off, so explicit mul+add intrinsic pairs are never

@@ -13,7 +13,7 @@
 namespace gnmr {
 namespace tensor {
 
-// ---- Parallel fan-out thresholds (ShardedBackend) ---------------------------
+// ---- Parallel fan-out thresholds (KernelBackend) ----------------------------
 
 /// MatMul fans out only when n*k*m (multiply-adds) reaches this.
 inline constexpr int64_t kParallelMatMulMinWork = int64_t{1} << 16;
@@ -73,7 +73,7 @@ inline constexpr int64_t kSimdMatMulColTileAvx512 = 32;
 /// output row panel, re-walking the row's nonzeros once per panel.
 inline constexpr int64_t kSimdSpmmColPanel = 32;
 
-// ---- ShardedBackend (shard_plan.h / shard_pool.h) ---------------------------
+// ---- Sharded execution (shard_plan.h / shard_pool.h) ------------------------
 
 /// Worker-thread count of the global shard pool. 0 means "one per hardware
 /// thread". Overridable at process start via the GNMR_SHARD_WORKERS
@@ -102,11 +102,6 @@ inline constexpr int64_t kShardMinElemsPerShard = int64_t{1} << 12;
 /// (BENCH_serve_split_floor.json). Where the break-even lies for larger
 /// catalogues is not measured end to end.
 inline constexpr int64_t kShardMinItemsPerShard = 2048;
-
-/// Whether sharded SpMM partitions rows nnz-balanced (true) or uniformly
-/// (false). Nnz balancing absorbs power-law degree skew at the cost of one
-/// pass over row_ptr when a plan is first built for a matrix.
-inline constexpr bool kShardSpmmNnzBalanced = true;
 
 // ---- HNSW retrieval (core::BuildHnswIndex, serve::HnswRetriever) ------------
 

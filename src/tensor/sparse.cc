@@ -108,22 +108,6 @@ CsrMatrix CsrMatrix::Transposed() const {
   return t;
 }
 
-CsrMatrix CsrMatrix::RowScaled(const std::vector<float>& scale) const {
-  GNMR_CHECK_EQ(static_cast<int64_t>(scale.size()), rows_);
-  // The result owns fresh values even when this matrix is a view; the
-  // structure arrays are shared via Storage's cheap copy.
-  CsrMatrix out = *this;
-  OwnedVector<float> scaled(values_.begin(), values_.end());
-  for (int64_t r = 0; r < rows_; ++r) {
-    for (int64_t p = row_ptr_[static_cast<size_t>(r)];
-         p < row_ptr_[static_cast<size_t>(r) + 1]; ++p) {
-      scaled[static_cast<size_t>(p)] *= scale[static_cast<size_t>(r)];
-    }
-  }
-  out.values_ = std::move(scaled);
-  return out;
-}
-
 std::vector<float> CsrMatrix::RowSums() const {
   std::vector<float> sums(static_cast<size_t>(rows_), 0.0f);
   for (int64_t r = 0; r < rows_; ++r) {

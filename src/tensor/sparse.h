@@ -57,10 +57,6 @@ class CsrMatrix {
   /// Transposed copy (CSR of the transpose, i.e. CSC view materialised).
   CsrMatrix Transposed() const;
 
-  /// Returns a copy whose stored values are rescaled row-wise:
-  ///   out[i,j] = values[i,j] * scale[i].
-  CsrMatrix RowScaled(const std::vector<float>& scale) const;
-
   /// Row sums of stored values (the weighted out-degree of each row).
   std::vector<float> RowSums() const;
 

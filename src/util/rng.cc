@@ -137,11 +137,5 @@ std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t population,
   return out;
 }
 
-Rng Rng::Fork() {
-  uint64_t seed = (static_cast<uint64_t>(NextUint32()) << 32) | NextUint32();
-  uint64_t stream = (static_cast<uint64_t>(NextUint32()) << 32) | NextUint32();
-  return Rng(seed, stream | 1u);
-}
-
 }  // namespace util
 }  // namespace gnmr

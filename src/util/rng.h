@@ -66,10 +66,6 @@ class Rng {
   /// Uses Floyd's algorithm; O(n) expected for n << population.
   std::vector<int64_t> SampleWithoutReplacement(int64_t population, int64_t n);
 
-  /// Forks a child generator with an independent stream derived from this
-  /// generator's state; useful for giving each worker its own stream.
-  Rng Fork();
-
  private:
   uint64_t state_;
   uint64_t inc_;

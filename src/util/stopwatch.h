@@ -8,7 +8,7 @@
 namespace gnmr {
 namespace util {
 
-/// Starts at construction; ElapsedSeconds()/ElapsedMillis() read the clock.
+/// Starts at construction; ElapsedSeconds()/ElapsedNanos() read the clock.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
@@ -19,8 +19,6 @@ class Stopwatch {
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
   /// Integer nanoseconds from the monotonic clock — the reading latency
   /// accounting feeds both the cumulative total and the histograms, so

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cerrno>
-#include <sstream>
 
 namespace gnmr {
 namespace util {
@@ -77,15 +76,6 @@ std::string StrFormat(const char* fmt, ...) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-std::string JoinInts(const std::vector<int64_t>& v, std::string_view sep) {
-  std::ostringstream os;
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) os << sep;
-    os << v[i];
-  }
-  return os.str();
 }
 
 }  // namespace util

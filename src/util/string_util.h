@@ -31,9 +31,6 @@ std::string StrFormat(const char* fmt, ...)
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-/// Joins elements with `sep` using operator<< formatting.
-std::string JoinInts(const std::vector<int64_t>& v, std::string_view sep);
-
 }  // namespace util
 }  // namespace gnmr
 

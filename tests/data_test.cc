@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/data/dataset.h"
 #include "src/util/csv.h"
@@ -206,6 +208,143 @@ TEST(LoaderTest, LoadRawTsvRejectsInt64MaxItemId) {
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kParseError);
   std::remove(path.c_str());
+}
+
+// Mutation sweep over both loaders: every single-bit flip, every
+// truncation, and header rewrites must come back as a non-OK Status or as
+// a dataset that validates, never as an abort or an invalid dataset.
+class LoaderMutationTest : public testing::Test {
+ protected:
+  // Writes `content` and loads it with `load`; returns whether it loaded.
+  template <typename Load>
+  bool LoadsValid(const std::string& content, const Load& load,
+                  const std::string& what) {
+    EXPECT_TRUE(util::WriteStringToFile(path_, content).ok());
+    util::Result<Dataset> loaded = load(path_);
+    if (!loaded.ok()) {
+      ++rejected_;
+      return false;
+    }
+    util::Status valid = loaded.value().Validate();
+    EXPECT_TRUE(valid.ok()) << what << ": " << valid.ToString();
+    ++accepted_;
+    return valid.ok();
+  }
+
+  template <typename Load>
+  void SweepFlipsAndTruncations(const std::string& file, const Load& load) {
+    for (size_t i = 0; i < file.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mutant = file;
+        mutant[i] = static_cast<char>(mutant[i] ^ (1 << bit));
+        LoadsValid(mutant, load,
+                   "flip byte " + std::to_string(i) + " bit " +
+                       std::to_string(bit));
+      }
+    }
+    for (size_t len = 0; len < file.size(); ++len) {
+      LoadsValid(file.substr(0, len), load,
+                 "truncated to " + std::to_string(len) + " bytes");
+    }
+  }
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  std::string path_ = testing::TempDir() + "/gnmr_ds_mutant.tsv";
+  int64_t accepted_ = 0;
+  int64_t rejected_ = 0;
+};
+
+TEST_F(LoaderMutationTest, LoadDatasetFlipsAndTruncations) {
+  const std::string saved = testing::TempDir() + "/gnmr_ds_sweep_src.tsv";
+  ASSERT_TRUE(SaveDataset(TinyDataset(), saved).ok());
+  util::Result<std::string> file = util::ReadFileToString(saved);
+  std::remove(saved.c_str());
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(LoadsValid(file.value(), LoadDataset, "unmutated"));
+  SweepFlipsAndTruncations(file.value(), LoadDataset);
+  EXPECT_GT(rejected_, 0);
+  EXPECT_GT(accepted_, 1);
+}
+
+TEST_F(LoaderMutationTest, LoadDatasetHeaderRewrites) {
+  const std::string body =
+      "0\t0\t0\t0\n0\t1\t1\t1\n1\t2\t1\t2\n2\t3\t0\t3\n";
+  auto with_header = [&](const std::string& users, const std::string& items,
+                         const std::string& target,
+                         const std::string& behaviors) {
+    return "gnmr-v1\ttiny\t" + users + "\t" + items + "\t" + target + "\t" +
+           behaviors + "\n" + body;
+  };
+  EXPECT_TRUE(LoadsValid(with_header("3", "4", "1", "view|buy"), LoadDataset,
+                         "unmutated"));
+  // Counts: negative, zero, too small for the rows, unparsable, and huge
+  // (a huge count is a valid, sparse shape).
+  const char* counts[] = {"-1", "0", "2", "-9223372036854775808",
+                          "9223372036854775807", "99999999999999999999",
+                          "1e3", "", "x"};
+  for (const char* c : counts) {
+    LoadsValid(with_header(c, "4", "1", "view|buy"), LoadDataset,
+               std::string("num_users=") + c);
+    LoadsValid(with_header("3", c, "1", "view|buy"), LoadDataset,
+               std::string("num_items=") + c);
+  }
+  for (const char* c : {"-1", "0", "2"}) {
+    EXPECT_FALSE(LoadsValid(with_header(c, "4", "1", "view|buy"), LoadDataset,
+                            c))
+        << "num_users=" << c;
+  }
+  EXPECT_TRUE(LoadsValid(with_header("9223372036854775807", "4", "1",
+                                     "view|buy"),
+                         LoadDataset, "huge num_users"));
+  // Targets outside [0, K) and unparsable ones.
+  for (const char* t : {"-1", "2", "9223372036854775807", "", "buy"}) {
+    EXPECT_FALSE(LoadsValid(with_header("3", "4", t, "view|buy"), LoadDataset,
+                            std::string("target=") + t))
+        << "target=" << t;
+  }
+  // Behavior lists: empty, empty names, and too short for the rows or the
+  // target.
+  for (const char* b : {"", "|", "view|", "|buy", "view"}) {
+    EXPECT_FALSE(LoadsValid(with_header("3", "4", "1", b), LoadDataset,
+                            std::string("behaviors=") + b))
+        << "behaviors=" << b;
+  }
+  // A wrong magic or field count is not a dataset file.
+  EXPECT_FALSE(LoadsValid("gnmr-v2\ttiny\t3\t4\t1\tview|buy\n" + body,
+                          LoadDataset, "magic"));
+  EXPECT_FALSE(LoadsValid("gnmr-v1\ttiny\t3\t4\t1\n" + body, LoadDataset,
+                          "five header fields"));
+  EXPECT_FALSE(LoadsValid("gnmr-v1\ttiny\t3\t4\t1\tview|buy\tx\n" + body,
+                          LoadDataset, "seven header fields"));
+}
+
+TEST_F(LoaderMutationTest, LoadRawTsvFlipsTruncationsAndCallerShapes) {
+  const std::string file = "# raw\n0\t5\t0\n2\t1\t1\t42\n1\t0\t0\t7\n";
+  auto load = [](const std::string& path) {
+    return LoadRawTsv(path, {"view", "buy"}, 1, "raw-sweep");
+  };
+  ASSERT_TRUE(LoadsValid(file, load, "unmutated"));
+  SweepFlipsAndTruncations(file, load);
+  EXPECT_GT(rejected_, 0);
+  EXPECT_GT(accepted_, 1);
+  // The caller supplies the behavior list and target: an empty list, an
+  // empty name or an out-of-range target is refused whatever the rows.
+  const struct {
+    std::vector<std::string> names;
+    int64_t target;
+  } callers[] = {{{}, 0},           {{"view", "buy"}, -1},
+                 {{"view", "buy"}, 2}, {{"view", ""}, 1},
+                 {{"view"}, 0}};  // behavior 1 in the rows is out of range
+  for (const auto& c : callers) {
+    EXPECT_FALSE(LoadsValid(
+        file,
+        [&](const std::string& path) {
+          return LoadRawTsv(path, c.names, c.target);
+        },
+        "caller names=" + std::to_string(c.names.size()) +
+            " target=" + std::to_string(c.target)));
+  }
 }
 
 // -------------------------------------------------------------- Statistics ----

@@ -64,8 +64,6 @@ TEST(GraphTest, EdgeMembership) {
   EXPECT_TRUE(g.HasEdge(0, 1, 1));
   EXPECT_FALSE(g.HasEdge(0, 2, 0));
   EXPECT_FALSE(g.HasEdge(1, 1, 1));
-  EXPECT_TRUE(g.HasAnyEdge(1, 2));
-  EXPECT_FALSE(g.HasAnyEdge(1, 3));
 }
 
 TEST(GraphTest, Degrees) {

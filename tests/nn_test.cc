@@ -31,17 +31,6 @@ TEST(InitTest, XavierUniformBounds) {
   EXPECT_NEAR(w.MeanValue(), 0.0f, 0.01f);
 }
 
-TEST(InitTest, HeNormalVariance) {
-  util::Rng rng(2);
-  Tensor w = HeNormal(200, 100, &rng);
-  double var = 0.0;
-  for (int64_t i = 0; i < w.numel(); ++i) {
-    var += static_cast<double>(w.data()[i]) * w.data()[i];
-  }
-  var /= static_cast<double>(w.numel());
-  EXPECT_NEAR(var, 2.0 / 200.0, 2e-3);
-}
-
 // ------------------------------------------------------------------ Linear ----
 
 TEST(LinearTest, ForwardShapeAndBias) {
@@ -138,33 +127,6 @@ TEST(MlpTest, GradCheckThroughTwoLayers) {
 
 // -------------------------------------------------------------- Optimisers ----
 
-TEST(SgdTest, ConvergesOnQuadratic) {
-  // min (x - 3)^2
-  ad::Var x = ad::Var::Param(Tensor::Scalar(0.0f));
-  Sgd opt(0.1);
-  for (int i = 0; i < 100; ++i) {
-    ad::Var loss = ad::SumAll(ad::Square(ad::AddScalar(x, -3.0f)));
-    ad::Backward(loss);
-    opt.Step({x});
-  }
-  EXPECT_NEAR(x.value().at(0), 3.0f, 1e-3f);
-}
-
-TEST(SgdTest, MomentumAccelerates) {
-  ad::Var x1 = ad::Var::Param(Tensor::Scalar(0.0f));
-  ad::Var x2 = ad::Var::Param(Tensor::Scalar(0.0f));
-  Sgd plain(0.01);
-  Sgd momentum(0.01, 0.9);
-  for (int i = 0; i < 30; ++i) {
-    ad::Backward(ad::SumAll(ad::Square(ad::AddScalar(x1, -3.0f))));
-    plain.Step({x1});
-    ad::Backward(ad::SumAll(ad::Square(ad::AddScalar(x2, -3.0f))));
-    momentum.Step({x2});
-  }
-  EXPECT_LT(std::fabs(x2.value().at(0) - 3.0f),
-            std::fabs(x1.value().at(0) - 3.0f));
-}
-
 TEST(AdamTest, ConvergesOnQuadraticBowl) {
   util::Rng rng(11);
   ad::Var x = ad::Var::Param(Tensor::RandomNormal({4, 4}, &rng));
@@ -206,7 +168,7 @@ TEST(OptimizerTest, SkipsParamsWithoutGrad) {
   ad::Var with_grad = ad::Var::Param(Tensor::Scalar(1.0f));
   ad::Var without_grad = ad::Var::Param(Tensor::Scalar(1.0f));
   ad::Backward(ad::SumAll(ad::Square(with_grad)));
-  Sgd opt(0.1);
+  Adam opt(0.1);
   opt.Step({with_grad, without_grad});
   EXPECT_NE(with_grad.value().at(0), 1.0f);
   EXPECT_EQ(without_grad.value().at(0), 1.0f);

@@ -687,7 +687,7 @@ TEST(TrainerShardStatsTest, EpochReportsPerShardTimingsUnderShardedBackend) {
   EXPECT_GE(stats.shard.MaxBusySeconds(), 0.0);
 }
 
-TEST(TrainerShardStatsTest, LossCurveBitIdenticalToSerialBackend) {
+TEST(TrainerShardStatsTest, LossCurveBitIdenticalToSerialReference) {
   // Whole-training parity: the sharded backend must reproduce the serial
   // loss trajectory exactly at any worker count and on either kernel
   // table (same per-element accumulation order, fixed-chunk ReduceSum).

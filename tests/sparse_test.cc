@@ -86,14 +86,6 @@ TEST(CsrTest, RowSums) {
   EXPECT_FLOAT_EQ(sums[2], 7.0f);
 }
 
-TEST(CsrTest, RowScaled) {
-  CsrMatrix m = SmallMatrix();
-  CsrMatrix s = m.RowScaled({2.0f, 1.0f, 0.5f});
-  auto sums = s.RowSums();
-  EXPECT_FLOAT_EQ(sums[0], 6.0f);
-  EXPECT_FLOAT_EQ(sums[2], 3.5f);
-}
-
 TEST(CsrViewTest, FromViewMatchesOwned) {
   // A view over an owned matrix's arrays behaves identically: same
   // structure queries, same SpMM result, same row-range views.
@@ -144,10 +136,6 @@ TEST(CsrViewTest, DerivedCopiesOwnTheirData) {
   EXPECT_TRUE(t.owns_storage());
   t.CheckInvariants();
   EXPECT_EQ(t.col_idx(), owner->Transposed().col_idx());
-  CsrMatrix scaled = view.RowScaled({2.0f, 3.0f, 4.0f});
-  scaled.CheckInvariants();
-  EXPECT_FLOAT_EQ(scaled.values()[0], 2.0f);
-  EXPECT_FLOAT_EQ(scaled.values()[3], 16.0f);
 }
 
 TEST(CsrDeathTest, OutOfRangeEntryAborts) {

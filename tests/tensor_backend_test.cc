@@ -1,5 +1,5 @@
 // Parity tests of the kernel backends (backend.h): "sharded" must match
-// the SerialBackend reference bit-for-bit on every kernel
+// the "serial" reference bit-for-bit on every kernel
 // (MatMul and its two transposed-operand forms, SpMM/Gather/Scatter/
 // RowDot/map/zip, the rank-2 broadcast zips and their row/column sums,
 // the fixed-chunk ReduceSum and the serving scans), on the AVX2 range
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,13 +94,19 @@ TEST(BackendRegistryTest, AllBackendsRegistered) {
   // serves.
   EXPECT_NE(FindBackend("sharded"), ShardedSerialKernelsForTest());
   EXPECT_STREQ(ShardedSerialKernelsForTest()->name(), "sharded");
-  // The registered instance runs the vector kernels exactly when the
-  // build has them and cpuid reports AVX2+FMA (the vector table is only
-  // looked up once cpuid allows it).
+  // One class, so the instances differ only in table and cap: "serial" is
+  // the reference table run inline, the test instance the same table on
+  // the pool.
+  const RangeKernels& serial_table = FindBackend("serial")->range_kernels();
+  EXPECT_EQ(&ShardedSerialKernelsForTest()->range_kernels(), &serial_table);
+  // The registered "sharded" runs the vector table exactly when the build
+  // has it and cpuid reports AVX2+FMA (the vector table is only looked up
+  // once cpuid allows it), and the reference table otherwise.
   const util::CpuFeatures& cpu = util::HostCpuFeatures();
-  const bool vector_expected =
-      cpu.avx2 && cpu.fma && simd::NativeSimdKernels() != nullptr;
-  EXPECT_EQ(ShardedUsesVectorKernelsForTest(), vector_expected);
+  const RangeKernels* native =
+      cpu.avx2 && cpu.fma ? simd::NativeSimdKernels() : nullptr;
+  EXPECT_EQ(&FindBackend("sharded")->range_kernels(),
+            native != nullptr ? native : &serial_table);
 }
 
 TEST(BackendRegistryTest, ScopedBackendSwitchesAndRestores) {
@@ -785,6 +792,141 @@ TEST(BackendDispatchTest, BroadcastOpsAndReduceToShapeAcrossBackends) {
 }
 
 // --------------------------------------------------------- ops-level dispatch --
+
+// Every KernelBackend op, at sizes above every kParallel*MinWork, with
+// whether the uncapped backend fans it out to the pool.
+struct PoolOp {
+  const char* name;
+  bool fans_out;
+  std::function<void(const KernelBackend&)> run;
+};
+
+std::vector<PoolOp> EveryOpAboveFanOutThresholds(util::Rng* rng) {
+  constexpr int64_t n = 64, k = 64, m = 32;  // n*k*m = 2^17 multiply-adds
+  static_assert(n * k * m >= kParallelMatMulMinWork);
+  constexpr int64_t rows = 1024, width = 64;  // 2^16 floats per row op
+  static_assert(rows * width >= kParallelRowsMinWork);
+  constexpr int64_t len = int64_t{1} << 16;  // 16 ReduceSum chunks
+  static_assert(len >= kParallelEltwiseMinWork && len > kReduceSumChunk);
+  auto a = std::make_shared<Tensor>(Tensor::RandomNormal({n, k}, rng));
+  auto b = std::make_shared<Tensor>(Tensor::RandomNormal({k, m}, rng));
+  auto bt = std::make_shared<Tensor>(Tensor::RandomNormal({m, k}, rng));
+  auto at = std::make_shared<Tensor>(Tensor::RandomNormal({k, n}, rng));
+  auto x = std::make_shared<Tensor>(Tensor::RandomNormal({rows, width}, rng));
+  auto y = std::make_shared<Tensor>(Tensor::RandomNormal({rows, width}, rng));
+  auto flat = std::make_shared<Tensor>(Tensor::RandomNormal({len}, rng));
+  auto csr = std::make_shared<CsrMatrix>(
+      RandomCsr(rows, rows, 0.02, rng, /*with_empty_rows=*/false));
+  EXPECT_GE(csr->nnz() * width, kParallelSpmmMinWork);
+  auto idx = std::make_shared<std::vector<int64_t>>();
+  for (int64_t r = 0; r < rows; ++r) idx->push_back((r * 7) % rows);
+  const KernelBackend::MapFn relu = &MapLoop<&elops::ReluEl>;
+  const KernelBackend::ZipFn add = &ZipLoop<&elops::AddEl>;
+  return {
+      {"MatMul", true,
+       [=](const KernelBackend& be) {
+         Tensor out({n, m});
+         be.MatMul(a->data(), b->data(), out.data(), n, k, m);
+       }},
+      {"MatMulTransB", true,
+       [=](const KernelBackend& be) {
+         Tensor out({n, m});
+         be.MatMulTransB(a->data(), bt->data(), out.data(), n, k, m);
+       }},
+      {"MatMulTransA", true,
+       [=](const KernelBackend& be) {
+         Tensor out({n, m});
+         be.MatMulTransA(at->data(), b->data(), out.data(), n, k, m);
+       }},
+      {"Spmm", true,
+       [=](const KernelBackend& be) {
+         Tensor out({rows, width});
+         be.Spmm(*csr, x->data(), out.data(), width);
+       }},
+      {"GatherRows", true,
+       [=](const KernelBackend& be) {
+         Tensor out({rows, width});
+         be.GatherRows(x->data(), width, idx->data(), rows, out.data());
+       }},
+      {"ScatterAddRows", false,
+       [=](const KernelBackend& be) {
+         Tensor out({rows, width});
+         be.ScatterAddRows(out.data(), rows, width, idx->data(), rows,
+                           x->data());
+       }},
+      {"RowDot", true,
+       [=](const KernelBackend& be) {
+         Tensor out({rows});
+         be.RowDot(x->data(), y->data(), out.data(), rows, width);
+       }},
+      {"EltwiseMap", true,
+       [=](const KernelBackend& be) {
+         Tensor out({len});
+         be.EltwiseMap(flat->data(), out.data(), len, relu, 0.0f);
+       }},
+      {"EltwiseZip", true,
+       [=](const KernelBackend& be) {
+         Tensor out({rows, width});
+         be.EltwiseZip(x->data(), y->data(), out.data(), rows * width, add,
+                       0.0f);
+       }},
+      {"ReduceSum", true,
+       [=](const KernelBackend& be) { be.ReduceSum(flat->data(), len); }},
+      {"BroadcastZip", false,
+       [=](const KernelBackend& be) {
+         Tensor out({rows, width});
+         be.BroadcastZip(x->data(), y->data(), out.data(), rows, width,
+                         KernelBackend::Broadcast::kCol, false, add, 0.0f);
+       }},
+      {"RowSums", false,
+       [=](const KernelBackend& be) {
+         Tensor out({rows});
+         be.RowSums(x->data(), out.data(), rows, width);
+       }},
+      {"ColSums", false,
+       [=](const KernelBackend& be) {
+         Tensor out({width});
+         be.ColSums(x->data(), out.data(), rows, width);
+       }},
+      {"RunRows", true,
+       [=](const KernelBackend& be) {
+         be.RunRows(rows, width, [](int64_t, int64_t) {});
+       }},
+      {"QueryDot", false,
+       [=](const KernelBackend& be) {
+         Tensor out({rows});
+         be.QueryDot(y->data(), x->data(), out.data(), rows, width);
+       }},
+      {"QueryDotIndexed", false,
+       [=](const KernelBackend& be) {
+         Tensor out({rows});
+         be.QueryDotIndexed(y->data(), x->data(), idx->data(), out.data(),
+                            rows, width);
+       }},
+  };
+}
+
+TEST(BackendDispatchTest, SerialNeverDispatchesToThePool) {
+  ScopedShardWorkers workers(3);
+  util::Rng rng(36);
+  const std::vector<PoolOp> ops = EveryOpAboveFanOutThresholds(&rng);
+  ASSERT_EQ(ops.size(), 16u);
+  // Control: the same reference table without the cap fans out every op
+  // that dispatches at all, so the sizes do clear the thresholds.
+  for (const PoolOp& op : ops) {
+    ScopedBackend scoped(ShardedSerialKernelsForTest());
+    const uint64_t before = GlobalShardPoolStats().dispatches;
+    op.run(GetBackend());
+    EXPECT_EQ(GlobalShardPoolStats().dispatches > before, op.fans_out)
+        << op.name;
+  }
+  for (const PoolOp& op : ops) {
+    ScopedBackend scoped("serial");
+    const uint64_t before = GlobalShardPoolStats().dispatches;
+    op.run(GetBackend());
+    EXPECT_EQ(GlobalShardPoolStats().dispatches, before) << op.name;
+  }
+}
 
 TEST(BackendDispatchTest, OpsRouteThroughSelectedBackend) {
   util::Rng rng(19);

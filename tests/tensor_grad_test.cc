@@ -301,11 +301,6 @@ TEST(GradTest, MseLoss) {
   ExpectGradOk([&] { return MseLoss(pred, target); }, {pred});
 }
 
-TEST(GradTest, L2Penalty) {
-  Var a = RandParam({2, 3}, 48), b = RandParam({4}, 49);
-  ExpectGradOk([&] { return L2Penalty({a, b}, 0.3f); }, {a, b});
-}
-
 // ----------------------------------------------------------- tape structure ----
 
 TEST(TapeTest, ReusedVarAccumulatesGradient) {

@@ -1,8 +1,8 @@
-// Determinism regression tests of the pipelined trainer: batch sampling
-// comes from per-batch seeded RNG streams, so the producer/consumer
-// pipeline must reproduce the serial loop's loss trajectory bit-for-bit,
-// and a fixed seed must reproduce itself run to run. One memory test
-// guards the reuse of step buffers across epochs.
+// Determinism regression tests of the trainer: batch sampling comes from
+// per-batch seeded RNG streams, so a fixed seed must reproduce its loss
+// trajectory and trained model bit-for-bit, run to run and under every
+// kernel backend. One memory test guards the reuse of step buffers across
+// epochs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,7 +26,7 @@ GnmrConfig PipelineTestConfig() {
   cfg.num_layers = 1;
   cfg.use_pretrain = false;
   cfg.epochs = 4;
-  // Small batches so every epoch runs several pipeline handoffs.
+  // Small batches so every epoch runs several steps.
   cfg.batch_users = 16;
   cfg.positives_per_user = 2;
   cfg.negatives_per_positive = 2;
@@ -69,42 +69,23 @@ TEST(TrainerPipelineTest, SteadyEpochReusesStepBuffers) {
 #endif
 }
 
-TEST(TrainerPipelineTest, PipelinedMatchesSerialLossCurveExactly) {
-  data::Dataset train = TestData();
-  GnmrConfig on = PipelineTestConfig();
-  on.pipeline_batches = true;
-  GnmrConfig off = PipelineTestConfig();
-  off.pipeline_batches = false;
-
-  GnmrTrainer pipelined(on, train);
-  GnmrTrainer serial(off, train);
-  std::vector<double> pipelined_losses = LossCurve(&pipelined, on.epochs);
-  std::vector<double> serial_losses = LossCurve(&serial, off.epochs);
-
-  ASSERT_EQ(pipelined_losses.size(), serial_losses.size());
-  for (size_t e = 0; e < serial_losses.size(); ++e) {
-    EXPECT_EQ(pipelined_losses[e], serial_losses[e]) << "epoch " << e;
-    EXPECT_GT(serial_losses[e], 0.0) << "epoch " << e;
-  }
-
-  // The trained models are interchangeable too, not just the summaries.
-  pipelined.model().RefreshInferenceCache();
-  serial.model().RefreshInferenceCache();
-  for (int64_t u = 0; u < 5; ++u) {
-    for (int64_t j = 0; j < 5; ++j) {
-      EXPECT_EQ(pipelined.model().Score(u, j), serial.model().Score(u, j));
-    }
-  }
-}
-
-TEST(TrainerPipelineTest, SameSeedReproducesPipelinedRun) {
+TEST(TrainerPipelineTest, SameSeedReproducesRunExactly) {
   data::Dataset train = TestData();
   GnmrConfig cfg = PipelineTestConfig();
-  cfg.pipeline_batches = true;
   GnmrTrainer a(cfg, train), b(cfg, train);
   std::vector<double> la = LossCurve(&a, cfg.epochs);
   std::vector<double> lb = LossCurve(&b, cfg.epochs);
   EXPECT_EQ(la, lb);
+  for (double loss : la) EXPECT_GT(loss, 0.0);
+
+  // The trained models are interchangeable too, not just the summaries.
+  a.model().RefreshInferenceCache();
+  b.model().RefreshInferenceCache();
+  for (int64_t u = 0; u < 5; ++u) {
+    for (int64_t j = 0; j < 5; ++j) {
+      EXPECT_EQ(a.model().Score(u, j), b.model().Score(u, j));
+    }
+  }
 }
 
 TEST(TrainerPipelineTest, DifferentSeedsDiverge) {
@@ -119,33 +100,26 @@ TEST(TrainerPipelineTest, DifferentSeedsDiverge) {
 }
 
 TEST(TrainerPipelineTest, SingleBatchEpochStillTrains) {
-  // batch_users above the user count degenerates to one batch per epoch;
-  // the pipeline path must handle the no-overlap case.
+  // batch_users above the user count degenerates to one batch per epoch.
   data::Dataset train = TestData();
   GnmrConfig cfg = PipelineTestConfig();
   cfg.batch_users = 1 << 20;
-  cfg.pipeline_batches = true;
   GnmrTrainer trainer(cfg, train);
   EpochStats stats = trainer.TrainEpoch();
   EXPECT_GT(stats.mean_loss, 0.0);
   EXPECT_TRUE(std::isfinite(stats.mean_loss));
 }
 
-TEST(TrainerPipelineTest, PipelineIsDeterministicPerKernelBackend) {
-  // The trainer contract holds under every registered kernel backend:
-  // pipelined == serial, whatever executes the tensor kernels underneath.
+TEST(TrainerPipelineTest, SameSeedReproducesRunPerKernelBackend) {
+  // The trainer contract holds under every registered kernel backend,
+  // whatever executes the tensor kernels underneath.
   data::Dataset train = TestData();
   for (const tensor::KernelBackend* backend : tensor::AllBackends()) {
     tensor::ScopedBackend scoped(backend->name());
-    GnmrConfig on = PipelineTestConfig();
-    on.epochs = 2;
-    on.pipeline_batches = true;
-    GnmrConfig off = on;
-    off.pipeline_batches = false;
-    GnmrTrainer pipelined(on, train);
-    GnmrTrainer serial(off, train);
-    EXPECT_EQ(LossCurve(&pipelined, on.epochs),
-              LossCurve(&serial, off.epochs))
+    GnmrConfig cfg = PipelineTestConfig();
+    cfg.epochs = 2;
+    GnmrTrainer a(cfg, train), b(cfg, train);
+    EXPECT_EQ(LossCurve(&a, cfg.epochs), LossCurve(&b, cfg.epochs))
         << backend->name();
   }
 }

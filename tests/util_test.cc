@@ -201,16 +201,6 @@ TEST(RngTest, ShufflePreservesMultiset) {
   EXPECT_EQ(a, b);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(53);
-  Rng child = a.Fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (a.NextUint32() == child.NextUint32()) ++same;
-  }
-  EXPECT_LT(same, 5);
-}
-
 // --------------------------------------------------------------- Strings ----
 
 TEST(StringTest, SplitKeepsEmptyFields) {
@@ -263,11 +253,6 @@ TEST(StringTest, StrFormatWorks) {
 TEST(StringTest, StartsWithWorks) {
   EXPECT_TRUE(StartsWith("--flag", "--"));
   EXPECT_FALSE(StartsWith("-", "--"));
-}
-
-TEST(StringTest, JoinIntsWorks) {
-  EXPECT_EQ(JoinInts({1, 2, 3}, ","), "1,2,3");
-  EXPECT_EQ(JoinInts({}, ","), "");
 }
 
 // ------------------------------------------------------------------- CSV ----
