@@ -40,7 +40,7 @@ GnmrModel::GnmrModel(const GnmrConfig& config, const data::Dataset& train)
     nn::PretrainConfig pcfg;
     pcfg.dim = config.embedding_dim;
     pcfg.epochs = config.pretrain_epochs;
-    nn::PretrainedEmbeddings pre = nn::PretrainEmbeddings(train, pcfg, &rng);
+    nn::PretrainedEmbeddings pre = nn::PretrainEmbeddings(*graph_, pcfg, &rng);
     tensor::Tensor table =
         tensor::ops::ConcatRows({&pre.user, &pre.item});
     // Rescale to the configured init magnitude (the pre-trainer emits

@@ -2,10 +2,20 @@
 
 #include <cmath>
 
+#include "src/tensor/backend.h"
 #include "src/util/check.h"
 
 namespace gnmr {
 namespace nn {
+
+namespace {
+
+/// Adam's cost of one element in multiply-adds (two divides and a square
+/// root among ~10 flops), which sizes RunRows' cut: tensors under ~8k
+/// elements update on the calling thread.
+constexpr int64_t kAdamWorkPerElement = 4;
+
+}  // namespace
 
 void Optimizer::Step(const std::vector<ad::Var>& params) {
   for (ad::Var p : params) {
@@ -45,13 +55,17 @@ void Adam::Update(ad::Var* param) {
   float wd = static_cast<float>(weight_decay_);
   float bias1 = 1.0f - std::pow(b1, static_cast<float>(s.t));
   float bias2 = 1.0f - std::pow(b2, static_cast<float>(s.t));
-  for (int64_t i = 0; i < n; ++i) {
-    m_buf[i] = b1 * m_buf[i] + (1.0f - b1) * g[i];
-    v_buf[i] = b2 * v_buf[i] + (1.0f - b2) * g[i] * g[i];
-    float m_hat = m_buf[i] / bias1;
-    float v_hat = v_buf[i] / bias2;
-    v[i] -= lr * (m_hat / (std::sqrt(v_hat) + eps) + wd * v[i]);
-  }
+  // Elementwise, so any cut of [0, n) gives the same floats.
+  tensor::GetBackend().RunRows(
+      n, kAdamWorkPerElement, [=](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+          m_buf[i] = b1 * m_buf[i] + (1.0f - b1) * g[i];
+          v_buf[i] = b2 * v_buf[i] + (1.0f - b2) * g[i] * g[i];
+          float m_hat = m_buf[i] / bias1;
+          float v_hat = v_buf[i] / bias2;
+          v[i] -= lr * (m_hat / (std::sqrt(v_hat) + eps) + wd * v[i]);
+        }
+      });
 }
 
 double GlobalGradNorm(const std::vector<ad::Var>& params) {

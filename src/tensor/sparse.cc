@@ -77,6 +77,38 @@ int64_t CsrMatrix::RowNnz(int64_t r) const {
   return row_ptr_[static_cast<size_t>(r) + 1] - row_ptr_[static_cast<size_t>(r)];
 }
 
+CsrMatrix CsrMatrix::HStack(const std::vector<const CsrMatrix*>& blocks) {
+  GNMR_CHECK(!blocks.empty());
+  CsrMatrix m;
+  m.rows_ = blocks[0]->rows();
+  int64_t nnz = 0;
+  for (const CsrMatrix* b : blocks) {
+    GNMR_CHECK_EQ(b->rows(), m.rows_);
+    m.cols_ += b->cols();
+    nnz += b->nnz();
+  }
+  OwnedVector<int64_t> row_ptr(static_cast<size_t>(m.rows_) + 1);
+  OwnedVector<int64_t> col_idx(static_cast<size_t>(nnz));
+  OwnedVector<float> values(static_cast<size_t>(nnz));
+  size_t dst = 0;
+  row_ptr[0] = 0;
+  for (size_t r = 0; r < static_cast<size_t>(m.rows_); ++r) {
+    int64_t offset = 0;
+    for (const CsrMatrix* b : blocks) {
+      for (int64_t p = b->row_ptr_[r]; p < b->row_ptr_[r + 1]; ++p, ++dst) {
+        col_idx[dst] = offset + b->col_idx_[static_cast<size_t>(p)];
+        values[dst] = b->values_[static_cast<size_t>(p)];
+      }
+      offset += b->cols();
+    }
+    row_ptr[r + 1] = static_cast<int64_t>(dst);
+  }
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  return m;
+}
+
 CsrMatrix CsrMatrix::Transposed() const {
   CsrMatrix t;
   t.rows_ = cols_;
@@ -106,6 +138,29 @@ CsrMatrix CsrMatrix::Transposed() const {
   t.col_idx_ = std::move(t_col_idx);
   t.values_ = std::move(t_values);
   return t;
+}
+
+CsrMatrix CsrMatrix::SelectRows(const std::vector<int64_t>& ids) const {
+  CsrMatrix m;
+  m.rows_ = static_cast<int64_t>(ids.size());
+  m.cols_ = cols_;
+  OwnedVector<int64_t> row_ptr(ids.size() + 1);
+  row_ptr[0] = 0;
+  for (size_t r = 0; r < ids.size(); ++r) {
+    row_ptr[r + 1] = row_ptr[r] + RowNnz(ids[r]);
+  }
+  OwnedVector<int64_t> col_idx(static_cast<size_t>(row_ptr[ids.size()]));
+  OwnedVector<float> values(col_idx.size());
+  for (size_t r = 0; r < ids.size(); ++r) {
+    const int64_t src = row_ptr_[static_cast<size_t>(ids[r])];
+    const int64_t len = row_ptr[r + 1] - row_ptr[r];
+    std::copy_n(col_idx_.data() + src, len, col_idx.data() + row_ptr[r]);
+    std::copy_n(values_.data() + src, len, values.data() + row_ptr[r]);
+  }
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  return m;
 }
 
 std::vector<float> CsrMatrix::RowSums() const {

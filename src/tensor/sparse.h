@@ -41,6 +41,11 @@ class CsrMatrix {
                             const float* values,
                             std::shared_ptr<const void> keepalive);
 
+  /// Side-by-side concatenation [A_0 | A_1 | ...] of matrices with equal
+  /// row counts: block k's columns are offset by the widths of the blocks
+  /// before it, so each row stays sorted.
+  static CsrMatrix HStack(const std::vector<const CsrMatrix*>& blocks);
+
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
   int64_t nnz() const { return col_idx_.size(); }
@@ -56,6 +61,9 @@ class CsrMatrix {
 
   /// Transposed copy (CSR of the transpose, i.e. CSC view materialised).
   CsrMatrix Transposed() const;
+
+  /// Rows `ids` of this matrix, in that order: [ids.size(), cols].
+  CsrMatrix SelectRows(const std::vector<int64_t>& ids) const;
 
   /// Row sums of stored values (the weighted out-degree of each row).
   std::vector<float> RowSums() const;

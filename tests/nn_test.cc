@@ -1,7 +1,10 @@
 // Tests for nn layers, optimisers and the autoencoder pre-trainer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "src/data/synthetic.h"
 #include "src/nn/embedding.h"
@@ -11,14 +14,40 @@
 #include "src/nn/optimizer.h"
 #include "src/nn/pretrain.h"
 #include "src/tensor/ad_ops.h"
+#include "src/tensor/backend.h"
 #include "src/tensor/gradcheck.h"
+#include "src/tensor/shard_pool.h"
+#include "src/tensor/sparse.h"
+#include "src/tensor/tensor_ops.h"
 #include "src/util/rng.h"
 
 namespace gnmr {
 namespace nn {
 namespace {
 
+using tensor::CsrMatrix;
 using tensor::Tensor;
+
+/// RAII worker-count switch for the global shard pool; restores on exit.
+class ScopedShardWorkers {
+ public:
+  explicit ScopedShardWorkers(int64_t workers)
+      : previous_(tensor::ShardWorkers()) {
+    tensor::SetShardWorkers(workers);
+  }
+  ~ScopedShardWorkers() { tensor::SetShardWorkers(previous_); }
+
+ private:
+  int64_t previous_;
+};
+
+void ExpectBitIdentical(const Tensor& ref, const Tensor& got,
+                        const std::string& context) {
+  ASSERT_EQ(ref.shape(), got.shape()) << context;
+  for (int64_t i = 0; i < ref.numel(); ++i) {
+    ASSERT_EQ(ref.data()[i], got.data()[i]) << context << " at " << i;
+  }
+}
 
 // -------------------------------------------------------------------- init ----
 
@@ -190,6 +219,65 @@ TEST(GradClipTest, LeavesSmallGradientsAlone) {
   EXPECT_NEAR(GlobalGradNorm({x}), before, 1e-9);
 }
 
+TEST(AdamTest, ShardedUpdateBitwiseEqualToPlainLoop) {
+  // 40123 elements: past RunRows' fan-out threshold, and no shard cut
+  // divides it evenly.
+  const int64_t n = 40000 + 123;
+  const float lr = 1e-2f, b1 = 0.9f, b2 = 0.999f, eps = 1e-8f, wd = 0.1f;
+  util::Rng rng(19);
+  const Tensor init = Tensor::RandomNormal({n}, &rng);
+  std::vector<Tensor> grads;
+  for (int step = 0; step < 3; ++step) {
+    grads.push_back(Tensor::RandomNormal({n}, &rng));
+  }
+
+  // Reference: the update as a plain loop on this thread.
+  Tensor ref = init;
+  std::vector<float> m(static_cast<size_t>(n), 0.0f);
+  std::vector<float> v(static_cast<size_t>(n), 0.0f);
+  for (size_t step = 0; step < grads.size(); ++step) {
+    const float t = static_cast<float>(step + 1);
+    const float bias1 = 1.0f - std::pow(b1, t);
+    const float bias2 = 1.0f - std::pow(b2, t);
+    const float* g = grads[step].data();
+    float* p = ref.data();
+    for (size_t i = 0; i < static_cast<size_t>(n); ++i) {
+      m[i] = b1 * m[i] + (1.0f - b1) * g[i];
+      v[i] = b2 * v[i] + (1.0f - b2) * g[i] * g[i];
+      const float m_hat = m[i] / bias1;
+      const float v_hat = v[i] / bias2;
+      p[i] -= lr * (m_hat / (std::sqrt(v_hat) + eps) + wd * p[i]);
+    }
+  }
+
+  auto run = [&] {
+    ad::Var x = ad::Var::Param(init);
+    Adam opt(lr, b1, b2, eps, wd);
+    for (const Tensor& g : grads) {
+      x.node()->AccumulateGrad(g);
+      opt.Step({x});
+    }
+    return x.value();
+  };
+  {
+    tensor::ScopedBackend backend("serial");
+    const uint64_t before = tensor::GlobalShardPoolStats().dispatches;
+    ExpectBitIdentical(ref, run(), "serial");
+    EXPECT_EQ(tensor::GlobalShardPoolStats().dispatches, before)
+        << "serial dispatched to the shard pool";
+  }
+  tensor::ScopedBackend backend("sharded");
+  for (int64_t workers : {1, 3}) {
+    ScopedShardWorkers scoped(workers);
+    const uint64_t before = tensor::GlobalShardPoolStats().dispatches;
+    ExpectBitIdentical(ref, run(), "sharded@" + std::to_string(workers));
+    if (workers > 1) {
+      EXPECT_GT(tensor::GlobalShardPoolStats().dispatches, before)
+          << "the update never fanned out";
+    }
+  }
+}
+
 // ---------------------------------------------------------------- Pretrain ----
 
 TEST(PretrainTest, ShapesAndDeterminism) {
@@ -256,6 +344,164 @@ TEST(PretrainTest, EmbeddingsCarrySignal) {
     }
   }
   EXPECT_LT(intra / n_intra, inter / n_inter);
+}
+
+// The dense multi-hot rows of `x`: [rows, cols].
+Tensor DenseRows(const CsrMatrix& x) {
+  Tensor out({x.rows(), x.cols()});
+  for (int64_t r = 0; r < x.rows(); ++r) {
+    for (int64_t p = x.row_ptr()[static_cast<size_t>(r)];
+         p < x.row_ptr()[static_cast<size_t>(r) + 1]; ++p) {
+      out.at(r, x.col_idx()[static_cast<size_t>(p)]) =
+          x.values()[static_cast<size_t>(p)];
+    }
+  }
+  return out;
+}
+
+void ExpectClose(const Tensor& ref, const Tensor& got, double rel,
+                 const std::string& context) {
+  ASSERT_EQ(ref.shape(), got.shape()) << context;
+  const double scale = std::max<double>(ref.MaxValue(), -ref.MinValue());
+  for (int64_t i = 0; i < ref.numel(); ++i) {
+    ASSERT_NEAR(ref.data()[i], got.data()[i], rel * scale)
+        << context << " at " << i;
+  }
+}
+
+TEST(PretrainTest, MultiHotRowsMatchTheGraph) {
+  data::Dataset d = data::GenerateSynthetic(data::TaobaoLike(0.1));
+  auto g = d.BuildGraph();
+  for (bool user_side : {true, false}) {
+    const CsrMatrix rows = MultiHotRows(*g, user_side);
+    rows.CheckInvariants();
+    const int64_t neighbours = user_side ? g->num_items() : g->num_users();
+    ASSERT_EQ(rows.rows(), user_side ? g->num_users() : g->num_items());
+    ASSERT_EQ(rows.cols(), neighbours * g->num_behaviors());
+    int64_t nnz = 0;
+    for (int64_t k = 0; k < g->num_behaviors(); ++k) nnz += g->NumEdges(k);
+    EXPECT_EQ(rows.nnz(), nnz);
+    for (int64_t e = 0; e < rows.rows(); ++e) {
+      for (int64_t p = rows.row_ptr()[static_cast<size_t>(e)];
+           p < rows.row_ptr()[static_cast<size_t>(e) + 1]; ++p) {
+        const int64_t col = rows.col_idx()[static_cast<size_t>(p)];
+        const int64_t k = col / neighbours, j = col % neighbours;
+        EXPECT_TRUE(user_side ? g->HasEdge(e, j, k) : g->HasEdge(j, e, k));
+        EXPECT_EQ(rows.values()[static_cast<size_t>(p)], 1.0f);
+      }
+    }
+  }
+}
+
+TEST(PretrainTest, ClosedFormMseMatchesDenseTape) {
+  // A small graph whose user 3 has no interactions; a batch of 7 rows (not
+  // a full 64) that includes it and repeats no id.
+  data::Dataset d;
+  d.name = "small";
+  d.num_users = 9;
+  d.num_items = 11;
+  d.behavior_names = {"view", "cart", "buy"};
+  d.target_behavior = 2;
+  util::Rng rng(23);
+  for (int64_t u = 0; u < d.num_users; ++u) {
+    if (u == 3) continue;
+    for (int64_t e = 0; e < 6; ++e) {
+      d.interactions.push_back({u, rng.UniformInt(0, d.num_items - 1),
+                                rng.UniformInt(0, 2), e});
+    }
+  }
+  auto g = d.BuildGraph();
+  const CsrMatrix rows = MultiHotRows(*g, /*user_side=*/true);
+  const CsrMatrix x = rows.SelectRows({5, 3, 0, 8, 1, 6, 2});
+  ASSERT_EQ(x.RowNnz(1), 0);
+  const CsrMatrix x_t = x.Transposed();
+  const int64_t width = x.cols(), dim = 4;
+
+  // h as a ReLU output (some exact zeros), the decoder at Xavier-like scale.
+  const Tensor h0 = tensor::ops::Relu(Tensor::RandomNormal({7, dim}, &rng));
+  const Tensor w0 = Tensor::RandomNormal({dim, width}, &rng, 0.0f, 0.3f);
+  const Tensor b0 = Tensor::RandomNormal({1, width}, &rng, 0.0f, 0.1f);
+
+  ad::Var h_ref = ad::Var::Param(h0);
+  ad::Var w_ref = ad::Var::Param(w0);
+  ad::Var b_ref = ad::Var::Param(b0);
+  ad::Var dense = ad::MseLoss(ad::Add(ad::MatMul(h_ref, w_ref), b_ref),
+                              ad::Var::Constant(DenseRows(x)));
+  ad::Backward(dense);
+
+  ad::Var h = ad::Var::Param(h0);
+  ad::Var w_t = ad::Var::Param(tensor::ops::Transpose(w0));
+  ad::Var b = ad::Var::Param(b0);
+  ad::Var loss = SparseReconstructionMse(h, w_t, b, &x, &x_t);
+  ad::Backward(loss);
+
+  EXPECT_NEAR(loss.value().at(0), dense.value().at(0),
+              1e-5 * dense.value().at(0));
+  ExpectClose(h_ref.grad(), h.grad(), 1e-5, "dh");
+  ExpectClose(w_ref.grad(), tensor::ops::Transpose(w_t.grad()), 1e-5, "dW2");
+  ExpectClose(b_ref.grad(), b.grad(), 1e-5, "db2");
+}
+
+TEST(PretrainTest, ClosedFormMseGradCheck) {
+  // Rows 0 and 2 carry entries (one not 1), row 1 is empty.
+  const CsrMatrix x = CsrMatrix::FromCoo(
+      3, 5, {{0, 1, 1.0f}, {0, 4, 1.0f}, {2, 0, 1.0f}, {2, 3, 2.0f}});
+  const CsrMatrix x_t = x.Transposed();
+  util::Rng rng(29);
+  ad::Var h = ad::Var::Param(Tensor::RandomNormal({3, 2}, &rng));
+  ad::Var w_t = ad::Var::Param(Tensor::RandomNormal({5, 2}, &rng));
+  ad::Var b = ad::Var::Param(Tensor::RandomNormal({1, 5}, &rng));
+  auto report = ad::GradCheck(
+      [&] { return SparseReconstructionMse(h, w_t, b, &x, &x_t); },
+      {h, w_t, b});
+  EXPECT_TRUE(report.Accept(2e-2, 2e-3)) << report.worst;
+}
+
+TEST(PretrainTest, TablesBitwiseEqualAcrossBackends) {
+  // TaobaoLike(0.25): the user side's encoder weight is 1300 x 16, so
+  // Adam, the closed-form backward and the SpMMs fan out over the pool.
+  data::Dataset d = data::GenerateSynthetic(data::TaobaoLike(0.25, 5));
+  auto g = d.BuildGraph();
+  PretrainConfig cfg;
+  cfg.dim = 16;
+  cfg.epochs = 1;
+  auto run = [&](const tensor::KernelBackend* backend) {
+    tensor::ScopedBackend scoped(backend);
+    util::Rng rng(31);
+    return PretrainEmbeddings(*g, cfg, &rng);
+  };
+  const PretrainedEmbeddings ref = run(tensor::FindBackend("serial"));
+  const struct {
+    const tensor::KernelBackend* backend;
+    int64_t workers;
+    const char* tag;
+  } cases[] = {
+      {tensor::FindBackend("sharded"), 1, "sharded@1"},
+      {tensor::FindBackend("sharded"), 3, "sharded@3"},
+      {tensor::ShardedSerialKernelsForTest(), 3, "sharded/serial-kernels@3"},
+  };
+  for (const auto& c : cases) {
+    ScopedShardWorkers workers(c.workers);
+    const uint64_t before = tensor::GlobalShardPoolStats().dispatches;
+    const PretrainedEmbeddings got = run(c.backend);
+    if (c.workers > 1) {
+      EXPECT_GT(tensor::GlobalShardPoolStats().dispatches, before) << c.tag;
+    }
+    ExpectBitIdentical(ref.user, got.user, std::string(c.tag) + " user");
+    ExpectBitIdentical(ref.item, got.item, std::string(c.tag) + " item");
+  }
+}
+
+TEST(PretrainTest, DatasetOverloadEqualsGraphOverload) {
+  data::Dataset d = data::GenerateSynthetic(data::MovieLensLike(0.08));
+  PretrainConfig cfg;
+  cfg.dim = 8;
+  cfg.epochs = 1;
+  util::Rng rng1(3), rng2(3);
+  const PretrainedEmbeddings a = PretrainEmbeddings(d, cfg, &rng1);
+  const PretrainedEmbeddings b = PretrainEmbeddings(*d.BuildGraph(), cfg, &rng2);
+  ExpectBitIdentical(a.user, b.user, "user");
+  ExpectBitIdentical(a.item, b.item, "item");
 }
 
 }  // namespace

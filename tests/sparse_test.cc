@@ -86,6 +86,37 @@ TEST(CsrTest, RowSums) {
   EXPECT_FLOAT_EQ(sums[2], 7.0f);
 }
 
+TEST(CsrTest, HStackOffsetsBlockColumns) {
+  // [SmallMatrix | B] with B = [[0 5] [6 0] [0 0]].
+  CsrMatrix b = CsrMatrix::FromCoo(3, 2, {{0, 1, 5.0f}, {1, 0, 6.0f}});
+  CsrMatrix m = SmallMatrix();
+  CsrMatrix s = CsrMatrix::HStack({&m, &b});
+  s.CheckInvariants();
+  EXPECT_EQ(s.rows(), 3);
+  EXPECT_EQ(s.cols(), 5);
+  CsrMatrix want = CsrMatrix::FromCoo(
+      3, 5, {{0, 0, 1.0f}, {0, 2, 2.0f}, {0, 4, 5.0f}, {1, 3, 6.0f},
+             {2, 0, 3.0f}, {2, 1, 4.0f}});
+  EXPECT_EQ(s.row_ptr(), want.row_ptr());
+  EXPECT_EQ(s.col_idx(), want.col_idx());
+  EXPECT_EQ(s.values(), want.values());
+}
+
+TEST(CsrTest, SelectRowsKeepsRequestedOrder) {
+  CsrMatrix m = SmallMatrix();
+  CsrMatrix s = m.SelectRows({2, 1, 0, 2});
+  s.CheckInvariants();
+  EXPECT_EQ(s.rows(), 4);
+  EXPECT_EQ(s.cols(), 3);
+  CsrMatrix want = CsrMatrix::FromCoo(
+      4, 3, {{0, 0, 3.0f}, {0, 1, 4.0f}, {2, 0, 1.0f}, {2, 2, 2.0f},
+             {3, 0, 3.0f}, {3, 1, 4.0f}});
+  EXPECT_EQ(s.row_ptr(), want.row_ptr());
+  EXPECT_EQ(s.col_idx(), want.col_idx());
+  EXPECT_EQ(s.values(), want.values());
+  EXPECT_EQ(m.SelectRows({}).nnz(), 0);
+}
+
 TEST(CsrViewTest, FromViewMatchesOwned) {
   // A view over an owned matrix's arrays behaves identically: same
   // structure queries, same SpMM result, same row-range views.
